@@ -9,7 +9,6 @@ into NSGA-II, SPEA2, or MOEA/D.
 from .dataset import (
     Dataset,
     DatasetError,
-    FitnessCase,
     load_csv,
     stratified_split,
     synthetic_blobs,
@@ -65,8 +64,6 @@ from .semantic_emo import (
 from .semantics import (
     Pivot,
     SimilarityBounds,
-    distance_above_ubss,
-    distance_in_band,
     select_pivot,
     ssc_distance,
 )

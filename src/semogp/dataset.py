@@ -2,8 +2,7 @@
 
 A dataset is a fixed table of labelled fitness cases: a read-only float64
 feature matrix plus a boolean label vector, where True marks the positive
-(minority) class. Instances are immutable after construction, so they can be
-shared freely across worker threads.
+(minority) class. Instances are immutable after construction.
 """
 
 from __future__ import annotations
@@ -11,21 +10,12 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class DatasetError(ValueError):
     """Raised for malformed input files or invalid dataset operations."""
-
-
-@dataclass(frozen=True)
-class FitnessCase:
-    """A single labelled input record."""
-
-    features: tuple[float, ...]
-    positive: bool
 
 
 class Dataset:
@@ -72,12 +62,10 @@ class Dataset:
         n_pos = int(self.labels.sum())
         return {"positive": n_pos, "negative": self.n_cases - n_pos}
 
-    @property
-    def cases(self) -> tuple[FitnessCase, ...]:
-        return tuple(
-            FitnessCase(tuple(row), bool(lab))
-            for row, lab in zip(self.features, self.labels)
-        )
+    def __reduce__(self):
+        # Rebuild through __init__ so an unpickled copy (as sent to worker
+        # processes) is validated and read-only too.
+        return Dataset, (self.features, self.labels, self.positive_token, self.negative_token)
 
     def subset(self, indices) -> "Dataset":
         """Return a new dataset holding the given rows, in the given order."""

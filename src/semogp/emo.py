@@ -283,7 +283,49 @@ def _base_front(members: Population) -> Population:
     return [members[i] for i in fronts[0]]
 
 
-class Nsga2Engine:
+class _Engine:
+    """State and loops shared by the engines.
+
+    Holds the evaluator, variation policy, run parameters, generator and
+    selection space, builds and scores the initial population, and breeds
+    pop_size offspring from pairs picked by the subclass's _tournament.
+    """
+
+    def __init__(
+        self,
+        evaluator: ClassificationEvaluator,
+        variation: Variation,
+        rng: random.Random,
+        objective_space=None,
+    ):
+        self.evaluator = evaluator
+        self.variation = variation
+        self.params = variation.params
+        self.rng = rng
+        self.space = objective_space if objective_space is not None else BaseObjectives()
+
+    def _initial_population(self, size: int) -> Population:
+        trees = ramped_half_and_half(
+            size,
+            self.variation.primitives,
+            self.rng,
+            self.params.init_min_depth,
+            self.params.init_max_depth,
+        )
+        return self.evaluator.evaluate_all(trees)
+
+    def _breed(self, mates: Population) -> Population:
+        n = self.params.pop_size
+        trees = []
+        while len(trees) < n:
+            a = mates[self._tournament()]
+            b = mates[self._tournament()]
+            trees.extend(self.variation.breed_pair(a, b, self.rng))
+        del trees[n:]
+        return self.evaluator.evaluate_all(trees)
+
+
+class Nsga2Engine(_Engine):
     """Generational NSGA-II: merge parents and offspring, fill by fronts.
 
     The crowding policy supplies the diversity values used in both the
@@ -298,31 +340,25 @@ class Nsga2Engine:
         objective_space=None,
         crowding_policy: CrowdingPolicy | None = None,
     ):
-        self.evaluator = evaluator
-        self.variation = variation
-        self.params = variation.params
-        self.rng = rng
-        self.space = objective_space if objective_space is not None else BaseObjectives()
+        super().__init__(evaluator, variation, rng, objective_space)
         self.crowding_policy = crowding_policy if crowding_policy is not None else canonical_crowding
         self.parents: Population = []
         self._ranks = np.zeros(0, dtype=np.int64)
         self._crowds = np.zeros(0)
 
-    def initialize(self):
-        trees = ramped_half_and_half(
-            self.params.pop_size,
-            self.variation.primitives,
-            self.rng,
-            self.params.init_min_depth,
-            self.params.init_max_depth,
-        )
-        self.parents = self.evaluator.evaluate_all(trees)
-        objs = self.space.refresh(self.parents, self.rng)
+    def _sort(self, members: Population) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
+        """Fronts, per-member front ranks and crowding values of a pool."""
+        objs = self.space.refresh(members, self.rng)
         fronts = fast_nondominated_sort(objs)
-        self._crowds = self.crowding_policy(self.parents, fronts, objs, self.rng)
-        self._ranks = np.zeros(len(self.parents), dtype=np.int64)
+        crowds = self.crowding_policy(members, fronts, objs, self.rng)
+        ranks = np.zeros(len(members), dtype=np.int64)
         for rank, front in enumerate(fronts):
-            self._ranks[front] = rank
+            ranks[front] = rank
+        return fronts, ranks, crowds
+
+    def initialize(self):
+        self.parents = self._initial_population(self.params.pop_size)
+        _, self._ranks, self._crowds = self._sort(self.parents)
 
     def _tournament(self) -> int:
         n = len(self.parents)
@@ -334,28 +370,12 @@ class Nsga2Engine:
             return j
         return i
 
-    def _breed(self):
-        n = self.params.pop_size
-        trees = []
-        while len(trees) < n:
-            a = self.parents[self._tournament()]
-            b = self.parents[self._tournament()]
-            trees.extend(self.variation.breed_pair(a, b, self.rng))
-        del trees[n:]
-        return trees
-
     def step(self):
-        offspring = self.evaluator.evaluate_all(self._breed())
-        merged = self.parents + offspring
-        objs = self.space.refresh(merged, self.rng)
-        fronts = fast_nondominated_sort(objs)
-        crowds = self.crowding_policy(merged, fronts, objs, self.rng)
+        merged = self.parents + self._breed(self.parents)
+        fronts, ranks, crowds = self._sort(merged)
         keep = nsga2_survivors(fronts, crowds, self.params.pop_size)
-        rank_of = np.zeros(len(merged), dtype=np.int64)
-        for rank, front in enumerate(fronts):
-            rank_of[front] = rank
         self.parents = [merged[i] for i in keep]
-        self._ranks = rank_of[keep]
+        self._ranks = ranks[keep]
         self._crowds = crowds[keep]
 
     def front(self) -> Population:
@@ -363,7 +383,7 @@ class Nsga2Engine:
         return _base_front(self.parents)
 
 
-class Spea2Engine:
+class Spea2Engine(_Engine):
     """SPEA2 with a fixed-capacity archive and tournament mating from it.
 
     The density policy, when given, replaces the density component of the
@@ -380,28 +400,17 @@ class Spea2Engine:
         objective_space=None,
         density_policy: DensityPolicy | None = None,
     ):
-        self.evaluator = evaluator
-        self.variation = variation
-        self.params = variation.params
-        self.rng = rng
+        super().__init__(evaluator, variation, rng, objective_space)
         self.archive_size = archive_size if archive_size is not None else self.params.pop_size
         if self.archive_size < 1:
             raise ValueError("archive_size must be at least 1")
-        self.space = objective_space if objective_space is not None else BaseObjectives()
         self.density_policy = density_policy
         self.population: Population = []
         self.archive: Population = []
         self._archive_fitness = np.zeros(0)
 
     def initialize(self):
-        trees = ramped_half_and_half(
-            self.params.pop_size,
-            self.variation.primitives,
-            self.rng,
-            self.params.init_min_depth,
-            self.params.init_max_depth,
-        )
-        self.population = self.evaluator.evaluate_all(trees)
+        self.population = self._initial_population(self.params.pop_size)
         self._environmental_selection()
 
     def _environmental_selection(self):
@@ -432,14 +441,7 @@ class Spea2Engine:
         return j if self._archive_fitness[j] < self._archive_fitness[i] else i
 
     def step(self):
-        n = self.params.pop_size
-        trees = []
-        while len(trees) < n:
-            a = self.archive[self._tournament()]
-            b = self.archive[self._tournament()]
-            trees.extend(self.variation.breed_pair(a, b, self.rng))
-        del trees[n:]
-        self.population = self.evaluator.evaluate_all(trees)
+        self.population = self._breed(self.archive)
         self._environmental_selection()
 
     def front(self) -> Population:
@@ -451,7 +453,7 @@ def canonical_archive_rank(members: Population, objs: np.ndarray, rng: random.Ra
     return crowding_distance(objs)
 
 
-class MoeadEngine:
+class MoeadEngine(_Engine):
     """Decomposition engine: one Chebyshev subproblem per weight vector.
 
     The internal population holds one individual per weight vector (the
@@ -477,11 +479,7 @@ class MoeadEngine:
             raise ValueError("delta must lie in [0, 1]")
         if max_replacements < 1:
             raise ValueError("max_replacements must be at least 1")
-        self.evaluator = evaluator
-        self.variation = variation
-        self.params = variation.params
-        self.rng = rng
-        self.space = objective_space if objective_space is not None else BaseObjectives()
+        super().__init__(evaluator, variation, rng, objective_space)
         self.weights = simplex_lattice_weights(self.space.n_objectives, self.params.pop_size)
         self.n_subproblems = len(self.weights)
         self.neighbor_idx = neighborhoods(self.weights, neighbors)
@@ -496,14 +494,7 @@ class MoeadEngine:
         self.ideal_history: list[np.ndarray] = []
 
     def initialize(self):
-        trees = ramped_half_and_half(
-            self.n_subproblems,
-            self.variation.primitives,
-            self.rng,
-            self.params.init_min_depth,
-            self.params.init_max_depth,
-        )
-        self.population = self.evaluator.evaluate_all(trees)
+        self.population = self._initial_population(self.n_subproblems)
         self._selection_objs = self.space.refresh(self.population, self.rng)
         self.ideal = self._selection_objs.min(axis=0).copy()
         for ind in self.population:

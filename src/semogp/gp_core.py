@@ -336,6 +336,8 @@ class GPParams:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        if self.mutation_subtree_depth < 0:
+            raise ValueError("mutation_subtree_depth must be non-negative")
 
 
 @dataclass

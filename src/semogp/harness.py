@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import statistics
-from dataclasses import asdict, dataclass, field, replace
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import repeat
 from pathlib import Path
 
-from .dataset import load_csv, minmax_apply, minmax_fit, stratified_split
+from .dataset import Dataset, load_csv, minmax_apply, minmax_fit, stratified_split
 from .emo import EngineParams
 from .gp_core import GPParams, evaluate_semantics, parse_prefix
 from .objectives import classify, confusion, objective_vector
@@ -92,6 +95,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        if self.n_workers < 1:
+            raise ValueError("n_workers must be at least 1")
 
     def is_grid(self) -> bool:
         return isinstance(self.lbss, (list, tuple)) or isinstance(self.ubss, (list, tuple))
@@ -110,25 +115,14 @@ class ExperimentConfig:
             allow_scd_moead=self.allow_scd_moead,
         )
 
+    def _params(self, cls):
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
     def gp_params(self) -> GPParams:
-        return GPParams(
-            pop_size=self.pop_size,
-            generations=self.generations,
-            init_min_depth=self.init_min_depth,
-            init_max_depth=self.init_max_depth,
-            max_depth=self.max_depth,
-            crossover_rate=self.crossover_rate,
-            mutation_rate=self.mutation_rate,
-            mutation_subtree_depth=self.mutation_subtree_depth,
-        )
+        return self._params(GPParams)
 
     def engine_params(self) -> EngineParams:
-        return EngineParams(
-            archive_size=self.archive_size,
-            moead_neighbors=self.moead_neighbors,
-            moead_delta=self.moead_delta,
-            moead_max_replacements=self.moead_max_replacements,
-        )
+        return self._params(EngineParams)
 
     def echo(self, seed: int) -> dict:
         """Config record stored with each run, sufficient to re-run it.
@@ -169,6 +163,27 @@ def _attach_test_metrics(result: RunResult, test_ds, threshold: float):
         member.test_objectives = tuple(float(x) for x in objective_vector(counts))
 
 
+def _run_seed(cfg: ExperimentConfig, full: Dataset, seed: int) -> RunResult:
+    """Split, evolve and score on the held-out split: one seed's whole run."""
+    train, test = stratified_split(full, cfg.train_fraction, seed)
+    if cfg.scale_features:
+        mins, maxs = minmax_fit(train)
+        train = minmax_apply(train, mins, maxs)
+        test = minmax_apply(test, mins, maxs)
+    result = run_variant(
+        cfg.engine,
+        cfg.semantic_config(),
+        train,
+        cfg.gp_params(),
+        cfg.engine_params(),
+        seed=seed,
+        threshold=cfg.threshold,
+        config_echo=cfg.echo(seed),
+    )
+    _attach_test_metrics(result, test, cfg.threshold)
+    return result
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
     """Run every seed of a single-valued configuration and persist results.
 
@@ -176,31 +191,29 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
     (configuration, seed) pair fully determines its output files. The
     headline metrics are computed on the training split; each front member
     also carries its objectives on the held-out split.
+
+    With n_workers > 1 and several seeds, the seeds run in that many worker
+    processes (at most one per seed); files are still written here, in seed
+    order, and are byte-identical to a sequential run's.
     """
     cfg.validate()
     if cfg.is_grid():
         raise ValueError("grid configs must be expanded first (expand_grid)")
     full = load_csv(cfg.dataset, cfg.label_column, cfg.positive_label)
+    jobs = (repeat(cfg), repeat(full), cfg.seeds)
+    n_workers = min(cfg.n_workers, len(cfg.seeds))
+    if n_workers == 1:
+        return _save_each(map(_run_seed, *jobs), cfg.output_dir)
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=n_workers, mp_context=context) as pool:
+        return _save_each(pool.map(_run_seed, *jobs), cfg.output_dir)
+
+
+def _save_each(runs, output_dir) -> list[RunResult]:
+    """Save each result as it arrives, in arrival order."""
     results = []
-    for seed in cfg.seeds:
-        train, test = stratified_split(full, cfg.train_fraction, seed)
-        if cfg.scale_features:
-            mins, maxs = minmax_fit(train)
-            train = minmax_apply(train, mins, maxs)
-            test = minmax_apply(test, mins, maxs)
-        result = run_variant(
-            cfg.engine,
-            cfg.semantic_config(),
-            train,
-            cfg.gp_params(),
-            cfg.engine_params(),
-            seed=seed,
-            n_workers=cfg.n_workers,
-            threshold=cfg.threshold,
-            config_echo=cfg.echo(seed),
-        )
-        _attach_test_metrics(result, test, cfg.threshold)
-        save_run(result, cfg.output_dir)
+    for result in runs:
+        save_run(result, output_dir)
         results.append(result)
     return results
 

@@ -71,18 +71,9 @@ def _objective_tuple(member) -> tuple:
     return vec
 
 
-def unique_solutions(members, by_semantics: bool = False) -> int:
-    """Distinct solutions on a front, compared by exact equality.
-
-    Default compares the 2-entry objective vectors; by_semantics compares
-    the full semantics vectors instead.
-    """
-    members = list(members)
-    if by_semantics:
-        seen = {tuple(np.asarray(m.semantics, dtype=np.float64)) for m in members}
-    else:
-        seen = {_objective_tuple(m) for m in members}
-    return len(seen)
+def unique_solutions(members) -> int:
+    """Distinct 2-entry objective vectors on a front, by exact equality."""
+    return len({_objective_tuple(m) for m in members})
 
 
 def size_stats(members) -> SizeStats:

@@ -8,7 +8,6 @@ perfect classifier sits at the origin.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,18 +61,11 @@ def objective_vector(counts: ConfusionCounts) -> np.ndarray:
 
 
 class ClassificationEvaluator:
-    """Maps trees to cached semantics and objectives on one dataset.
+    """Maps trees to cached semantics and objectives on one dataset."""
 
-    Evaluation is pure, so results are identical whether trees are scored
-    sequentially or by the thread pool (n_workers > 1).
-    """
-
-    def __init__(self, dataset: Dataset, threshold: float = CLASSIFICATION_THRESHOLD, n_workers: int = 1):
-        if n_workers < 1:
-            raise ValueError("n_workers must be at least 1")
+    def __init__(self, dataset: Dataset, threshold: float = CLASSIFICATION_THRESHOLD):
         self.dataset = dataset
         self.threshold = threshold
-        self.n_workers = n_workers
 
     def evaluate_tree(self, tree: Node) -> Individual:
         semantics = evaluate_semantics(tree, self.dataset.features)
@@ -81,8 +73,4 @@ class ClassificationEvaluator:
         return Individual(tree, semantics, objective_vector(counts))
 
     def evaluate_all(self, trees) -> list[Individual]:
-        trees = list(trees)
-        if self.n_workers == 1 or len(trees) < 2:
-            return [self.evaluate_tree(tree) for tree in trees]
-        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            return list(pool.map(self.evaluate_tree, trees))
+        return [self.evaluate_tree(tree) for tree in trees]

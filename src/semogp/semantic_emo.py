@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -200,6 +200,17 @@ def sdo_extend(members: Population, pivot: Pivot, cfg: SemanticConfig) -> np.nda
     return np.column_stack([base, third])
 
 
+def _front_pivot(members: Population, front: list[int], objs: np.ndarray, rng: random.Random) -> Pivot:
+    """Pivot from the sparsest region of one front.
+
+    front indexes both members and the rows of objs, on which crowding is
+    measured; the returned source_index refers to members.
+    """
+    crowd = crowding_distance(objs[front])
+    picked = select_pivot([members[i].semantics for i in front], crowd, rng)
+    return Pivot(picked.semantics, front[picked.source_index])
+
+
 def select_front_pivot(members: Population, rng: random.Random) -> Pivot:
     """Pivot from the sparsest region of the pool's first front.
 
@@ -210,10 +221,7 @@ def select_front_pivot(members: Population, rng: random.Random) -> Pivot:
     members = list(members)
     _require_semantics(members)
     base = np.stack([ind.objectives for ind in members])
-    front = fast_nondominated_sort(base)[0]
-    crowd = crowding_distance(base[front])
-    picked = select_pivot([members[i].semantics for i in front], crowd, rng)
-    return Pivot(picked.semantics, front[picked.source_index])
+    return _front_pivot(members, fast_nondominated_sort(base)[0], base, rng)
 
 
 class SdoObjectives:
@@ -251,11 +259,7 @@ class ScdCrowding:
     cfg: SemanticConfig
 
     def __call__(self, members, fronts, objs, rng):
-        front = fronts[0]
-        crowd = crowding_distance(objs[front])
-        picked = select_pivot([members[i].semantics for i in front], crowd, rng)
-        pivot = Pivot(picked.semantics, front[picked.source_index])
-        return scd_assign(members, pivot, self.cfg)
+        return scd_assign(members, _front_pivot(members, fronts[0], objs, rng), self.cfg)
 
 
 @dataclass
@@ -270,10 +274,7 @@ class ScdDensity:
 
     def __call__(self, members, objs, raw, rng):
         front = [i for i in range(len(members)) if raw[i] == 0]
-        crowd = crowding_distance(objs[front])
-        picked = select_pivot([members[i].semantics for i in front], crowd, rng)
-        pivot = Pivot(picked.semantics, front[picked.source_index])
-        counts = scd_assign(members, pivot, self.cfg)
+        counts = scd_assign(members, _front_pivot(members, front, objs, rng), self.cfg)
         return 1.0 / (counts + 2.0)
 
 
@@ -284,9 +285,7 @@ class ScdArchiveRank:
     cfg: SemanticConfig
 
     def __call__(self, members, objs, rng):
-        crowd = crowding_distance(objs)
-        picked = select_pivot([ind.semantics for ind in members], crowd, rng)
-        pivot = Pivot(picked.semantics, picked.source_index)
+        pivot = _front_pivot(members, list(range(len(members))), objs, rng)
         return scd_assign(members, pivot, self.cfg)
 
 
@@ -357,7 +356,6 @@ def run_variant(
     *,
     seed: int = 0,
     rng: random.Random | None = None,
-    n_workers: int = 1,
     threshold: float = CLASSIFICATION_THRESHOLD,
     config_echo: dict | None = None,
 ) -> RunResult:
@@ -369,9 +367,10 @@ def run_variant(
     front, sorted by objectives then program text.
     """
     gp = gp if gp is not None else GPParams()
+    engine_params = engine_params if engine_params is not None else EngineParams()
     if rng is None:
         rng = random.Random(seed)
-    evaluator = ClassificationEvaluator(dataset, threshold, n_workers)
+    evaluator = ClassificationEvaluator(dataset, threshold)
     variation = Variation(PrimitiveSet(dataset.n_features), gp)
     ssc_stats = SscCounters()
     if cfg.approach == "ssc":
@@ -400,12 +399,13 @@ def run_variant(
         )
         for ind in front
     ]
-    echo = config_echo if config_echo is not None else _default_echo(engine, cfg, gp, seed)
+    if config_echo is None:
+        config_echo = _default_echo(engine, cfg, gp, engine_params, seed, threshold)
     result = RunResult(
         engine=engine,
         approach=cfg.approach,
         seed=seed,
-        config=echo,
+        config=config_echo,
         front=members,
         generations=stats,
         wall_time_s=wall,
@@ -414,16 +414,11 @@ def run_variant(
     return result
 
 
-def _default_echo(engine: str, cfg: SemanticConfig, gp: GPParams, seed: int) -> dict:
-    return {
-        "engine": engine,
-        "approach": cfg.approach,
-        "lbss": cfg.bounds.lbss,
-        "ubss": cfg.bounds.ubss,
-        "distance_rule": cfg.distance_rule,
-        "ssc_max_trials": cfg.ssc_max_trials,
-        "ssc_subset_fraction": cfg.ssc_subset_fraction,
-        "pop_size": gp.pop_size,
-        "generations": gp.generations,
-        "seed": seed,
-    }
+def _default_echo(
+    engine: str, cfg: SemanticConfig, gp: GPParams, engine_params: EngineParams, seed: int, threshold: float
+) -> dict:
+    """Every setting that shaped a library run, named as in ExperimentConfig, plus its seed."""
+    echo = {"engine": engine, **asdict(cfg), **asdict(gp), **asdict(engine_params)}
+    echo.update(echo.pop("bounds"))
+    echo.update(threshold=threshold, seed=seed)
+    return echo

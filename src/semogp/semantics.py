@@ -73,25 +73,6 @@ def ssc_distance(s1: np.ndarray, s2: np.ndarray, subset=None) -> float:
     return float(diff.mean())
 
 
-def _abs_diff(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    a = np.asarray(p, dtype=np.float64)
-    b = np.asarray(v, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("semantics vectors must have the same length")
-    return np.abs(a - b)
-
-
-def distance_above_ubss(p: np.ndarray, v: np.ndarray, bounds: SimilarityBounds) -> int:
-    """Number of cases whose absolute output difference exceeds ubss."""
-    return int(np.sum(_abs_diff(p, v) > bounds.ubss))
-
-
-def distance_in_band(p: np.ndarray, v: np.ndarray, bounds: SimilarityBounds) -> int:
-    """Number of cases whose absolute output difference lies in [lbss, ubss]."""
-    diff = _abs_diff(p, v)
-    return int(np.sum((diff >= bounds.lbss) & (diff <= bounds.ubss)))
-
-
 def count_distances(
     semantics_matrix: np.ndarray, pivot_semantics: np.ndarray, bounds: SimilarityBounds, rule: str
 ) -> np.ndarray:

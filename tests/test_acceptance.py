@@ -34,8 +34,6 @@ from semogp import (
     Spea2Engine,
     SscCounters,
     Variation,
-    distance_above_ubss,
-    distance_in_band,
     dominates,
     fast_nondominated_sort,
     hypervolume_2d,
@@ -53,6 +51,7 @@ from semogp import (
 )
 from semogp.gp_core import Constant, Feature
 from semogp.harness import ExperimentConfig
+from semogp.semantics import RULE_ABOVE, RULE_BAND, count_distances
 
 from test_emo import peel_front_oracle
 
@@ -154,8 +153,8 @@ def test_criterion_04_distance_rules_partition_the_cases():
         lbss = rng.uniform(0.0, 1.0)
         ubss = lbss if case % 10 == 0 else lbss + rng.uniform(0.0, 1.0)
         bounds = SimilarityBounds(lbss, ubss)
-        above = distance_above_ubss(p, v, bounds)
-        band = distance_in_band(p, v, bounds)
+        above = count_distances(p[None, :], v, bounds, RULE_ABOVE)[0]
+        band = count_distances(p[None, :], v, bounds, RULE_BAND)[0]
         below = int((np.abs(p - v) < lbss).sum())
         assert above + band + below == length, (
             f"case {case}: above={above} band={band} below={below} length={length} "
@@ -214,7 +213,7 @@ def test_criterion_06_canonical_variant_is_the_raw_engine():
             )
 
             rng = random.Random(seed)
-            evaluator = ClassificationEvaluator(ds, CLASSIFICATION_THRESHOLD, 1)
+            evaluator = ClassificationEvaluator(ds, CLASSIFICATION_THRESHOLD)
             variation = Variation(PrimitiveSet(ds.n_features), gp)
             if engine_name == "nsga2":
                 engine = Nsga2Engine(evaluator, variation, rng)

@@ -1,5 +1,7 @@
 """CSV loading, validation, stratified splitting, scaling, synthetic data."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,11 @@ class TestDataset:
     def test_features_are_read_only(self, small_dataset):
         with pytest.raises(ValueError):
             small_dataset.features[0, 0] = 99.0
+        # Copies sent to worker processes stay read-only too.
+        copy = pickle.loads(pickle.dumps(small_dataset))
+        assert np.array_equal(copy.features, small_dataset.features)
+        with pytest.raises(ValueError):
+            copy.features[0, 0] = 99.0
 
     def test_needs_two_cases(self):
         with pytest.raises(DatasetError, match="at least two cases"):
@@ -125,14 +132,6 @@ class TestDataset:
         sub = ds.subset([0, 2])
         assert sub.features[:, 0].tolist() == [1.0, 3.0]
         assert sub.positive_token == ds.positive_token
-
-    def test_cases_view(self, tmp_path):
-        path = write(tmp_path / "d.csv", "1,2,pos\n3,4,neg\n5,6,neg\n")
-        ds = load_csv(path)
-        cases = ds.cases
-        assert cases[0].features == (1.0, 2.0)
-        assert cases[0].positive is True
-        assert cases[1].positive is False
 
 
 class TestStratifiedSplit:

@@ -292,6 +292,8 @@ class TestParams:
             GPParams(init_min_depth=4, init_max_depth=2)
         with pytest.raises(ValueError):
             GPParams(max_depth=1, init_max_depth=6)
+        with pytest.raises(ValueError):
+            GPParams(mutation_subtree_depth=-1)
 
 
 class TestVariation:

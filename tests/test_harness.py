@@ -169,6 +169,9 @@ class TestExperimentConfig:
             ExperimentConfig(dataset="d.csv", seeds=[]).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(dataset="d.csv", seeds=[1, 1]).validate()
+        # Rejected at the config boundary, before the (missing) CSV is read.
+        with pytest.raises(ValueError, match="n_workers"):
+            run_experiment(ExperimentConfig(dataset="missing.csv", n_workers=0))
 
     def test_grid_expansion(self):
         cfg = ExperimentConfig(

@@ -85,15 +85,6 @@ class TestUniqueSolutions:
         members = [make_individual(objectives=(i / 10, 1 - i / 10)) for i in range(5)]
         assert unique_solutions(members) == 5
 
-    def test_by_semantics(self):
-        members = [
-            make_individual(semantics=(1.0, 2.0), objectives=(0.5, 0.5)),
-            make_individual(semantics=(1.0, 2.0), objectives=(0.5, 0.5)),
-            make_individual(semantics=(1.0, 2.5), objectives=(0.5, 0.5)),
-        ]
-        assert unique_solutions(members) == 1
-        assert unique_solutions(members, by_semantics=True) == 2
-
     def test_requires_two_entry_objectives(self):
         with pytest.raises(ValueError):
             unique_solutions([make_individual(objectives=(0.5, 0.25, 0.1))])

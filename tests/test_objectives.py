@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semogp.gp_core import Call, Constant, Feature, grow_tree, PrimitiveSet
+from semogp.gp_core import Call, Constant, Feature
 from semogp.objectives import (
     CLASSIFICATION_THRESHOLD,
     ClassificationEvaluator,
@@ -112,18 +112,6 @@ class TestEvaluator:
             confusion(classify(ind.semantics, 0.0), small_dataset.labels)
         )
         assert np.array_equal(ind.objectives, manual)
-
-    def test_parallel_matches_sequential(self, small_dataset):
-        rng = random.Random(2)
-        ps = PrimitiveSet(n_features=small_dataset.n_features)
-        trees = [grow_tree(ps, rng.randint(1, 5), rng) for _ in range(40)]
-        seq = ClassificationEvaluator(small_dataset, n_workers=1).evaluate_all(trees)
-        par = ClassificationEvaluator(small_dataset, n_workers=4).evaluate_all(trees)
-        assert len(seq) == len(par) == 40
-        for a, b in zip(seq, par):
-            assert a.tree is b.tree
-            assert np.array_equal(a.semantics, b.semantics)
-            assert np.array_equal(a.objectives, b.objectives)
 
     def test_custom_threshold_changes_objectives(self, small_dataset):
         tree = Feature(0)

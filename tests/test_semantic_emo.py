@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from semogp.emo import fast_nondominated_sort, nsga2_survivors
+from semogp.emo import EngineParams, fast_nondominated_sort, nsga2_survivors
 from semogp.gp_core import (
     Call,
     Constant,
@@ -14,6 +14,7 @@ from semogp.gp_core import (
     evaluate_semantics,
     to_prefix,
 )
+from semogp.harness import ExperimentConfig
 from semogp.metrics import GenerationStats
 from semogp.semantics import RULE_ABOVE, RULE_BAND, Pivot, SimilarityBounds
 from semogp.semantic_emo import (
@@ -417,15 +418,6 @@ class TestRunVariant:
             (m.program, m.objectives) for m in b.front
         ] or a.generations != b.generations
 
-    def test_parallel_evaluation_matches_sequential(self, dataset):
-        cfg = SemanticConfig(approach="sdo")
-        a = run_variant("nsga2", cfg, dataset, gp=self.GP, seed=6, n_workers=1)
-        b = run_variant("nsga2", cfg, dataset, gp=self.GP, seed=6, n_workers=4)
-        assert [(m.program, m.objectives) for m in a.front] == [
-            (m.program, m.objectives) for m in b.front
-        ]
-        assert a.generations == b.generations
-
     def test_unknown_approach_rejected(self, dataset):
         with pytest.raises(ValueError):
             run_variant("nsga2", SemanticConfig(approach="psychic"), dataset, gp=self.GP)
@@ -444,8 +436,18 @@ class TestRunVariant:
         assert result.wall_time_s > 0
 
     def test_config_echo_defaults(self, dataset):
-        result = run_variant("nsga2", SemanticConfig(), dataset, gp=self.GP, seed=9)
+        cfg = SemanticConfig(ssc_parent_distance=True)
+        result = run_variant("nsga2", cfg, dataset, gp=self.GP, seed=9, threshold=0.25)
         assert result.config["engine"] == "nsga2"
         assert result.config["approach"] == "canonical"
         assert result.config["seed"] == 9
         assert result.config["pop_size"] == 16
+        assert result.config["ssc_parent_distance"] is True
+        # The echo names every setting of the run as ExperimentConfig does,
+        # so the run can be configured again from it.
+        settings = {k: v for k, v in result.config.items() if k != "seed"}
+        rebuilt = ExperimentConfig(dataset="d.csv", **settings)
+        assert rebuilt.semantic_config() == cfg
+        assert rebuilt.gp_params() == self.GP
+        assert rebuilt.engine_params() == EngineParams()
+        assert rebuilt.threshold == 0.25

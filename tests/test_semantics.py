@@ -13,11 +13,20 @@ from semogp.semantics import (
     Pivot,
     SimilarityBounds,
     count_distances,
-    distance_above_ubss,
-    distance_in_band,
     select_pivot,
     ssc_distance,
 )
+
+
+# Scalar reference forms of the two case-count rules; count_distances is
+# checked against them row by row.
+def distance_above_ubss(p, v, bounds):
+    return int(np.sum(np.abs(p - v) > bounds.ubss))
+
+
+def distance_in_band(p, v, bounds):
+    diff = np.abs(p - v)
+    return int(np.sum((diff >= bounds.lbss) & (diff <= bounds.ubss)))
 
 
 P = np.array([0.9, 0.2, 0.5])
@@ -70,29 +79,33 @@ class TestSscDistance:
             ssc_distance(np.zeros(3), np.zeros(4))
 
 
+def count_one(p, v, bounds, rule):
+    return count_distances(p[None, :], v, bounds, rule)[0]
+
+
 class TestCaseCountRules:
     def test_above_hand_case(self):
         # |diffs| = (0.8, 0.05, 0.0); only 0.8 exceeds ubss.
-        assert distance_above_ubss(P, V, BOUNDS) == 1
+        assert count_one(P, V, BOUNDS, RULE_ABOVE) == 1
 
     def test_band_hand_case(self):
         # Only 0.05 falls inside [0.01, 0.5].
-        assert distance_in_band(P, V, BOUNDS) == 1
+        assert count_one(P, V, BOUNDS, RULE_BAND) == 1
 
     def test_identical_vectors_count_zero_above(self):
-        assert distance_above_ubss(V, V, BOUNDS) == 0
+        assert count_one(V, V, BOUNDS, RULE_ABOVE) == 0
 
     def test_band_endpoints_are_inclusive(self):
         bounds = SimilarityBounds(lbss=0.1, ubss=0.5)
         p = np.array([0.1, 0.5, 0.0999999, 0.5000001])
         v = np.zeros(4)
-        assert distance_in_band(p, v, bounds) == 2
+        assert count_one(p, v, bounds, RULE_BAND) == 2
 
     def test_above_is_strict(self):
         bounds = SimilarityBounds(lbss=0.0, ubss=0.5)
         p = np.array([0.5, 0.5000001])
         v = np.zeros(2)
-        assert distance_above_ubss(p, v, bounds) == 1
+        assert count_one(p, v, bounds, RULE_ABOVE) == 1
 
     def test_partition_identity(self):
         # above-count + band-count + below-lbss-count covers every case once.
@@ -103,16 +116,16 @@ class TestCaseCountRules:
             v = np.array([rng.uniform(-2, 2) for _ in range(length)])
             lbss = rng.uniform(0, 1)
             bounds = SimilarityBounds(lbss=lbss, ubss=lbss + rng.uniform(0, 1))
-            above = distance_above_ubss(p, v, bounds)
-            band = distance_in_band(p, v, bounds)
+            above = count_one(p, v, bounds, RULE_ABOVE)
+            band = count_one(p, v, bounds, RULE_BAND)
             below = int((np.abs(p - v) < bounds.lbss).sum())
             assert above + band + below == length
 
     def test_infinite_ubss_means_nothing_above(self):
         bounds = SimilarityBounds(lbss=0.0, ubss=float("inf"))
         p = np.array([1e9, -1e9])
-        assert distance_above_ubss(p, np.zeros(2), bounds) == 0
-        assert distance_in_band(p, np.zeros(2), bounds) == 2
+        assert count_one(p, np.zeros(2), bounds, RULE_ABOVE) == 0
+        assert count_one(p, np.zeros(2), bounds, RULE_BAND) == 2
 
     def test_count_distances_matches_per_row(self):
         rng = random.Random(2)
