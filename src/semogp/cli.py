@@ -58,7 +58,10 @@ def _run(args) -> int:
         overrides["output_dir"] = args.out
     if overrides:
         cfg = replace(cfg, **overrides)
-    for single in expand_grid(cfg):
+    singles = expand_grid(cfg)
+    for single in singles:
+        single.validate()
+    for single in singles:
         for result in run_experiment(single):
             final = result.generations[-1]
             print(

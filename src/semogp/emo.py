@@ -30,6 +30,16 @@ class EngineParams:
     moead_delta: float = 0.9
     moead_max_replacements: int = 2
 
+    def __post_init__(self):
+        if self.archive_size is not None and self.archive_size < 1:
+            raise ValueError("archive_size must be at least 1")
+        if self.moead_neighbors < 1:
+            raise ValueError("moead_neighbors must be at least 1")
+        if not 0.0 <= self.moead_delta <= 1.0:
+            raise ValueError("moead_delta must lie in [0, 1]")
+        if self.moead_max_replacements < 1:
+            raise ValueError("moead_max_replacements must be at least 1")
+
 
 def dominates(a, b) -> bool:
     """True when vector a Pareto-dominates b under minimization."""
@@ -209,7 +219,7 @@ def neighborhoods(weights: np.ndarray, t: int) -> np.ndarray:
     """Indices of the t nearest weight vectors per row, self included first."""
     W = np.asarray(weights, dtype=np.float64)
     n = W.shape[0]
-    t = min(max(t, 1), n)
+    t = min(t, n)
     diff = W[:, None, :] - W[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     order = np.argsort(dist, axis=1, kind="stable")
@@ -396,14 +406,13 @@ class Spea2Engine(_Engine):
         evaluator: ClassificationEvaluator,
         variation: Variation,
         rng: random.Random,
-        archive_size: int | None = None,
+        engine_params: EngineParams = EngineParams(),
         objective_space=None,
         density_policy: DensityPolicy | None = None,
     ):
         super().__init__(evaluator, variation, rng, objective_space)
+        archive_size = engine_params.archive_size
         self.archive_size = archive_size if archive_size is not None else self.params.pop_size
-        if self.archive_size < 1:
-            raise ValueError("archive_size must be at least 1")
         self.density_policy = density_policy
         self.population: Population = []
         self.archive: Population = []
@@ -469,22 +478,16 @@ class MoeadEngine(_Engine):
         evaluator: ClassificationEvaluator,
         variation: Variation,
         rng: random.Random,
-        neighbors: int = 20,
-        delta: float = 0.9,
-        max_replacements: int = 2,
+        engine_params: EngineParams = EngineParams(),
         objective_space=None,
         archive_rank: ArchiveRank | None = None,
     ):
-        if not 0.0 <= delta <= 1.0:
-            raise ValueError("delta must lie in [0, 1]")
-        if max_replacements < 1:
-            raise ValueError("max_replacements must be at least 1")
         super().__init__(evaluator, variation, rng, objective_space)
         self.weights = simplex_lattice_weights(self.space.n_objectives, self.params.pop_size)
         self.n_subproblems = len(self.weights)
-        self.neighbor_idx = neighborhoods(self.weights, neighbors)
-        self.delta = delta
-        self.max_replacements = max_replacements
+        self.neighbor_idx = neighborhoods(self.weights, engine_params.moead_neighbors)
+        self.delta = engine_params.moead_delta
+        self.max_replacements = engine_params.moead_max_replacements
         self.archive_rank = archive_rank if archive_rank is not None else canonical_archive_rank
         self.archive_cap = self.n_subproblems
         self.population: Population = []

@@ -68,31 +68,23 @@ Population = list[Individual]
 
 @dataclass(frozen=True)
 class PrimitiveSet:
-    """Available terminals and operators for tree construction."""
+    """Tree-building primitives: the features, constants in [-1, 1] and FUNCTIONS."""
 
     n_features: int
-    functions: tuple[str, ...] = FUNCTIONS
-    const_low: float = -1.0
-    const_high: float = 1.0
 
     def __post_init__(self):
         if self.n_features < 1:
             raise ValueError("primitive set needs at least one feature")
-        if not self.functions:
-            raise ValueError("primitive set needs at least one function")
-        unknown = set(self.functions) - set(FUNCTIONS)
-        if unknown:
-            raise ValueError(f"unknown functions: {sorted(unknown)}")
 
     def random_terminal(self, rng: random.Random) -> Node:
         # Uniform over the feature references plus one constant slot.
         pick = rng.randrange(self.n_features + 1)
         if pick == self.n_features:
-            return Constant(rng.uniform(self.const_low, self.const_high))
+            return Constant(rng.uniform(-1.0, 1.0))
         return Feature(pick)
 
     def random_function(self, rng: random.Random) -> str:
-        return self.functions[rng.randrange(len(self.functions))]
+        return FUNCTIONS[rng.randrange(len(FUNCTIONS))]
 
 
 def grow_tree(ps: PrimitiveSet, target_depth: int, rng: random.Random, _depth: int = 0) -> Node:
@@ -128,8 +120,8 @@ def ramped_half_and_half(
     pop_size: int,
     ps: PrimitiveSet,
     rng: random.Random,
-    min_depth: int = 2,
-    max_depth: int = 6,
+    min_depth: int,
+    max_depth: int,
 ) -> list[Node]:
     """Initial trees with depths ramped across [min_depth, max_depth].
 
@@ -240,9 +232,7 @@ def pick_uniform_point(tree: Node, rng: random.Random) -> Path:
     return paths[rng.randrange(len(paths))]
 
 
-def subtree_crossover(
-    p1: Node, p2: Node, rng: random.Random, max_depth: int = 17
-) -> tuple[Node, Node]:
+def subtree_crossover(p1: Node, p2: Node, rng: random.Random, max_depth: int) -> tuple[Node, Node]:
     """Exchange one subtree between two parents.
 
     Point selection is retried up to five times when an offspring would
@@ -263,8 +253,8 @@ def subtree_mutation(
     tree: Node,
     ps: PrimitiveSet,
     rng: random.Random,
-    max_depth: int = 17,
-    subtree_depth: int = 4,
+    max_depth: int,
+    subtree_depth: int,
 ) -> Node:
     """Replace one uniformly chosen node's subtree with a fresh grown subtree.
 

@@ -14,60 +14,51 @@ import math
 import multiprocessing
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
 from itertools import repeat
 from pathlib import Path
 
 from .dataset import Dataset, load_csv, minmax_apply, minmax_fit, stratified_split
 from .emo import EngineParams
 from .gp_core import GPParams, evaluate_semantics, parse_prefix
-from .objectives import classify, confusion, objective_vector
+from .objectives import CLASSIFICATION_THRESHOLD, classify, confusion, objective_vector
 from .results import RunResult, load_run, save_run
-from .semantic_emo import APPROACHES, ENGINES, SemanticConfig, run_variant
-from .semantics import DISTANCE_RULES, SimilarityBounds
+from .semantic_emo import SemanticConfig, check_engine, run_variant
+from .semantics import SimilarityBounds
 
 
-def _as_bound(value) -> float:
-    if isinstance(value, str):
-        value = float(value)
-    return float(value)
+# Every GP, engine and semantic setting, flat: named, typed and defaulted by
+# its param class, with SemanticConfig.bounds as lbss and ubss.
+_Settings = make_dataclass(
+    "_Settings",
+    [
+        (f.name, f.type, field(default=f.default))
+        for cls in (SemanticConfig, SimilarityBounds, GPParams, EngineParams)
+        for f in fields(cls)
+        if f.name != "bounds"
+    ],
+    kw_only=True,
+)
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(kw_only=True)
+class ExperimentConfig(_Settings):
     """Everything needed to reproduce a batch of runs.
 
-    lbss and ubss may be single values or lists; expand_grid turns lists
-    into the cross-product of single-valued configurations.
+    Besides the run-level fields below it carries every GPParams,
+    EngineParams and SemanticConfig setting under its own name; those
+    classes check them. lbss and ubss may be single values or lists;
+    expand_grid turns lists into the cross-product of single-valued
+    configurations.
     """
 
     dataset: str
     label_column: int = -1
     positive_label: str | None = None
     engine: str = "nsga2"
-    approach: str = "canonical"
-    lbss: float | list = 0.01
-    ubss: float | list = 0.5
-    distance_rule: str = "band"
-    ssc_max_trials: int = 4
-    ssc_subset_fraction: float = 1.0
-    ssc_parent_distance: bool = False
-    allow_scd_moead: bool = False
-    pop_size: int = 100
-    generations: int = 30
-    init_min_depth: int = 2
-    init_max_depth: int = 6
-    max_depth: int = 17
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.1
-    mutation_subtree_depth: int = 4
     train_fraction: float = 0.7
     scale_features: bool = False
-    threshold: float = 0.0
-    archive_size: int | None = None
-    moead_neighbors: int = 20
-    moead_delta: float = 0.9
-    moead_max_replacements: int = 2
+    threshold: float = CLASSIFICATION_THRESHOLD
     seeds: list[int] = field(default_factory=lambda: [0])
     output_dir: str = "results"
     n_workers: int = 1
@@ -85,44 +76,35 @@ class ExperimentConfig:
         return cls(**raw)
 
     def validate(self):
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}")
-        if self.approach not in APPROACHES:
-            raise ValueError(f"unknown approach {self.approach!r}")
-        if self.distance_rule not in DISTANCE_RULES:
-            raise ValueError(f"unknown distance rule {self.distance_rule!r}")
+        """Check every setting of a single-valued configuration, reading no file."""
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
         if self.n_workers < 1:
             raise ValueError("n_workers must be at least 1")
+        self.gp_params()
+        self.engine_params()
+        check_engine(self.engine, self.semantic_config())
 
     def is_grid(self) -> bool:
         return isinstance(self.lbss, (list, tuple)) or isinstance(self.ubss, (list, tuple))
 
     def bounds(self) -> SimilarityBounds:
-        return SimilarityBounds(_as_bound(self.lbss), _as_bound(self.ubss))
+        return SimilarityBounds(float(self.lbss), float(self.ubss))
 
-    def semantic_config(self) -> SemanticConfig:
-        return SemanticConfig(
-            approach=self.approach,
-            bounds=self.bounds(),
-            distance_rule=self.distance_rule,
-            ssc_max_trials=self.ssc_max_trials,
-            ssc_subset_fraction=self.ssc_subset_fraction,
-            ssc_parent_distance=self.ssc_parent_distance,
-            allow_scd_moead=self.allow_scd_moead,
-        )
-
-    def _params(self, cls):
-        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+    def _params(self, cls, **given):
+        values = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}
+        return cls(**values, **given)
 
     def gp_params(self) -> GPParams:
         return self._params(GPParams)
 
     def engine_params(self) -> EngineParams:
         return self._params(EngineParams)
+
+    def semantic_config(self) -> SemanticConfig:
+        return self._params(SemanticConfig, bounds=self.bounds())
 
     def echo(self, seed: int) -> dict:
         """Config record stored with each run, sufficient to re-run it.
@@ -133,8 +115,7 @@ class ExperimentConfig:
         they were produced.
         """
         payload = asdict(self)
-        payload["lbss"] = _as_bound(self.lbss)
-        payload["ubss"] = _as_bound(self.ubss)
+        payload.update(asdict(self.bounds()))
         payload["seeds"] = [seed]
         del payload["output_dir"]
         del payload["n_workers"]
@@ -148,7 +129,7 @@ def expand_grid(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     if not lbss_values or not ubss_values:
         raise ValueError("lbss/ubss lists must be non-empty")
     return [
-        replace(cfg, lbss=_as_bound(lb), ubss=_as_bound(ub))
+        replace(cfg, lbss=float(lb), ubss=float(ub))
         for lb in lbss_values
         for ub in ubss_values
     ]
@@ -196,9 +177,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
     processes (at most one per seed); files are still written here, in seed
     order, and are byte-identical to a sequential run's.
     """
-    cfg.validate()
     if cfg.is_grid():
         raise ValueError("grid configs must be expanded first (expand_grid)")
+    cfg.validate()
     full = load_csv(cfg.dataset, cfg.label_column, cfg.positive_label)
     jobs = (repeat(cfg), repeat(full), cfg.seeds)
     n_workers = min(cfg.n_workers, len(cfg.seeds))

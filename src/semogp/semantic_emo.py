@@ -300,15 +300,8 @@ def _generation_stats(generation: int, front: Population) -> GenerationStats:
     )
 
 
-def build_engine(
-    engine: str,
-    cfg: SemanticConfig,
-    evaluator: ClassificationEvaluator,
-    variation: Variation,
-    rng: random.Random,
-    engine_params: EngineParams | None = None,
-):
-    """Assemble an engine with the approach's hooks installed."""
+def check_engine(engine: str, cfg: SemanticConfig):
+    """Reject an unknown engine, and scd on moead unless allow_scd_moead is set."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     if cfg.approach == "scd" and engine == "moead" and not cfg.allow_scd_moead:
@@ -316,46 +309,37 @@ def build_engine(
             "scd replaces a crowding mechanism moead does not have; "
             "set allow_scd_moead to study the combination anyway"
         )
-    params = engine_params if engine_params is not None else EngineParams()
+
+
+def build_engine(
+    engine: str,
+    cfg: SemanticConfig,
+    evaluator: ClassificationEvaluator,
+    variation: Variation,
+    rng: random.Random,
+    engine_params: EngineParams = EngineParams(),
+):
+    """Assemble an engine with the approach's hooks installed."""
+    check_engine(engine, cfg)
     space = SdoObjectives(cfg) if cfg.approach == "sdo" else None
+    scd = cfg.approach == "scd"
     if engine == "nsga2":
-        return Nsga2Engine(
-            evaluator,
-            variation,
-            rng,
-            objective_space=space,
-            crowding_policy=ScdCrowding(cfg) if cfg.approach == "scd" else None,
-        )
+        return Nsga2Engine(evaluator, variation, rng, space, ScdCrowding(cfg) if scd else None)
     if engine == "spea2":
-        return Spea2Engine(
-            evaluator,
-            variation,
-            rng,
-            archive_size=params.archive_size,
-            objective_space=space,
-            density_policy=ScdDensity(cfg) if cfg.approach == "scd" else None,
-        )
-    return MoeadEngine(
-        evaluator,
-        variation,
-        rng,
-        neighbors=params.moead_neighbors,
-        delta=params.moead_delta,
-        max_replacements=params.moead_max_replacements,
-        objective_space=space,
-        archive_rank=ScdArchiveRank(cfg) if cfg.approach == "scd" else None,
-    )
+        density = ScdDensity(cfg) if scd else None
+        return Spea2Engine(evaluator, variation, rng, engine_params, space, density)
+    rank = ScdArchiveRank(cfg) if scd else None
+    return MoeadEngine(evaluator, variation, rng, engine_params, space, rank)
 
 
 def run_variant(
     engine: str,
     cfg: SemanticConfig,
     dataset: Dataset,
-    gp: GPParams | None = None,
-    engine_params: EngineParams | None = None,
+    gp: GPParams = GPParams(),
+    engine_params: EngineParams = EngineParams(),
     *,
     seed: int = 0,
-    rng: random.Random | None = None,
     threshold: float = CLASSIFICATION_THRESHOLD,
     config_echo: dict | None = None,
 ) -> RunResult:
@@ -366,10 +350,7 @@ def run_variant(
     the plain two-objective space. The returned final front is that first
     front, sorted by objectives then program text.
     """
-    gp = gp if gp is not None else GPParams()
-    engine_params = engine_params if engine_params is not None else EngineParams()
-    if rng is None:
-        rng = random.Random(seed)
+    rng = random.Random(seed)
     evaluator = ClassificationEvaluator(dataset, threshold)
     variation = Variation(PrimitiveSet(dataset.n_features), gp)
     ssc_stats = SscCounters()

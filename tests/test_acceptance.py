@@ -218,9 +218,7 @@ def test_criterion_06_canonical_variant_is_the_raw_engine():
             if engine_name == "nsga2":
                 engine = Nsga2Engine(evaluator, variation, rng)
             else:
-                engine = Spea2Engine(
-                    evaluator, variation, rng, archive_size=EngineParams().archive_size
-                )
+                engine = Spea2Engine(evaluator, variation, rng, engine_params=EngineParams())
             engine.initialize()
             fronts = [engine.front()]
             for _ in range(1, gp.generations):

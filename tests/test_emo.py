@@ -445,15 +445,15 @@ class TestEngines:
         assert len(engine.population) == 12
 
     def test_spea2_archive_size_honored(self):
-        engine = make_engine(Spea2Engine, archive_size=5)
+        engine = make_engine(Spea2Engine, engine_params=EngineParams(archive_size=5))
         engine.initialize()
         for _ in range(3):
             engine.step()
         assert len(engine.archive) <= 5
 
     def test_spea2_rejects_empty_archive(self):
-        with pytest.raises(ValueError):
-            make_engine(Spea2Engine, archive_size=0)
+        with pytest.raises(ValueError, match="archive_size"):
+            EngineParams(archive_size=0)
 
     def test_moead_subproblem_count_covers_pop_size(self):
         engine = make_engine(MoeadEngine)
@@ -485,10 +485,18 @@ class TestEngines:
                 assert not dominates(a.objectives, b.objectives)
 
     def test_moead_validation(self):
-        with pytest.raises(ValueError):
-            make_engine(MoeadEngine, delta=1.5)
-        with pytest.raises(ValueError):
-            make_engine(MoeadEngine, max_replacements=0)
+        with pytest.raises(ValueError, match="moead_delta"):
+            EngineParams(moead_delta=1.5)
+        with pytest.raises(ValueError, match="moead_delta"):
+            EngineParams(moead_delta=-0.1)
+        with pytest.raises(ValueError, match="moead_max_replacements"):
+            EngineParams(moead_max_replacements=0)
+        with pytest.raises(ValueError, match="moead_neighbors"):
+            EngineParams(moead_neighbors=0)
+
+    def test_moead_neighbors_honored(self):
+        engine = make_engine(MoeadEngine, engine_params=EngineParams(moead_neighbors=3))
+        assert engine.neighbor_idx.shape == (engine.n_subproblems, 3)
 
     def test_engine_params_defaults(self):
         params = EngineParams()

@@ -108,7 +108,7 @@ class TestInitialization:
         assert isinstance(tree, (Feature, Constant))
 
     def test_constants_respect_range(self):
-        ps = PrimitiveSet(n_features=1, const_low=-2.0, const_high=3.0)
+        ps = PrimitiveSet(n_features=1)
         rng = random.Random(4)
         constants = []
         for _ in range(500):
@@ -116,7 +116,8 @@ class TestInitialization:
             if isinstance(term, Constant):
                 constants.append(term.value)
         assert constants
-        assert all(-2.0 <= c <= 3.0 for c in constants)
+        assert all(-1.0 <= c <= 1.0 for c in constants)
+        assert min(constants) < -0.9 and max(constants) > 0.9
 
 
 class TestEvaluation:
@@ -169,7 +170,7 @@ class TestEvaluation:
 
 class TestCrossover:
     def test_single_node_parents_swap_roots(self):
-        c1, c2 = subtree_crossover(Feature(0), Constant(2.0), random.Random(0))
+        c1, c2 = subtree_crossover(Feature(0), Constant(2.0), random.Random(0), max_depth=17)
         assert c1 == Constant(2.0)
         assert c2 == Feature(0)
 
@@ -187,7 +188,7 @@ class TestCrossover:
         p1 = grow_tree(PS, 4, rng)
         p2 = grow_tree(PS, 4, rng)
         before = (to_prefix(p1), to_prefix(p2))
-        subtree_crossover(p1, p2, rng)
+        subtree_crossover(p1, p2, rng, max_depth=17)
         assert (to_prefix(p1), to_prefix(p2)) == before
 
     def test_depth_retries_then_parents_returned(self):
@@ -226,13 +227,13 @@ class TestMutation:
 
     def test_deterministic_per_seed(self):
         tree = sample_tree()
-        a = subtree_mutation(tree, PS, random.Random(9), max_depth=17)
-        b = subtree_mutation(tree, PS, random.Random(9), max_depth=17)
+        a = subtree_mutation(tree, PS, random.Random(9), max_depth=17, subtree_depth=4)
+        b = subtree_mutation(tree, PS, random.Random(9), max_depth=17, subtree_depth=4)
         assert a == b
 
     def test_original_not_modified(self):
         tree = sample_tree()
-        subtree_mutation(tree, PS, random.Random(10))
+        subtree_mutation(tree, PS, random.Random(10), max_depth=17, subtree_depth=4)
         assert tree == sample_tree()
 
 

@@ -8,6 +8,8 @@ import pytest
 
 from semogp.cli import main
 from semogp.dataset import load_csv
+from semogp.emo import EngineParams
+from semogp.gp_core import GPParams
 from semogp.harness import (
     ExperimentConfig,
     expand_grid,
@@ -17,7 +19,9 @@ from semogp.harness import (
     summarize,
 )
 from semogp.metrics import GenerationStats
+from semogp.objectives import CLASSIFICATION_THRESHOLD
 from semogp.results import FrontMember, RunResult, load_run, run_file_stem, save_run
+from semogp.semantic_emo import SemanticConfig
 
 
 def make_result(
@@ -169,9 +173,18 @@ class TestExperimentConfig:
             ExperimentConfig(dataset="d.csv", seeds=[]).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(dataset="d.csv", seeds=[1, 1]).validate()
-        # Rejected at the config boundary, before the (missing) CSV is read.
-        with pytest.raises(ValueError, match="n_workers"):
-            run_experiment(ExperimentConfig(dataset="missing.csv", n_workers=0))
+        # Rejected at the config boundary, before the (missing) CSV is read,
+        # each with the message of the class that owns the setting.
+        for settings, message in (
+            ({"n_workers": 0}, "n_workers"),
+            ({"pop_size": 1}, "pop_size"),
+            ({"engine": "moead", "moead_delta": 2.0}, "moead_delta"),
+            ({"approach": "ssc", "ssc_max_trials": 0}, "ssc_max_trials"),
+            ({"lbss": 0.6, "ubss": 0.5}, "lbss <= ubss"),
+            ({"engine": "moead", "approach": "scd"}, "allow_scd_moead"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                run_experiment(ExperimentConfig(dataset="missing.csv", **settings))
 
     def test_grid_expansion(self):
         cfg = ExperimentConfig(
@@ -205,6 +218,11 @@ class TestExperimentConfig:
         assert echo["dataset"] == "d.csv"
 
     def test_param_object_mapping(self):
+        defaults = ExperimentConfig(dataset="d.csv")
+        assert defaults.gp_params() == GPParams()
+        assert defaults.engine_params() == EngineParams()
+        assert defaults.semantic_config() == SemanticConfig()
+        assert defaults.threshold == CLASSIFICATION_THRESHOLD
         cfg = ExperimentConfig(
             dataset="d.csv",
             approach="ssc",
@@ -409,6 +427,17 @@ class TestCli:
             "spea2_ssc_lb0.01_ub0.5_band_seed5.json",
             "spea2_ssc_lb0.1_ub0.5_band_seed5.json",
         ]
+
+    def test_bad_grid_point_fails_before_any_run(self, blob_csv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        cfg = {"dataset": str(blob_csv), "pop_size": 10, "generations": 2, "output_dir": str(out_dir)}
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(cfg_path), "--lbss", "0.1,0.6", "--ubss", "0.5"])
+        assert code == 1
+        assert "need lbss <= ubss" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
 
     def test_missing_config_fails(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.json")])
