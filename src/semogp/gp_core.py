@@ -16,8 +16,9 @@ import numpy as np
 
 FUNCTIONS = ("+", "-", "*", "/")
 DIV_EPSILON = 1e-9
-# Magnitude clamp applied after every function node. Without it, repeated
-# multiplication overflows float64 well inside the depth limit.
+# Magnitude clamp on every function node's output (evaluate_semantics skips
+# it where it cannot change a value). Without it, repeated multiplication
+# overflows float64 well inside the depth limit.
 VALUE_CLAMP = 1e10
 FUNCTION_POINT_BIAS = 0.9
 CROSSOVER_DEPTH_RETRIES = 5
@@ -142,37 +143,66 @@ def ramped_half_and_half(
 
 
 def evaluate_semantics(tree: Node, features: np.ndarray) -> np.ndarray:
-    """Program outputs over every row of a feature matrix.
+    """Program outputs over every row of a feature matrix, as a fresh float64 array.
 
     Division is protected (denominators below 1e-9 in magnitude yield 1.0)
-    and every function-node result is clamped to +-1e10, so the output is
-    finite for any tree and any finite inputs.
+    and the result is as if every function node's output were clamped to
+    +-1e10, so the output is finite for any tree and any finite inputs.
+
+    The clamp is skipped only where it is the identity. The walk carries a
+    bound >= |value| for every non-NaN element, built from max |feature| and
+    |constant| with the node's own operation; round-to-nearest is monotone,
+    so the computed value never exceeds the computed bound. A node whose
+    bound is above the clamp, inf or NaN is clamped. Constants stay Python
+    floats and broadcast; constant-only subtrees compute the same IEEE
+    doubles in Python.
     """
     features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
+    feature_bound = float(np.abs(features).max(initial=0.0))
 
-    def walk(node: Node) -> np.ndarray:
-        if isinstance(node, Feature):
-            return features[:, node.index]
-        if isinstance(node, Constant):
-            return np.full(n, node.value)
-        a = walk(node.left)
-        b = walk(node.right)
-        if node.op == "+":
-            out = a + b
-        elif node.op == "-":
-            out = a - b
-        elif node.op == "*":
-            out = a * b
+    def walk(node: Node):
+        kind = type(node)
+        if kind is Feature:
+            return features[:, node.index], feature_bound
+        if kind is Constant:
+            return node.value, abs(node.value)
+        a, a_bound = walk(node.left)
+        b, b_bound = walk(node.right)
+        op = node.op
+        if op == "+":
+            out, bound = a + b, a_bound + b_bound
+        elif op == "-":
+            out, bound = a - b, a_bound + b_bound
+        elif op == "*":
+            out, bound = a * b, a_bound * b_bound
+        elif type(b) is not np.ndarray:
+            if abs(b) < DIV_EPSILON:
+                return 1.0, 1.0
+            out, bound = a / b, a_bound / abs(b)
         else:
             small = np.abs(b) < DIV_EPSILON
-            out = np.divide(a, np.where(small, 1.0, b))
-            out = np.where(small, 1.0, out)
-        return np.clip(out, -VALUE_CLAMP, VALUE_CLAMP)
+            if small.any():
+                out = np.where(small, 1.0, np.divide(a, np.where(small, 1.0, b)))
+            else:
+                # Without near-zero divisors both where() calls are the identity.
+                out = a / b
+            bound = max(a_bound / DIV_EPSILON, 1.0)
+        if bound <= VALUE_CLAMP:
+            return out, bound
+        if type(out) is np.ndarray:
+            # Function-node outputs are fresh arrays, never views of features.
+            np.clip(out, -VALUE_CLAMP, VALUE_CLAMP, out=out)
+        else:
+            out = min(max(out, -VALUE_CLAMP), VALUE_CLAMP)
+        return out, VALUE_CLAMP
 
-    result = walk(tree)
-    # A bare feature terminal returns a view into the read-only matrix.
-    return np.array(result, dtype=np.float64)
+    result, _ = walk(tree)
+    if type(result) is not np.ndarray:
+        return np.full(features.shape[0], result, dtype=np.float64)
+    if type(tree) is Feature:
+        # A bare feature terminal is a view into the (possibly read-only) matrix.
+        return result.copy()
+    return result
 
 
 def tree_depth(tree: Node) -> int:

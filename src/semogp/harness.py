@@ -12,7 +12,10 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import numbers
 import statistics
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
 from itertools import repeat
@@ -39,6 +42,23 @@ _Settings = make_dataclass(
     ],
     kw_only=True,
 )
+
+
+# lbss and ubss may also be grid lists, and strings that float() parses ("inf").
+_BOUND_HINT = float | str | list[float | str]
+
+
+def _matches(value, hint) -> bool:
+    """Whether value has the declared type; ints count as floats, bools as neither."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_matches(value, arg) for arg in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, (list, tuple)) and all(_matches(v, item) for v in value)
+    if hint in (int, float):
+        kind = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, hint)
 
 
 @dataclass(kw_only=True)
@@ -73,10 +93,25 @@ class ExperimentConfig(_Settings):
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "dataset" not in raw:
             raise ValueError("config must name a dataset file")
-        return cls(**raw)
+        cfg = cls(**raw)
+        cfg._check_types()
+        return cfg
+
+    def _check_types(self):
+        """Check each value against the type its class declares for the key."""
+        for name, hint in typing.get_type_hints(type(self)).items():
+            if name in ("lbss", "ubss"):
+                hint = _BOUND_HINT
+            value = getattr(self, name)
+            if not _matches(value, hint):
+                shown = hint.__name__ if isinstance(hint, type) else hint
+                raise ValueError(f"{name} must be of type {shown}, got {value!r}")
 
     def validate(self):
         """Check every setting of a single-valued configuration, reading no file."""
+        self._check_types()
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError("train_fraction must lie strictly between 0 and 1")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):

@@ -45,11 +45,14 @@ def confusion(predictions: np.ndarray, labels: np.ndarray) -> ConfusionCounts:
     labs = np.asarray(labels, dtype=bool)
     if preds.shape != labs.shape:
         raise ValueError("predictions and labels must have the same length")
+    tp = int(np.count_nonzero(preds & labs))
+    positives = int(np.count_nonzero(labs))
+    predicted = int(np.count_nonzero(preds))
     return ConfusionCounts(
-        tp=int(np.sum(preds & labs)),
-        fn=int(np.sum(~preds & labs)),
-        tn=int(np.sum(~preds & ~labs)),
-        fp=int(np.sum(preds & ~labs)),
+        tp=tp,
+        fn=positives - tp,
+        tn=labs.size - positives - predicted + tp,
+        fp=predicted - tp,
     )
 
 

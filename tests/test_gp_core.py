@@ -1,10 +1,13 @@
 """Tree representation, initialization, evaluation, and variation operators."""
 
 import dataclasses
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semogp.gp_core import (
     CROSSOVER_DEPTH_RETRIES,
@@ -166,6 +169,137 @@ class TestEvaluation:
     def test_semantics_length_matches_cases(self):
         features = np.zeros((7, 2))
         assert evaluate_semantics(sample_tree(), features).shape == (7,)
+
+
+def reference_semantics(tree, features):
+    """The plain recursive walk that clamps after every function node: the oracle."""
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+
+    def walk(node):
+        if isinstance(node, Feature):
+            return features[:, node.index]
+        if isinstance(node, Constant):
+            return np.full(n, node.value)
+        a = walk(node.left)
+        b = walk(node.right)
+        if node.op == "+":
+            out = a + b
+        elif node.op == "-":
+            out = a - b
+        elif node.op == "*":
+            out = a * b
+        else:
+            small = np.abs(b) < DIV_EPSILON
+            out = np.divide(a, np.where(small, 1.0, b))
+            out = np.where(small, 1.0, out)
+        return np.clip(out, -VALUE_CLAMP, VALUE_CLAMP)
+
+    result = walk(tree)
+    return np.array(result, dtype=np.float64)
+
+
+N_FEATURES = 3
+EDGE_VALUES = (
+    math.inf,
+    -math.inf,
+    math.nan,
+    1e300,
+    -1e300,
+    -0.0,
+    0.0,
+    DIV_EPSILON / 2,
+    -DIV_EPSILON / 2,
+    DIV_EPSILON,
+    VALUE_CLAMP,
+    -VALUE_CLAMP,
+    1e-300,
+)
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def tree_strategy(constant_values):
+    return st.recursive(
+        st.one_of(st.integers(0, N_FEATURES - 1).map(Feature), constant_values.map(Constant)),
+        lambda children: st.builds(Call, st.sampled_from(FUNCTIONS), children, children),
+        max_leaves=40,
+    )
+
+
+trees = tree_strategy(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(EDGE_VALUES), any_float))
+finite_trees = tree_strategy(
+    st.one_of(st.floats(-1.0, 1.0), st.floats(allow_nan=False, allow_infinity=False))
+)
+SCALES = (1.0, 1e-300, 1e-6, 1e3, 1e6, 1e12, 1e300)
+
+
+def scaled_matrices(values):
+    """0 to 5 rows of values, the whole matrix scaled from tiny to huge magnitudes."""
+    rows = st.lists(st.lists(values, min_size=N_FEATURES, max_size=N_FEATURES), max_size=5)
+    return st.builds(scaled_matrix, rows, st.sampled_from(SCALES))
+
+
+def scaled_matrix(rows, scale):
+    with np.errstate(over="ignore"):
+        return np.array(rows, dtype=np.float64).reshape(len(rows), N_FEATURES) * scale
+
+
+# Finite matrices of one magnitude, where most clamps are skipped, and
+# matrices mixing in edge and non-finite values.
+feature_matrices = st.one_of(
+    scaled_matrices(st.floats(-10.0, 10.0)),
+    scaled_matrices(st.one_of(st.floats(-10.0, 10.0), st.sampled_from(EDGE_VALUES), any_float)),
+)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.int64), b.view(np.int64)
+    )
+
+
+class TestEvaluationOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(trees, feature_matrices)
+    def test_bit_identical_to_reference(self, tree, features):
+        with np.errstate(all="ignore"):
+            expected = reference_semantics(tree, features)
+            out = evaluate_semantics(tree, features)
+        assert same_bits(out, expected), to_prefix(tree)
+
+    @pytest.mark.parametrize("scale", [8.0, 1e3, 1e5, 1e8])
+    def test_random_grown_trees_bit_identical(self, scale):
+        # Typical programs on data whose magnitude puts many nodes near the clamp.
+        rng = random.Random(3)
+        ps = PrimitiveSet(n_features=N_FEATURES)
+        data = np.random.default_rng(3).normal(scale=scale, size=(50, N_FEATURES))
+        for _ in range(200):
+            tree = grow_tree(ps, rng.randint(2, 8), rng)
+            assert same_bits(evaluate_semantics(tree, data), reference_semantics(tree, data))
+
+    @pytest.mark.parametrize("tree", [Feature(1), Constant(0.25), Constant(-0.0)])
+    def test_terminal_roots_return_fresh_arrays(self, tree):
+        features = np.arange(6.0).reshape(3, 2)
+        features.setflags(write=False)
+        out = evaluate_semantics(tree, features)
+        assert out.dtype == np.float64 and out.shape == (3,)
+        assert out.flags.writeable
+        assert not np.shares_memory(out, features)
+        assert same_bits(out, reference_semantics(tree, features))
+
+    def test_empty_matrix(self):
+        out = evaluate_semantics(sample_tree(), np.zeros((0, 2)))
+        assert out.dtype == np.float64 and out.shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(finite_trees, feature_matrices)
+    def test_prefix_round_trip(self, tree, features):
+        reparsed = parse_prefix(to_prefix(tree))
+        assert reparsed == tree
+        with np.errstate(all="ignore"):
+            assert same_bits(
+                evaluate_semantics(reparsed, features), evaluate_semantics(tree, features)
+            )
 
 
 class TestCrossover:

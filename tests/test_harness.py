@@ -155,6 +155,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_json(path)
 
+    def test_from_json_checks_types(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": "d.csv", "lbss": [0.01, "0.1"], "ubss": "inf"}))
+        assert ExperimentConfig.from_json(path).ubss == "inf"
+        path.write_text(json.dumps({"dataset": "d.csv", "scale_features": "yes"}))
+        with pytest.raises(ValueError, match="scale_features must be of type bool"):
+            ExperimentConfig.from_json(path)
+
     def test_from_json_requires_dataset(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"engine": "nsga2"}))
@@ -182,6 +190,10 @@ class TestExperimentConfig:
             ({"approach": "ssc", "ssc_max_trials": 0}, "ssc_max_trials"),
             ({"lbss": 0.6, "ubss": 0.5}, "lbss <= ubss"),
             ({"engine": "moead", "approach": "scd"}, "allow_scd_moead"),
+            ({"train_fraction": 1.5}, "train_fraction must lie strictly between 0 and 1"),
+            ({"pop_size": "10"}, "pop_size must be of type int"),
+            ({"seeds": 3}, "seeds must be of type list"),
+            ({"moead_delta": None}, "moead_delta must be of type float"),
         ):
             with pytest.raises(ValueError, match=message):
                 run_experiment(ExperimentConfig(dataset="missing.csv", **settings))

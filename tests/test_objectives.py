@@ -38,6 +38,23 @@ class TestConfusion:
         counts = confusion(predictions, labels)
         assert (counts.tp, counts.fn, counts.tn, counts.fp) == (1, 1, 3, 1)
 
+    def test_matches_cell_by_cell_sums(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            labels = rng.random(n) < rng.random()
+            labels[:2] = [True, False]
+            predictions = rng.random(n) < rng.random()
+            counts = confusion(predictions, labels)
+            expected = (
+                np.sum(predictions & labels),
+                np.sum(~predictions & labels),
+                np.sum(~predictions & ~labels),
+                np.sum(predictions & ~labels),
+            )
+            assert (counts.tp, counts.fn, counts.tn, counts.fp) == expected
+            assert all(type(c) is int for c in (counts.tp, counts.fn, counts.tn, counts.fp))
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             confusion(np.array([True]), np.array([True, False]))
