@@ -174,6 +174,11 @@ def spea2_truncate(objectives, target_size: int) -> list[int]:
     Each round removes the member whose ascending distance list to the
     remaining members is lexicographically smallest (ties to the lowest
     index), until target_size remain. Returns kept indices in order.
+
+    A round sorts the rows of the alive distance submatrix with +inf on
+    its diagonal. The self-distance then sorts last in every row, so the
+    sorted rows compare as the lists of distances to the others do; the
+    smallest is found by narrowing the candidates column by column.
     """
     F = np.asarray(objectives, dtype=np.float64)
     n = F.shape[0]
@@ -183,16 +188,19 @@ def spea2_truncate(objectives, target_size: int) -> list[int]:
         raise ValueError("pool must exceed target_size")
     diff = F[:, None, :] - F[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
-    alive = list(range(n))
-    while len(alive) > target_size:
-        victim = None
-        victim_key: list[float] | None = None
-        for i in alive:
-            key = sorted(float(dist[i, j]) for j in alive if j != i)
-            if victim_key is None or key < victim_key:
-                victim, victim_key = i, key
-        alive.remove(victim)
-    return alive
+    alive = np.arange(n)
+    while alive.size > target_size:
+        rows = dist[np.ix_(alive, alive)]
+        np.fill_diagonal(rows, math.inf)
+        rows.sort(axis=1)
+        candidates = np.arange(alive.size)
+        for col in range(alive.size - 1):
+            column = rows[candidates, col]
+            candidates = candidates[column == column.min()]
+            if candidates.size == 1:
+                break
+        alive = np.delete(alive, candidates[0])
+    return alive.tolist()
 
 
 def simplex_lattice_weights(n_objectives: int, min_count: int) -> np.ndarray:
@@ -249,16 +257,17 @@ def moead_replacements(
     A subproblem is replaced when the child's Chebyshev value under its
     weight vector is strictly better than the incumbent's; the scan stops
     after max_replacements replacements.
+
+    All values are computed in one array pass, elementwise as tchebycheff
+    does. That is exact because nothing the scan reads changes during it:
+    the caller writes the replaced incumbents only after this returns, and
+    the ideal point is fixed for the call.
     """
-    replaced = []
-    for j in scan_order:
-        own = tchebycheff(selection_objs[j], weights[j], ideal)
-        new = tchebycheff(child_vector, weights[j], ideal)
-        if new < own:
-            replaced.append(int(j))
-            if len(replaced) >= max_replacements:
-                break
-    return replaced
+    order = np.asarray(scan_order, dtype=np.intp)
+    W = weights[order]
+    own = (W * np.abs(selection_objs[order] - ideal)).max(axis=1)
+    new = (W * np.abs(child_vector - ideal)).max(axis=1)
+    return order[new < own][:max_replacements].tolist()
 
 
 class BaseObjectives:
@@ -486,6 +495,7 @@ class MoeadEngine(_Engine):
         self.weights = simplex_lattice_weights(self.space.n_objectives, self.params.pop_size)
         self.n_subproblems = len(self.weights)
         self.neighbor_idx = neighborhoods(self.weights, engine_params.moead_neighbors)
+        self._neighbor_lists = self.neighbor_idx.tolist()
         self.delta = engine_params.moead_delta
         self.max_replacements = engine_params.moead_max_replacements
         self.archive_rank = archive_rank if archive_rank is not None else canonical_archive_rank
@@ -510,7 +520,7 @@ class MoeadEngine(_Engine):
         self._selection_objs = self.space.refresh(self.population, self.rng)
         self.ideal = np.minimum(self.ideal, self._selection_objs.min(axis=0))
         for i in range(self.n_subproblems):
-            neigh = [int(x) for x in self.neighbor_idx[i]]
+            neigh = self._neighbor_lists[i]
             if self.rng.random() < self.delta or self.n_subproblems < 2:
                 pool = neigh
             else:
@@ -539,16 +549,21 @@ class MoeadEngine(_Engine):
         self.ideal_history.append(self.ideal.copy())
 
     def _archive_add(self, ind: Individual):
-        for member in self.archive:
-            if np.array_equal(member.objectives, ind.objectives) or dominates(
-                member.objectives, ind.objectives
-            ):
+        """Insert a child unless a member equals or dominates it.
+
+        Members the child dominates are dropped, the rest keep their order.
+        A member equals or dominates the child exactly when it is <= the
+        child in every objective. Past that check no member equals the
+        child, so the child dominates exactly the members it is <= in
+        every objective.
+        """
+        if self.archive:
+            objs = np.stack([member.objectives for member in self.archive])
+            f = ind.objectives
+            if (objs <= f).all(axis=1).any():
                 return
-        self.archive = [
-            member
-            for member in self.archive
-            if not dominates(ind.objectives, member.objectives)
-        ]
+            beaten = (f <= objs).all(axis=1)
+            self.archive = [m for m, out in zip(self.archive, beaten.tolist()) if not out]
         self.archive.append(ind)
         if len(self.archive) > self.archive_cap:
             objs = np.stack([member.objectives for member in self.archive])

@@ -126,7 +126,15 @@ class ExperimentConfig(_Settings):
         return isinstance(self.lbss, (list, tuple)) or isinstance(self.ubss, (list, tuple))
 
     def bounds(self) -> SimilarityBounds:
-        return SimilarityBounds(float(self.lbss), float(self.ubss))
+        values = {}
+        for name in ("lbss", "ubss"):
+            value = getattr(self, name)
+            try:
+                values[name] = float(value)
+            except ValueError:
+                message = f"{name} must be a number or a numeric string such as 'inf'"
+                raise ValueError(f"{message}, got {value!r}") from None
+        return SimilarityBounds(**values)
 
     def _params(self, cls, **given):
         values = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}

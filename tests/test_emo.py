@@ -5,13 +5,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semogp import emo
 from semogp.emo import (
     BaseObjectives,
     EngineParams,
     MoeadEngine,
     Nsga2Engine,
     Spea2Engine,
+    canonical_archive_rank,
     canonical_crowding,
     crowding_distance,
     dominance_matrix,
@@ -25,10 +29,11 @@ from semogp.emo import (
     spea2_truncate,
     tchebycheff,
 )
-from semogp.gp_core import GPParams, PrimitiveSet, Variation
+from semogp.gp_core import GPParams, PrimitiveSet, Variation, to_prefix
 from semogp.objectives import ClassificationEvaluator
+from semogp.semantic_emo import SdoObjectives, SemanticConfig
 
-from conftest import blob_dataset
+from conftest import blob_dataset, make_individual
 
 INF = float("inf")
 
@@ -49,6 +54,119 @@ def peel_front_oracle(objs):
         kept = set(keep)
         remaining = [i for i in remaining if i not in kept]
     return fronts
+
+
+def reference_spea2_truncate(objectives, target_size):
+    """The per-round Python re-sort of every distance row."""
+    F = np.asarray(objectives, dtype=np.float64)
+    n = F.shape[0]
+    if target_size < 1:
+        raise ValueError("target_size must be at least 1")
+    if n <= target_size:
+        raise ValueError("pool must exceed target_size")
+    diff = F[:, None, :] - F[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    alive = list(range(n))
+    while len(alive) > target_size:
+        victim = None
+        victim_key = None
+        for i in alive:
+            key = sorted(float(dist[i, j]) for j in alive if j != i)
+            if victim_key is None or key < victim_key:
+                victim, victim_key = i, key
+        alive.remove(victim)
+    return alive
+
+
+def reference_moead_replacements(
+    selection_objs, weights, ideal, scan_order, child_vector, max_replacements
+):
+    """The scan over tchebycheff, one subproblem at a time."""
+    replaced = []
+    for j in scan_order:
+        own = tchebycheff(selection_objs[j], weights[j], ideal)
+        new = tchebycheff(child_vector, weights[j], ideal)
+        if new < own:
+            replaced.append(int(j))
+            if len(replaced) >= max_replacements:
+                break
+    return replaced
+
+
+def reference_archive_add(self, ind):
+    """MoeadEngine._archive_add as a loop over members calling dominates."""
+    for member in self.archive:
+        if np.array_equal(member.objectives, ind.objectives) or dominates(
+            member.objectives, ind.objectives
+        ):
+            return
+    self.archive = [
+        member
+        for member in self.archive
+        if not dominates(ind.objectives, member.objectives)
+    ]
+    self.archive.append(ind)
+    if len(self.archive) > self.archive_cap:
+        objs = np.stack([member.objectives for member in self.archive])
+        rank = self.archive_rank(self.archive, objs, self.rng)
+        order = sorted(range(len(self.archive)), key=lambda idx: (-rank[idx], idx))
+        keep = sorted(order[: self.archive_cap])
+        self.archive = [self.archive[idx] for idx in keep]
+
+
+@st.composite
+def grid_matrices(draw, min_rows, max_rows, cols=None):
+    """Objective matrices on a coarse grid (k/4 or k/10): ties and duplicate rows."""
+    cols = draw(st.sampled_from([2, 3])) if cols is None else cols
+    denom = draw(st.sampled_from([4, 10]))
+    n = draw(st.integers(min_rows, max_rows))
+    cells = draw(st.lists(st.integers(0, denom), min_size=n * cols, max_size=n * cols))
+    return np.array(cells, dtype=np.float64).reshape(n, cols) / denom
+
+
+class TestKernelOracles:
+    """The array kernels return exactly what the reference loops return."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_moead_replacements_matches_scan(self, data):
+        F = data.draw(grid_matrices(1, 30))
+        n, cols = F.shape
+        W = data.draw(grid_matrices(n, n, cols))
+        ideal, child = data.draw(grid_matrices(2, 2, cols))
+        order = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+        cap = data.draw(st.integers(1, 4))
+        got = moead_replacements(F, W, ideal, order, child, cap)
+        assert got == reference_moead_replacements(F, W, ideal, order, child, cap)
+        assert all(type(j) is int for j in got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_spea2_truncate_matches_resort(self, data):
+        F = data.draw(grid_matrices(2, 80))
+        target = data.draw(st.integers(1, len(F) - 1))
+        got = spea2_truncate(F, target)
+        assert got == reference_spea2_truncate(F, target)
+        assert all(type(i) is int for i in got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_archive_add_matches_member_loop(self, data):
+        F = data.draw(grid_matrices(1, 30))
+        child = make_individual(objectives=F[0])
+        members = [make_individual(objectives=row) for row in F[1:]]
+        cap = data.draw(st.integers(1, len(F) + 1))
+        engines = []
+        for add in (MoeadEngine._archive_add, reference_archive_add):
+            engine = MoeadEngine.__new__(MoeadEngine)
+            engine.archive = list(members)
+            engine.archive_cap = cap
+            engine.archive_rank = canonical_archive_rank
+            engine.rng = random.Random(0)
+            add(engine, child)
+            engines.append(engine)
+        plain, reference = engines
+        assert [id(m) for m in plain.archive] == [id(m) for m in reference.archive]
 
 
 class TestDominates:
@@ -508,3 +626,42 @@ class TestEngines:
     def test_base_objective_space(self):
         space = BaseObjectives()
         assert space.n_objectives == 2
+
+    @pytest.mark.parametrize("sdo", [False, True])
+    @pytest.mark.parametrize("cls", [Spea2Engine, MoeadEngine])
+    def test_reference_kernels_step_identically(self, cls, sdo, monkeypatch):
+        calls = []
+
+        def counted(reference):
+            def wrapper(*args):
+                calls.append(reference.__name__)
+                return reference(*args)
+
+            return wrapper
+
+        def run():
+            kwargs = {}
+            if sdo:
+                kwargs["objective_space"] = SdoObjectives(SemanticConfig(approach="sdo"))
+            if cls is Spea2Engine:
+                kwargs["engine_params"] = EngineParams(archive_size=4)
+            engine = make_engine(cls, seed=11, **kwargs)
+            engine.initialize()
+            for _ in range(5):
+                engine.step()
+            members = engine.population + engine.archive
+            return (
+                [to_prefix(ind.tree) for ind in members],
+                [ind.objectives.tobytes() for ind in members],
+                engine.rng.getstate(),
+            )
+
+        plain = run()
+        monkeypatch.setattr(emo, "moead_replacements", counted(reference_moead_replacements))
+        monkeypatch.setattr(emo, "spea2_truncate", counted(reference_spea2_truncate))
+        monkeypatch.setattr(MoeadEngine, "_archive_add", counted(reference_archive_add))
+        assert run() == plain
+        if cls is Spea2Engine:
+            assert "reference_spea2_truncate" in calls
+        else:
+            assert {"reference_moead_replacements", "reference_archive_add"} <= set(calls)

@@ -194,6 +194,8 @@ class TestExperimentConfig:
             ({"pop_size": "10"}, "pop_size must be of type int"),
             ({"seeds": 3}, "seeds must be of type list"),
             ({"moead_delta": None}, "moead_delta must be of type float"),
+            ({"ubss": "abc"}, "ubss must be a number"),
+            ({"lbss": "abc"}, "lbss must be a number"),
         ):
             with pytest.raises(ValueError, match=message):
                 run_experiment(ExperimentConfig(dataset="missing.csv", **settings))
