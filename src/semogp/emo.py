@@ -51,11 +51,32 @@ def dominates(a, b) -> bool:
 
 
 def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
-    """Boolean matrix D with D[i, j] true when row i dominates row j."""
+    """Boolean matrix D with D[i, j] true when row i dominates row j.
+
+    Built one (n, n) comparison per objective column: row i is <= row j
+    in every column and < in at least one.
+    """
     F = np.asarray(objectives, dtype=np.float64)
-    le = (F[:, None, :] <= F[None, :, :]).all(axis=2)
-    lt = (F[:, None, :] < F[None, :, :]).any(axis=2)
+    n = F.shape[0]
+    le = np.ones((n, n), dtype=bool)
+    lt = np.zeros((n, n), dtype=bool)
+    for c in F.T:
+        le &= c[:, None] <= c[None, :]
+        lt |= c[:, None] < c[None, :]
     return le & lt
+
+
+def _pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances between all rows, built one column at a time.
+
+    Adding the squared differences in column order onto a zero start gives
+    the same bits as summing them over a trailing axis of length 2 or 3.
+    """
+    total = np.zeros((points.shape[0],) * 2)
+    for c in points.T:
+        d = c[:, None] - c[None, :]
+        total += d * d
+    return np.sqrt(total)
 
 
 def fast_nondominated_sort(objectives) -> list[list[int]]:
@@ -156,8 +177,7 @@ def spea2_fitness(objectives, k: int | None = None) -> Spea2Fitness:
     if n == 1:
         sigma = np.zeros(1)
     else:
-        diff = F[:, None, :] - F[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
+        dist = _pairwise_distances(F)
         if k is None:
             k = math.isqrt(n)
         k = min(max(k, 1), n - 1)
@@ -186,8 +206,7 @@ def spea2_truncate(objectives, target_size: int) -> list[int]:
         raise ValueError("target_size must be at least 1")
     if n <= target_size:
         raise ValueError("pool must exceed target_size")
-    diff = F[:, None, :] - F[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    dist = _pairwise_distances(F)
     alive = np.arange(n)
     while alive.size > target_size:
         rows = dist[np.ix_(alive, alive)]
@@ -228,9 +247,7 @@ def neighborhoods(weights: np.ndarray, t: int) -> np.ndarray:
     W = np.asarray(weights, dtype=np.float64)
     n = W.shape[0]
     t = min(t, n)
-    diff = W[:, None, :] - W[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    order = np.argsort(dist, axis=1, kind="stable")
+    order = np.argsort(_pairwise_distances(W), axis=1, kind="stable")
     return order[:, :t]
 
 

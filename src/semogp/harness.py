@@ -24,6 +24,7 @@ from pathlib import Path
 from .dataset import Dataset, load_csv, minmax_apply, minmax_fit, stratified_split
 from .emo import EngineParams
 from .gp_core import GPParams, evaluate_semantics, parse_prefix
+from .metrics import HV_REFERENCE, hypervolume_2d
 from .objectives import CLASSIFICATION_THRESHOLD, classify, confusion, objective_vector
 from .results import RunResult, load_run, save_run
 from .semantic_emo import SemanticConfig, check_engine, run_variant
@@ -126,15 +127,7 @@ class ExperimentConfig(_Settings):
         return isinstance(self.lbss, (list, tuple)) or isinstance(self.ubss, (list, tuple))
 
     def bounds(self) -> SimilarityBounds:
-        values = {}
-        for name in ("lbss", "ubss"):
-            value = getattr(self, name)
-            try:
-                values[name] = float(value)
-            except ValueError:
-                message = f"{name} must be a number or a numeric string such as 'inf'"
-                raise ValueError(f"{message}, got {value!r}") from None
-        return SimilarityBounds(**values)
+        return SimilarityBounds(lbss=_bound("lbss", self.lbss), ubss=_bound("ubss", self.ubss))
 
     def _params(self, cls, **given):
         values = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}
@@ -165,17 +158,25 @@ class ExperimentConfig(_Settings):
         return payload
 
 
+def _bound(name: str, value) -> float:
+    """One similarity bound as a float; a value float() cannot parse names its key."""
+    try:
+        return float(value)
+    except ValueError:
+        message = f"{name} must be a number or a numeric string such as 'inf'"
+        raise ValueError(f"{message}, got {value!r}") from None
+
+
 def expand_grid(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     """Cross-product of the lbss and ubss lists, as single-valued configs."""
-    lbss_values = list(cfg.lbss) if isinstance(cfg.lbss, (list, tuple)) else [cfg.lbss]
-    ubss_values = list(cfg.ubss) if isinstance(cfg.ubss, (list, tuple)) else [cfg.ubss]
-    if not lbss_values or not ubss_values:
-        raise ValueError("lbss/ubss lists must be non-empty")
-    return [
-        replace(cfg, lbss=float(lb), ubss=float(ub))
-        for lb in lbss_values
-        for ub in ubss_values
-    ]
+    values = {}
+    for name in ("lbss", "ubss"):
+        value = getattr(cfg, name)
+        entries = value if isinstance(value, (list, tuple)) else [value]
+        if not entries:
+            raise ValueError("lbss/ubss lists must be non-empty")
+        values[name] = [_bound(name, entry) for entry in entries]
+    return [replace(cfg, lbss=lb, ubss=ub) for lb in values["lbss"] for ub in values["ubss"]]
 
 
 def _attach_test_metrics(result: RunResult, test_ds, threshold: float):
@@ -284,8 +285,19 @@ def _config_key(result: RunResult) -> ConfigKey:
     )
 
 
+def _test_hypervolume(result: RunResult) -> float | None:
+    """Hypervolume of the final front on the held-out split, if it was scored."""
+    points = [member.test_objectives for member in result.front]
+    if any(point is None for point in points):
+        return None
+    return hypervolume_2d(points, HV_REFERENCE)
+
+
 def summarize(results) -> Summary:
     """Aggregate final-generation metrics per configuration.
+
+    test_hypervolume covers only the runs whose front members all carry
+    held-out objectives, and is absent when no run of a configuration does.
 
     Also builds the pairwise table of median unique-solution counts between
     approaches, engine by engine: each row reports median(a) / median(b).
@@ -300,12 +312,16 @@ def summarize(results) -> Summary:
     configs = []
     for key in sorted(groups, key=lambda k: (k.engine, k.approach, k.lbss, k.ubss, k.distance_rule)):
         rows = [r.generations[-1] for r in groups[key]]
+        test_hvs = [hv for hv in map(_test_hypervolume, groups[key]) if hv is not None]
         metrics = {}
         for name, values in (
             ("hypervolume", [row.hypervolume for row in rows]),
+            ("test_hypervolume", test_hvs),
             ("unique_count", [float(row.unique_count) for row in rows]),
             ("mean_nodes", [row.mean_nodes for row in rows]),
         ):
+            if not values:
+                continue
             metrics[name] = {
                 "mean": statistics.fmean(values),
                 "median": statistics.median(values),
@@ -342,16 +358,19 @@ def format_summary(summary: Summary) -> str:
     lines = []
     header = (
         f"{'engine':<8}{'approach':<11}{'lbss':<9}{'ubss':<9}{'rule':<7}{'runs':<6}"
-        f"{'hv med':<10}{'uniq med':<10}{'nodes med':<10}"
+        f"{'hv med':<10}{'test hv med':<13}{'uniq med':<10}{'nodes med':<10}"
     )
     lines.append(header)
     lines.append("-" * len(header))
     for cs in summary.configs:
         key = cs.key
+        test_hv = cs.metrics.get("test_hypervolume")
+        test_hv_med = "-" if test_hv is None else f"{test_hv['median']:.4f}"
         lines.append(
             f"{key.engine:<8}{key.approach:<11}{key.lbss:<9g}{key.ubss:<9g}"
             f"{key.distance_rule:<7}{cs.n_runs:<6}"
             f"{cs.metrics['hypervolume']['median']:<10.4f}"
+            f"{test_hv_med:<13}"
             f"{cs.metrics['unique_count']['median']:<10g}"
             f"{cs.metrics['mean_nodes']['median']:<10.2f}"
         )

@@ -57,6 +57,20 @@ def make_individual(semantics=None, objectives=None, tree=None):
     )
 
 
+def grid_cell_hypervolume(points, ref) -> float:
+    """Hypervolume oracle: the area of the dominated cells of the grid that
+    the distinct coordinates of the points inside ref (and ref) draw."""
+    inside = [(float(a), float(b)) for a, b in points if a <= ref[0] and b <= ref[1]]
+    xs = sorted({a for a, _ in inside} | {float(ref[0])})
+    ys = sorted({b for _, b in inside} | {float(ref[1])})
+    total = 0.0
+    for x0, x1 in zip(xs, xs[1:]):
+        for y0, y1 in zip(ys, ys[1:]):
+            if any(a <= x0 and b <= y0 for a, b in inside):
+                total += (x1 - x0) * (y1 - y0)
+    return total
+
+
 def blob_dataset(n_cases=60, imbalance=3, seed=0) -> Dataset:
     rows = synthetic_blobs(n_cases, imbalance, seed)
     features = np.array([[x0, x1] for x0, x1, _ in rows])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from semogp import emo
 from semogp.emo import (
@@ -56,6 +57,20 @@ def peel_front_oracle(objs):
     return fronts
 
 
+def reference_dominance_matrix(objectives):
+    """The broadcast over a trailing objective axis."""
+    F = np.asarray(objectives, dtype=np.float64)
+    le = (F[:, None, :] <= F[None, :, :]).all(axis=2)
+    lt = (F[:, None, :] < F[None, :, :]).any(axis=2)
+    return le & lt
+
+
+def reference_pairwise_distances(points):
+    """The broadcast difference, squared and summed over a trailing axis."""
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt((diff**2).sum(axis=2))
+
+
 def reference_spea2_truncate(objectives, target_size):
     """The per-round Python re-sort of every distance row."""
     F = np.asarray(objectives, dtype=np.float64)
@@ -64,8 +79,7 @@ def reference_spea2_truncate(objectives, target_size):
         raise ValueError("target_size must be at least 1")
     if n <= target_size:
         raise ValueError("pool must exceed target_size")
-    diff = F[:, None, :] - F[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    dist = reference_pairwise_distances(F)
     alive = list(range(n))
     while len(alive) > target_size:
         victim = None
@@ -124,8 +138,31 @@ def grid_matrices(draw, min_rows, max_rows, cols=None):
     return np.array(cells, dtype=np.float64).reshape(n, cols) / denom
 
 
+@st.composite
+def kernel_inputs(draw):
+    """0..200 rows by 1..3 columns: k/4 or k/10 grids, or finite floats in +-1e6."""
+    shape = (draw(st.integers(0, 200)), draw(st.integers(1, 3)))
+    denom = draw(st.sampled_from([4, 10, None]))
+    if denom is None:
+        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        return draw(hnp.arrays(np.float64, shape, elements=finite))
+    return draw(hnp.arrays(np.int64, shape, elements=st.integers(0, denom))) / denom
+
+
 class TestKernelOracles:
     """The array kernels return exactly what the reference loops return."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_inputs())
+    def test_per_column_matrices_match_broadcasts(self, F):
+        got = dominance_matrix(F)
+        want = reference_dominance_matrix(F)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        got = emo._pairwise_distances(F)
+        want = reference_pairwise_distances(F)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -217,18 +254,10 @@ class TestFastNondominatedSort:
         with pytest.raises(ValueError):
             fast_nondominated_sort([(0.1, 0.2), (0.3,)])
 
-    def test_matches_peeling_oracle(self):
-        rng = random.Random(1)
-        for _ in range(30):
-            n = rng.randint(1, 60)
-            m = rng.choice([2, 3])
-            quantize = rng.random() < 0.5
-            objs = np.array(
-                [[rng.uniform(0, 1) for _ in range(m)] for _ in range(n)]
-            )
-            if quantize:
-                objs = objs.round(1)
-            assert fast_nondominated_sort(objs) == peel_front_oracle(objs)
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_inputs())
+    def test_matches_peeling_oracle(self, objs):
+        assert fast_nondominated_sort(objs) == peel_front_oracle(objs)
 
     def test_partition_property(self):
         rng = random.Random(2)
@@ -628,7 +657,7 @@ class TestEngines:
         assert space.n_objectives == 2
 
     @pytest.mark.parametrize("sdo", [False, True])
-    @pytest.mark.parametrize("cls", [Spea2Engine, MoeadEngine])
+    @pytest.mark.parametrize("cls", [Nsga2Engine, Spea2Engine, MoeadEngine])
     def test_reference_kernels_step_identically(self, cls, sdo, monkeypatch):
         calls = []
 
@@ -649,7 +678,10 @@ class TestEngines:
             engine.initialize()
             for _ in range(5):
                 engine.step()
-            members = engine.population + engine.archive
+            if cls is Nsga2Engine:
+                members = engine.parents
+            else:
+                members = engine.population + engine.archive
             return (
                 [to_prefix(ind.tree) for ind in members],
                 [ind.objectives.tobytes() for ind in members],
@@ -657,11 +689,23 @@ class TestEngines:
             )
 
         plain = run()
+        monkeypatch.setattr(emo, "dominance_matrix", counted(reference_dominance_matrix))
+        monkeypatch.setattr(emo, "_pairwise_distances", counted(reference_pairwise_distances))
         monkeypatch.setattr(emo, "moead_replacements", counted(reference_moead_replacements))
         monkeypatch.setattr(emo, "spea2_truncate", counted(reference_spea2_truncate))
         monkeypatch.setattr(MoeadEngine, "_archive_add", counted(reference_archive_add))
         assert run() == plain
-        if cls is Spea2Engine:
-            assert "reference_spea2_truncate" in calls
-        else:
-            assert {"reference_moead_replacements", "reference_archive_add"} <= set(calls)
+        expected = {
+            Nsga2Engine: {"reference_dominance_matrix"},
+            Spea2Engine: {
+                "reference_dominance_matrix",
+                "reference_pairwise_distances",
+                "reference_spea2_truncate",
+            },
+            MoeadEngine: {
+                "reference_pairwise_distances",
+                "reference_moead_replacements",
+                "reference_archive_add",
+            },
+        }[cls]
+        assert expected <= set(calls)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from semogp.metrics import GenerationStats
 from semogp.objectives import CLASSIFICATION_THRESHOLD
 from semogp.results import FrontMember, RunResult, load_run, run_file_stem, save_run
 from semogp.semantic_emo import SemanticConfig
+
+from conftest import grid_cell_hypervolume
 
 
 def make_result(
@@ -214,6 +217,13 @@ class TestExperimentConfig:
         assert all(not s.is_grid() for s in singles)
         assert (0.001, 0.25) in pairs and (0.2, 1.0) in pairs
 
+    def test_bad_grid_entry_names_its_key(self):
+        for name in ("lbss", "ubss"):
+            cfg = ExperimentConfig(dataset="d.csv", **{name: [0.01, "abc"]})
+            cfg._check_types()
+            with pytest.raises(ValueError, match=f"{name} must be a number.*'abc'"):
+                expand_grid(cfg)
+
     def test_single_values_are_not_a_grid(self):
         cfg = ExperimentConfig(dataset="d.csv")
         assert not cfg.is_grid()
@@ -358,6 +368,29 @@ class TestSummarize:
         with pytest.raises(ValueError, match="no results"):
             summarize([])
 
+    def test_test_hypervolume_from_written_files(self, tiny_config):
+        run_experiment(tiny_config)
+        by_hand = []
+        for path in sorted(Path(tiny_config.output_dir).glob("*.json")):
+            front = json.loads(path.read_text())["front"]
+            points = [member["test_objectives"] for member in front]
+            by_hand.append(grid_cell_hypervolume(points, (1.01, 1.01)))
+        assert len(by_hand) == 2
+        summary = summarize(load_results(tiny_config.output_dir))
+        test_hv = summary.configs[0].metrics["test_hypervolume"]
+        assert test_hv["median"] == pytest.approx(sum(by_hand) / 2)
+        assert test_hv["min"] == pytest.approx(min(by_hand))
+        assert test_hv["max"] == pytest.approx(max(by_hand))
+        lines = format_summary(summary).splitlines()
+        assert "test hv med" in lines[0]
+        assert f"{test_hv['median']:.4f}" in lines[2].split()
+
+    def test_runs_without_test_objectives_have_no_test_hypervolume(self):
+        # make_result's front has a member without held-out objectives.
+        summary = summarize([make_result(seed=0), make_result(seed=1)])
+        assert "test_hypervolume" not in summary.configs[0].metrics
+        assert format_summary(summary).splitlines()[2].split()[7] == "-"
+
     def test_format_summary_is_printable(self):
         results = [
             make_result(approach="sdo", unique=5),
@@ -451,6 +484,17 @@ class TestCli:
         code = main(["run", "--config", str(cfg_path), "--lbss", "0.1,0.6", "--ubss", "0.5"])
         assert code == 1
         assert "need lbss <= ubss" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_bad_grid_entry_fails_naming_its_key(self, blob_csv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        cfg = {"dataset": str(blob_csv), "lbss": [0.01, "abc"], "output_dir": str(out_dir)}
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(cfg_path)])
+        assert code == 1
+        assert "lbss must be a number" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
     def test_missing_config_fails(self, tmp_path, capsys):

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semogp.gp_core import Call, Constant, Feature, full_tree, PrimitiveSet
 from semogp.metrics import (
@@ -16,7 +18,15 @@ from semogp.metrics import (
     unique_solutions,
 )
 
-from conftest import make_individual
+from conftest import grid_cell_hypervolume, make_individual
+
+
+# Coordinates on a k/10 grid up to 1.2 put points inside, on and outside
+# the reference points of the oracle test; free floats add points off the grid.
+_COORD = st.one_of(
+    st.integers(0, 12).map(lambda k: k / 10),
+    st.floats(0.0, 1.2, allow_nan=False),
+)
 
 
 class TestHypervolume:
@@ -70,6 +80,14 @@ class TestHypervolume:
             covered |= (samples[:, 0] >= a) & (samples[:, 1] >= b)
         estimate = covered.mean()
         assert exact == pytest.approx(estimate, abs=0.01)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(_COORD, _COORD), max_size=30),
+        st.sampled_from([(1.0, 1.0), HV_REFERENCE, (0.6, 0.9)]),
+    )
+    def test_matches_grid_cell_oracle(self, points, ref):
+        assert hypervolume_2d(points, ref) == pytest.approx(grid_cell_hypervolume(points, ref))
 
 
 class TestUniqueSolutions:

@@ -4,6 +4,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from semogp.emo import EngineParams, fast_nondominated_sort, nsga2_survivors
 from semogp.gp_core import (
@@ -217,6 +220,21 @@ class TestSdoExtend:
         extended = sdo_extend(members, pivot, BAND_CFG)
         base = np.stack([m.objectives for m in members])
         assert np.array_equal(extended[:, :2], base)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_base_columns_are_the_objectives_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 20))
+        cases = data.draw(st.integers(1, 8))
+        finite = st.floats(-2.0, 2.0, allow_nan=False)
+        semantics = data.draw(hnp.arrays(np.float64, (n, cases), elements=finite))
+        objectives = data.draw(hnp.arrays(np.float64, (n, 2), elements=st.floats(allow_nan=False)))
+        pivot = Pivot(data.draw(hnp.arrays(np.float64, cases, elements=finite)), 0)
+        members = [
+            make_individual(semantics=s, objectives=o) for s, o in zip(semantics, objectives)
+        ]
+        extended = sdo_extend(members, pivot, data.draw(st.sampled_from([BAND_CFG, ABOVE_CFG])))
+        assert np.array_equal(extended[:, :2].view(np.int64), objectives.view(np.int64))
 
 
 class TestSelectFrontPivot:
