@@ -7,14 +7,13 @@ import sys
 from dataclasses import replace
 
 from .dataset import write_synthetic_csv
-from .harness import ExperimentConfig, expand_grid, format_summary, load_results, run_experiment, summarize
+from .harness import ExperimentConfig, format_summary, load_results, run_experiment, summarize
 
 
 def _bounds_list(text: str):
-    values = [float(part) for part in text.split(",") if part.strip()]
-    if not values:
-        raise argparse.ArgumentTypeError("expected one or more numbers")
-    return values[0] if len(values) == 1 else values
+    """Comma-separated bounds, left for the config to parse: one string or a list."""
+    parts = [part for part in text.split(",") if part.strip()]
+    return parts[0] if len(parts) == 1 else parts
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,17 +57,14 @@ def _run(args) -> int:
         overrides["output_dir"] = args.out
     if overrides:
         cfg = replace(cfg, **overrides)
-    singles = expand_grid(cfg)
-    for single in singles:
-        single.validate()
-    for single in singles:
-        for result in run_experiment(single):
-            final = result.generations[-1]
-            print(
-                f"{result.engine} {result.approach} lbss={single.lbss} ubss={single.ubss} "
-                f"seed={result.seed}: front={final.front_size} "
-                f"hv={final.hypervolume:.4f} unique={final.unique_count}"
-            )
+    for result in run_experiment(cfg):
+        final = result.generations[-1]
+        print(
+            f"{result.engine} {result.approach} "
+            f"lbss={result.config['lbss']} ubss={result.config['ubss']} "
+            f"seed={result.seed}: front={final.front_size} "
+            f"hv={final.hypervolume:.4f} unique={final.unique_count}"
+        )
     return 0
 
 

@@ -2,9 +2,10 @@
 
 A JSON configuration names a dataset and one engine/approach combination
 (the similarity bounds may be lists, expanded into a grid of runs). Every
-seed becomes one fully deterministic run: the seed drives the train/test
-split and the evolution, results are written atomically, and re-running the
-same configuration and seed reproduces the files byte for byte.
+grid point and seed becomes one fully deterministic run: the seed drives
+the train/test split and the evolution, results are written atomically,
+and re-running the same configuration and seed reproduces the files byte
+for byte.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
-from itertools import repeat
 from pathlib import Path
 
 from .dataset import Dataset, load_csv, minmax_apply, minmax_fit, stratified_split
 from .emo import EngineParams
-from .gp_core import GPParams, evaluate_semantics, parse_prefix
+from .gp_core import GPParams, parse_prefix
 from .metrics import HV_REFERENCE, hypervolume_2d
-from .objectives import CLASSIFICATION_THRESHOLD, classify, confusion, objective_vector
+from .objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
 from .results import RunResult, load_run, save_run
 from .semantic_emo import SemanticConfig, check_engine, run_variant
 from .semantics import SimilarityBounds
@@ -123,9 +123,6 @@ class ExperimentConfig(_Settings):
         self.engine_params()
         check_engine(self.engine, self.semantic_config())
 
-    def is_grid(self) -> bool:
-        return isinstance(self.lbss, (list, tuple)) or isinstance(self.ubss, (list, tuple))
-
     def bounds(self) -> SimilarityBounds:
         return SimilarityBounds(lbss=_bound("lbss", self.lbss), ubss=_bound("ubss", self.ubss))
 
@@ -169,6 +166,7 @@ def _bound(name: str, value) -> float:
 
 def expand_grid(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     """Cross-product of the lbss and ubss lists, as single-valued configs."""
+    cfg._check_types()
     values = {}
     for name in ("lbss", "ubss"):
         value = getattr(cfg, name)
@@ -181,11 +179,10 @@ def expand_grid(cfg: ExperimentConfig) -> list[ExperimentConfig]:
 
 def _attach_test_metrics(result: RunResult, test_ds, threshold: float):
     # Programs round-trip exactly through their prefix text.
+    evaluator = ClassificationEvaluator(test_ds, threshold)
     for member in result.front:
-        tree = parse_prefix(member.program)
-        semantics = evaluate_semantics(tree, test_ds.features)
-        counts = confusion(classify(semantics, threshold), test_ds.labels)
-        member.test_objectives = tuple(float(x) for x in objective_vector(counts))
+        scored = evaluator.evaluate_tree(parse_prefix(member.program))
+        member.test_objectives = tuple(float(x) for x in scored.objectives)
 
 
 def _run_seed(cfg: ExperimentConfig, full: Dataset, seed: int) -> RunResult:
@@ -210,28 +207,30 @@ def _run_seed(cfg: ExperimentConfig, full: Dataset, seed: int) -> RunResult:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
-    """Run every seed of a single-valued configuration and persist results.
+    """Run every grid point and seed of a configuration and persist results.
 
-    Each seed drives both the stratified split and the evolution, so a
-    (configuration, seed) pair fully determines its output files. The
-    headline metrics are computed on the training split; each front member
-    also carries its objectives on the held-out split.
+    Every grid point is checked before the dataset is read, once. A (grid
+    point, seed) pair fully determines its output files: the seed drives
+    both the stratified split and the evolution. The headline metrics are
+    computed on the training split; each front member also carries its
+    objectives on the held-out split.
 
-    With n_workers > 1 and several seeds, the seeds run in that many worker
-    processes (at most one per seed); files are still written here, in seed
-    order, and are byte-identical to a sequential run's.
+    With n_workers > 1, the (point, seed) runs share one pool of at most
+    that many worker processes; files are still written here, point by
+    point and seed by seed, byte-identical to a sequential run's.
     """
-    if cfg.is_grid():
-        raise ValueError("grid configs must be expanded first (expand_grid)")
-    cfg.validate()
+    points = expand_grid(cfg)
+    for point in points:
+        point.validate()
     full = load_csv(cfg.dataset, cfg.label_column, cfg.positive_label)
-    jobs = (repeat(cfg), repeat(full), cfg.seeds)
-    n_workers = min(cfg.n_workers, len(cfg.seeds))
+    jobs = [(point, full, seed) for point in points for seed in point.seeds]
+    n_workers = min(cfg.n_workers, len(jobs))
+    columns = zip(*jobs)
     if n_workers == 1:
-        return _save_each(map(_run_seed, *jobs), cfg.output_dir)
+        return _save_each(map(_run_seed, *columns), cfg.output_dir)
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=n_workers, mp_context=context) as pool:
-        return _save_each(pool.map(_run_seed, *jobs), cfg.output_dir)
+        return _save_each(pool.map(_run_seed, *columns), cfg.output_dir)
 
 
 def _save_each(runs, output_dir) -> list[RunResult]:
@@ -285,6 +284,11 @@ def _config_key(result: RunResult) -> ConfigKey:
     )
 
 
+def _settings(result: RunResult) -> dict:
+    """A run's config without its seed: what the runs of one group share."""
+    return {k: v for k, v in result.config.items() if k not in ("seed", "seeds")}
+
+
 def _test_hypervolume(result: RunResult) -> float | None:
     """Hypervolume of the final front on the held-out split, if it was scored."""
     points = [member.test_objectives for member in result.front]
@@ -299,6 +303,9 @@ def summarize(results) -> Summary:
     test_hypervolume covers only the runs whose front members all carry
     held-out objectives, and is absent when no run of a configuration does.
 
+    Runs grouped under one ConfigKey must agree on every other config key
+    but the seed; otherwise a ValueError names the keys they differ in.
+
     Also builds the pairwise table of median unique-solution counts between
     approaches, engine by engine: each row reports median(a) / median(b).
     """
@@ -308,6 +315,12 @@ def summarize(results) -> Summary:
     groups: dict[ConfigKey, list[RunResult]] = {}
     for result in results:
         groups.setdefault(_config_key(result), []).append(result)
+    for key, group in groups.items():
+        first = _settings(group[0])
+        for other in map(_settings, group[1:]):
+            differing = sorted(k for k in first.keys() | other.keys() if first.get(k) != other.get(k))
+            if differing:
+                raise ValueError(f"runs grouped as {key} differ in config keys {differing}")
 
     configs = []
     for key in sorted(groups, key=lambda k: (k.engine, k.approach, k.lbss, k.ubss, k.distance_rule)):

@@ -78,13 +78,24 @@ def _atomic_write(path: Path, text: str):
 
 
 def save_run(result: RunResult, directory) -> tuple[Path, Path]:
-    """Write the JSON and CSV files for one run; returns their paths."""
+    """Write the JSON and CSV files for one run; returns their paths.
+
+    Files of the same configuration and seed are replaced. A file name
+    already used by a run of another configuration raises ValueError: the
+    name covers only the engine, approach, bounds, rule and seed.
+    """
     result.validate()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     stem = run_file_stem(result)
     json_path = directory / f"{stem}.json"
     csv_path = directory / f"{stem}.csv"
+    if json_path.exists():
+        with open(json_path) as handle:
+            existing = json.load(handle).get("config")
+        # Compared as JSON text, so the loaded copy and the one in memory agree.
+        if json.dumps(existing, sort_keys=True) != json.dumps(result.config, sort_keys=True):
+            raise ValueError(f"{json_path} holds a run of another configuration; use another output directory")
 
     payload = {
         "engine": result.engine,

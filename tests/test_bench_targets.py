@@ -1,0 +1,81 @@
+"""The benchmark's probes and tracer find every semogp name they patch.
+
+bench/tracing.py patches semogp functions and methods by name from outside
+the package, so a refactor that renames or removes one of them would only
+show in a traced benchmark run. This runs the probes and the tracer over
+tiny runs of each engine and checks that they record what the benchmark
+reads and that uninstalling them restores every patched name.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH_TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _snapshot(tracing, mods):
+    """Every module attribute and every patched class's own attributes."""
+    classes = {(mod, cls) for mod, cls, _ in tracing.SPANNED_METHODS}
+    classes |= {("emo", cls) for cls in tracing.ENGINES}
+    owners = list(mods.values()) + [getattr(mods[mod], cls) for mod, cls in sorted(classes)]
+    return {id(owner): (owner, dict(vars(owner))) for owner in owners}
+
+
+def test_probes_and_tracer_patch_and_restore(blob_csv, tmp_path):
+    tracing = _load_tracing()
+    mods = {name: importlib.import_module(f"semogp.{name}") for name in tracing.MODULES}
+    before = _snapshot(tracing, mods)
+    probes = tracing.Probes(mods, collect_trees=True)
+    tracer = tracing.Tracer(mods)
+    probes.install()
+    tracer.install()
+    try:
+        for engine, approach in (("nsga2", "ssc"), ("spea2", "scd"), ("moead", "sdo")):
+            cfg = mods["harness"].ExperimentConfig(
+                dataset=str(blob_csv),
+                engine=engine,
+                approach=approach,
+                pop_size=8,
+                generations=2,
+                init_min_depth=1,
+                init_max_depth=3,
+                output_dir=str(tmp_path / "out"),
+            )
+            tracer.run_id += 1
+            assert len(mods["harness"].run_experiment(cfg)) == 1
+    finally:
+        tracer.uninstall()
+        probes.uninstall()
+
+    calls, _, _ = tracer.self_times()
+    for name in (
+        "emo.Nsga2Engine.step",
+        "emo.Spea2Engine.step",
+        "emo.MoeadEngine.step",
+        "semantic_emo.ssc_crossover",
+        "harness.attach_test_metrics",
+        "harness.run_experiment",
+        "objectives.evaluate_tree",
+        "gp_core.evaluate_semantics",
+    ):
+        assert calls.get(name, 0) > 0, name
+    assert tracer.ssc_stats
+    # Generation 0 is the initial population: one step per two-generation run.
+    assert len(probes.step_s) == 3
+    assert probes.evaluated_trees
+
+    after = _snapshot(tracing, mods)
+    assert after.keys() == before.keys()
+    for key, (owner, attrs) in before.items():
+        restored = after[key][1]
+        assert restored.keys() == attrs.keys(), owner
+        changed = [name for name, value in attrs.items() if restored[name] is not value]
+        assert not changed, (owner, changed)

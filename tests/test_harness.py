@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semogp.harness
 from semogp.cli import main
 from semogp.dataset import load_csv
 from semogp.emo import EngineParams
@@ -131,6 +133,15 @@ class TestPersistence:
         json_path, _ = save_run(make_result(), tmp_path)
         assert load_run(json_path) == make_result()
 
+    def test_file_of_another_configuration_is_not_overwritten(self, tmp_path):
+        json_path, _ = save_run(make_result(), tmp_path)
+        before = json_path.read_bytes()
+        other = make_result()
+        other.config["dataset"] = "b.csv"
+        with pytest.raises(ValueError, match=f"{json_path.name} holds a run of another configuration"):
+            save_run(other, tmp_path)
+        assert json_path.read_bytes() == before
+
     def test_load_results_requires_files(self, tmp_path):
         with pytest.raises(ValueError, match="no result files"):
             load_results(tmp_path)
@@ -199,6 +210,7 @@ class TestExperimentConfig:
             ({"moead_delta": None}, "moead_delta must be of type float"),
             ({"ubss": "abc"}, "ubss must be a number"),
             ({"lbss": "abc"}, "lbss must be a number"),
+            ({"ubss": True}, "ubss must be of type"),
         ):
             with pytest.raises(ValueError, match=message):
                 run_experiment(ExperimentConfig(dataset="missing.csv", **settings))
@@ -209,12 +221,11 @@ class TestExperimentConfig:
             lbss=[0.001, 0.01, 0.1, 0.2],
             ubss=[0.25, 0.5, 0.75, 1.0],
         )
-        assert cfg.is_grid()
         singles = expand_grid(cfg)
         assert len(singles) == 16
         pairs = {(s.lbss, s.ubss) for s in singles}
         assert len(pairs) == 16
-        assert all(not s.is_grid() for s in singles)
+        assert all(isinstance(s.lbss, float) and isinstance(s.ubss, float) for s in singles)
         assert (0.001, 0.25) in pairs and (0.2, 1.0) in pairs
 
     def test_bad_grid_entry_names_its_key(self):
@@ -226,7 +237,6 @@ class TestExperimentConfig:
 
     def test_single_values_are_not_a_grid(self):
         cfg = ExperimentConfig(dataset="d.csv")
-        assert not cfg.is_grid()
         assert expand_grid(cfg) == [cfg]
 
     def test_string_bounds_parse(self):
@@ -288,8 +298,6 @@ class TestRunExperiment:
                 assert all(0.0 <= x <= 1.0 for x in member.test_objectives)
 
     def test_rerun_is_byte_identical(self, tiny_config):
-        from dataclasses import replace
-
         run_experiment(tiny_config)
         out = list(sorted((p.name, p.read_bytes()) for p in _result_files(tiny_config)))
         rerun_cfg = replace(tiny_config, n_workers=4)
@@ -297,12 +305,35 @@ class TestRunExperiment:
         again = list(sorted((p.name, p.read_bytes()) for p in _result_files(tiny_config)))
         assert out == again
 
-    def test_grid_config_rejected(self, tiny_config):
-        from dataclasses import replace
+    def test_grid_reads_the_dataset_once(self, tiny_config, monkeypatch):
+        calls = []
 
-        grid = replace(tiny_config, lbss=[0.01, 0.1])
-        with pytest.raises(ValueError, match="expanded"):
-            run_experiment(grid)
+        def load_csv_counted(*args, **kwargs):
+            calls.append(args)
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(semogp.harness, "load_csv", load_csv_counted)
+        results = run_experiment(replace(tiny_config, lbss=[0.01, 0.1, 0.2], ubss=[0.4, 0.5]))
+        assert len(calls) == 1
+        assert len(results) == 12
+
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    def test_grid_matches_points_run_one_by_one(self, tiny_config, tmp_path, n_workers):
+        grid = replace(tiny_config, lbss=[0.01, 0.1], ubss=[0.4, 0.5], n_workers=n_workers)
+        results = run_experiment(grid)
+        # Grid point by grid point, seed by seed.
+        order = [(r.config["lbss"], r.config["ubss"], r.seed) for r in results]
+        assert order == [(lb, ub, s) for lb in (0.01, 0.1) for ub in (0.4, 0.5) for s in (0, 1)]
+        for index, point in enumerate(expand_grid(grid)):
+            run_experiment(replace(point, n_workers=1, output_dir=str(tmp_path / f"point{index}")))
+        by_point = {p.name: p.read_bytes() for d in tmp_path.glob("point*") for p in d.iterdir()}
+        assert len(by_point) == 16
+        assert {p.name: p.read_bytes() for p in _result_files(grid)} == by_point
+
+    def test_bad_grid_point_is_reported_before_the_dataset(self):
+        cfg = ExperimentConfig(dataset="missing.csv", lbss=[0.1, 0.6], ubss=0.5)
+        with pytest.raises(ValueError, match="need lbss <= ubss"):
+            run_experiment(cfg)
 
     def test_results_loadable_and_equal(self, tiny_config):
         results = run_experiment(tiny_config)
@@ -358,6 +389,14 @@ class TestSummarize:
         assert cs.metrics["hypervolume"]["min"] == pytest.approx(0.2)
         assert cs.metrics["hypervolume"]["max"] == pytest.approx(0.6)
         assert cs.metrics["unique_count"]["median"] == pytest.approx(3.0)
+
+    def test_runs_of_different_configurations_are_not_merged(self):
+        pop10 = make_result(seed=1)
+        pop10.config.update(dataset="a.csv", pop_size=10, seeds=[1])
+        pop12 = make_result(seed=0)
+        pop12.config.update(dataset="b.csv", pop_size=12, seeds=[0])
+        with pytest.raises(ValueError, match=r"differ in config keys \['dataset', 'pop_size'\]"):
+            summarize([pop10, pop12])
 
     def test_groups_split_by_bounds(self):
         results = [make_result(seed=0, ubss=0.5), make_result(seed=0, ubss=0.75)]
@@ -496,6 +535,14 @@ class TestCli:
         assert code == 1
         assert "lbss must be a number" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
+
+    def test_unparsable_bound_override_names_its_key(self, blob_csv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset": str(blob_csv), "output_dir": str(tmp_path / "out")}))
+        code = main(["run", "--config", str(cfg_path), "--lbss", "abc"])
+        assert code == 1
+        assert "lbss must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_fails(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.json")])
