@@ -3,9 +3,9 @@
 All selection machinery works on minimization objective vectors of any
 shared length, so the same engines run unchanged on two or three
 objectives. Engines breed genetic-programming individuals through an
-injected variation policy and evaluator; the objective space, crowding
-policy, and density policy are pluggable so semantic variants can replace
-single mechanisms without touching the loops.
+injected variation policy and evaluator. Every engine takes the same two
+hooks, an objective space and a diversity estimate, so semantic variants
+can replace single mechanisms without touching the loops.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -307,12 +307,6 @@ def canonical_crowding(members: Population, fronts, objs: np.ndarray, rng: rando
     return crowds
 
 
-# Policy signatures used by the engines; semantic variants supply their own.
-CrowdingPolicy = Callable[[Population, list, np.ndarray, random.Random], np.ndarray]
-DensityPolicy = Callable[[Population, np.ndarray, np.ndarray, random.Random], np.ndarray]
-ArchiveRank = Callable[[Population, np.ndarray, random.Random], np.ndarray]
-
-
 def _base_front(members: Population) -> Population:
     objs = np.stack([ind.objectives for ind in members])
     fronts = fast_nondominated_sort(objs)
@@ -323,8 +317,12 @@ class _Engine:
     """State and loops shared by the engines.
 
     Holds the evaluator, variation policy, run parameters, generator and
-    selection space, builds and scores the initial population, and breeds
+    the two hooks, builds and scores the initial population, and breeds
     pop_size offspring from pairs picked by the subclass's _tournament.
+
+    objective_space is the selection space (None: the plain objective
+    vectors). diversity replaces the engine's own diversity estimate and is
+    called with that estimate's arguments (None: the canonical estimate).
     """
 
     def __init__(
@@ -332,13 +330,17 @@ class _Engine:
         evaluator: ClassificationEvaluator,
         variation: Variation,
         rng: random.Random,
+        engine_params: EngineParams = EngineParams(),
         objective_space=None,
+        diversity=None,
     ):
         self.evaluator = evaluator
         self.variation = variation
         self.params = variation.params
+        self.engine_params = engine_params
         self.rng = rng
         self.space = objective_space if objective_space is not None else BaseObjectives()
+        self.diversity = diversity
 
     def _initial_population(self, size: int) -> Population:
         trees = ramped_half_and_half(
@@ -364,29 +366,16 @@ class _Engine:
 class Nsga2Engine(_Engine):
     """Generational NSGA-II: merge parents and offspring, fill by fronts.
 
-    The crowding policy supplies the diversity values used in both the
-    truncation of the last partial front and the binary tournament.
+    The diversity hook, called as canonical_crowding is, supplies the values
+    used in both the truncation of the last partial front and the binary
+    tournament.
     """
-
-    def __init__(
-        self,
-        evaluator: ClassificationEvaluator,
-        variation: Variation,
-        rng: random.Random,
-        objective_space=None,
-        crowding_policy: CrowdingPolicy | None = None,
-    ):
-        super().__init__(evaluator, variation, rng, objective_space)
-        self.crowding_policy = crowding_policy if crowding_policy is not None else canonical_crowding
-        self.parents: Population = []
-        self._ranks = np.zeros(0, dtype=np.int64)
-        self._crowds = np.zeros(0)
 
     def _sort(self, members: Population) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
         """Fronts, per-member front ranks and crowding values of a pool."""
         objs = self.space.refresh(members, self.rng)
         fronts = fast_nondominated_sort(objs)
-        crowds = self.crowding_policy(members, fronts, objs, self.rng)
+        crowds = (self.diversity or canonical_crowding)(members, fronts, objs, self.rng)
         ranks = np.zeros(len(members), dtype=np.int64)
         for rank, front in enumerate(fronts):
             ranks[front] = rank
@@ -422,38 +411,28 @@ class Nsga2Engine(_Engine):
 class Spea2Engine(_Engine):
     """SPEA2 with a fixed-capacity archive and tournament mating from it.
 
-    The density policy, when given, replaces the density component of the
-    fitness (raw dominance fitness is kept); archive truncation keeps its
-    canonical nearest-neighbour rule.
+    The diversity hook, when given, is called with (union, objs, raw
+    fitness, rng) and replaces the density component of the fitness (raw
+    dominance fitness is kept); archive truncation keeps its canonical
+    nearest-neighbour rule.
     """
 
-    def __init__(
-        self,
-        evaluator: ClassificationEvaluator,
-        variation: Variation,
-        rng: random.Random,
-        engine_params: EngineParams = EngineParams(),
-        objective_space=None,
-        density_policy: DensityPolicy | None = None,
-    ):
-        super().__init__(evaluator, variation, rng, objective_space)
-        archive_size = engine_params.archive_size
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        archive_size = self.engine_params.archive_size
         self.archive_size = archive_size if archive_size is not None else self.params.pop_size
-        self.density_policy = density_policy
-        self.population: Population = []
-        self.archive: Population = []
-        self._archive_fitness = np.zeros(0)
 
     def initialize(self):
         self.population = self._initial_population(self.params.pop_size)
+        self.archive = []
         self._environmental_selection()
 
     def _environmental_selection(self):
         union = self.population + self.archive
         objs = self.space.refresh(union, self.rng)
         parts = spea2_fitness(objs)
-        if self.density_policy is not None:
-            fitness = parts.raw + self.density_policy(union, objs, parts.raw, self.rng)
+        if self.diversity is not None:
+            fitness = parts.raw + self.diversity(union, objs, parts.raw, self.rng)
         else:
             fitness = parts.fitness
         nondominated = [i for i in range(len(union)) if parts.raw[i] == 0]
@@ -496,40 +475,29 @@ class MoeadEngine(_Engine):
     within a subproblem's neighbourhood with high probability, improvements
     replace at most max_replacements neighbours, and an external archive of
     distinct non-dominated solutions (capped at the subproblem count) feeds
-    reporting.
+    reporting. The diversity hook, called as canonical_archive_rank is,
+    orders an overfull archive (larger values kept).
     """
 
-    def __init__(
-        self,
-        evaluator: ClassificationEvaluator,
-        variation: Variation,
-        rng: random.Random,
-        engine_params: EngineParams = EngineParams(),
-        objective_space=None,
-        archive_rank: ArchiveRank | None = None,
-    ):
-        super().__init__(evaluator, variation, rng, objective_space)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.weights = simplex_lattice_weights(self.space.n_objectives, self.params.pop_size)
         self.n_subproblems = len(self.weights)
-        self.neighbor_idx = neighborhoods(self.weights, engine_params.moead_neighbors)
+        self.neighbor_idx = neighborhoods(self.weights, self.engine_params.moead_neighbors)
         self._neighbor_lists = self.neighbor_idx.tolist()
-        self.delta = engine_params.moead_delta
-        self.max_replacements = engine_params.moead_max_replacements
-        self.archive_rank = archive_rank if archive_rank is not None else canonical_archive_rank
+        self.delta = self.engine_params.moead_delta
+        self.max_replacements = self.engine_params.moead_max_replacements
+        self.archive_rank = self.diversity or canonical_archive_rank
         self.archive_cap = self.n_subproblems
-        self.population: Population = []
-        self.archive: Population = []
-        self._selection_objs = np.zeros((0, self.space.n_objectives))
-        self.ideal = np.zeros(self.space.n_objectives)
-        self.ideal_history: list[np.ndarray] = []
 
     def initialize(self):
         self.population = self._initial_population(self.n_subproblems)
         self._selection_objs = self.space.refresh(self.population, self.rng)
         self.ideal = self._selection_objs.min(axis=0).copy()
+        self.archive = []
         for ind in self.population:
             self._archive_add(ind)
-        self.ideal_history.append(self.ideal.copy())
+        self.ideal_history = [self.ideal.copy()]
 
     def step(self):
         # Pivot-dependent spaces shift per generation, so re-derive the
@@ -538,7 +506,7 @@ class MoeadEngine(_Engine):
         self.ideal = np.minimum(self.ideal, self._selection_objs.min(axis=0))
         for i in range(self.n_subproblems):
             neigh = self._neighbor_lists[i]
-            if self.rng.random() < self.delta or self.n_subproblems < 2:
+            if self.rng.random() < self.delta:
                 pool = neigh
             else:
                 pool = list(range(self.n_subproblems))

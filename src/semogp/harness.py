@@ -88,6 +88,8 @@ class ExperimentConfig(_Settings):
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as handle:
             raw = json.load(handle)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path} must hold a JSON object of config keys, got {type(raw).__name__}")
         known = {f.name for f in cls.__dataclass_fields__.values()}
         unknown = set(raw) - known
         if unknown:
@@ -113,6 +115,8 @@ class ExperimentConfig(_Settings):
         self._check_types()
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold!r}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):

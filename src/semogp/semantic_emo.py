@@ -5,9 +5,10 @@ untouched:
 
 * ssc  - crossover is retried until the exchanged subtrees' mean absolute
          semantic difference falls inside the similarity bounds.
-* scd  - the crowding role (NSGA-II crowding, SPEA2 density) is replaced by
-         each member's case-count distance to a pivot chosen from the
-         sparsest region of the current first front.
+* scd  - the engine's diversity estimate (NSGA-II crowding, SPEA2 density,
+         MOEA/D archive ranking) is replaced by each member's case-count
+         distance to a pivot chosen from the sparsest region of the current
+         first front.
 * sdo  - that same pivot distance, negated and normalized, is appended as a
          third minimization objective and selection runs on three entries.
 
@@ -60,7 +61,6 @@ from .semantics import (
     ssc_distance,
 )
 
-ENGINES = ("nsga2", "spea2", "moead")
 APPROACHES = ("canonical", "ssc", "scd", "sdo")
 
 
@@ -300,6 +300,15 @@ def _generation_stats(generation: int, front: Population) -> GenerationStats:
     )
 
 
+# Each engine and the scd hook that replaces its diversity estimate.
+_ENGINES = {
+    "nsga2": (Nsga2Engine, ScdCrowding),
+    "spea2": (Spea2Engine, ScdDensity),
+    "moead": (MoeadEngine, ScdArchiveRank),
+}
+ENGINES = tuple(_ENGINES)
+
+
 def check_engine(engine: str, cfg: SemanticConfig):
     """Reject an unknown engine, and scd on moead unless allow_scd_moead is set."""
     if engine not in ENGINES:
@@ -321,15 +330,10 @@ def build_engine(
 ):
     """Assemble an engine with the approach's hooks installed."""
     check_engine(engine, cfg)
+    engine_cls, scd_cls = _ENGINES[engine]
     space = SdoObjectives(cfg) if cfg.approach == "sdo" else None
-    scd = cfg.approach == "scd"
-    if engine == "nsga2":
-        return Nsga2Engine(evaluator, variation, rng, space, ScdCrowding(cfg) if scd else None)
-    if engine == "spea2":
-        density = ScdDensity(cfg) if scd else None
-        return Spea2Engine(evaluator, variation, rng, engine_params, space, density)
-    rank = ScdArchiveRank(cfg) if scd else None
-    return MoeadEngine(evaluator, variation, rng, engine_params, space, rank)
+    diversity = scd_cls(cfg) if cfg.approach == "scd" else None
+    return engine_cls(evaluator, variation, rng, engine_params, space, diversity)
 
 
 def run_variant(
@@ -362,14 +366,16 @@ def run_variant(
 
     start = time.perf_counter()
     eng.initialize()
-    stats = [_generation_stats(0, eng.front())]
+    front = eng.front()
+    stats = [_generation_stats(0, front)]
     for generation in range(1, gp.generations):
         eng.step()
-        stats.append(_generation_stats(generation, eng.front()))
+        front = eng.front()
+        stats.append(_generation_stats(generation, front))
     wall = time.perf_counter() - start
 
     front = sorted(
-        eng.front(),
+        front,
         key=lambda ind: (float(ind.objectives[0]), float(ind.objectives[1]), to_prefix(ind.tree)),
     )
     members = [

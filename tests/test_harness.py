@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -183,6 +184,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="dataset"):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("body", ['[{"dataset": "d.csv"}]', "3", '"x"'])
+    def test_from_json_requires_an_object(self, tmp_path, body):
+        path = tmp_path / "cfg.json"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=re.escape(f"{path} must hold a JSON object")):
+            ExperimentConfig.from_json(path)
+
     def test_validate(self):
         ExperimentConfig(dataset="d.csv").validate()
         with pytest.raises(ValueError):
@@ -211,6 +219,9 @@ class TestExperimentConfig:
             ({"ubss": "abc"}, "ubss must be a number"),
             ({"lbss": "abc"}, "lbss must be a number"),
             ({"ubss": True}, "ubss must be of type"),
+            ({"threshold": math.nan}, "threshold"),
+            ({"threshold": math.inf}, "threshold"),
+            ({"threshold": -math.inf}, "threshold"),
         ):
             with pytest.raises(ValueError, match=message):
                 run_experiment(ExperimentConfig(dataset="missing.csv", **settings))

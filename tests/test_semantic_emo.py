@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from semogp.emo import EngineParams, fast_nondominated_sort, nsga2_survivors
+from semogp.emo import (
+    BaseObjectives,
+    EngineParams,
+    MoeadEngine,
+    Nsga2Engine,
+    Spea2Engine,
+    fast_nondominated_sort,
+    nsga2_survivors,
+)
 from semogp.gp_core import (
     Call,
     Constant,
@@ -383,6 +391,20 @@ class TestBuildEngine:
     def test_canonical_uses_base_space(self):
         engine = self.make("spea2", SemanticConfig())
         assert engine.space.n_objectives == 2
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("approach", APPROACHES)
+    def test_each_approach_installs_its_hook(self, engine, approach):
+        cfg = SemanticConfig(approach=approach, allow_scd_moead=True)
+        built = self.make(engine, cfg)
+        engine_cls, scd_cls = {
+            "nsga2": (Nsga2Engine, ScdCrowding),
+            "spea2": (Spea2Engine, ScdDensity),
+            "moead": (MoeadEngine, ScdArchiveRank),
+        }[engine]
+        assert type(built) is engine_cls
+        assert type(built.diversity) is (scd_cls if approach == "scd" else type(None))
+        assert type(built.space) is (SdoObjectives if approach == "sdo" else BaseObjectives)
 
 
 @pytest.fixture(scope="module")
