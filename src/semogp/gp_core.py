@@ -4,13 +4,19 @@ Programs are binary arithmetic trees over the four operators +, -, * and a
 protected division. Terminals are feature references and ephemeral random
 constants. Trees are immutable values: variation builds new trees that share
 unchanged subtrees with their parents.
+
+Every node knows its own shape: a Call records its size, depth and number
+of function nodes when it is built, and terminals carry the constants 1, 0
+and 0. Depth and size are attribute reads, and point picking descends from
+the root to the k-th node in preorder by those counts instead of listing
+every path.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
@@ -29,6 +35,9 @@ class Feature:
     """Terminal referencing one input feature."""
 
     index: int
+    size: ClassVar[int] = 1
+    depth: ClassVar[int] = 0
+    n_functions: ClassVar[int] = 0
 
 
 @dataclass(frozen=True)
@@ -36,15 +45,32 @@ class Constant:
     """Terminal holding an ephemeral random constant."""
 
     value: float
+    size: ClassVar[int] = 1
+    depth: ClassVar[int] = 0
+    n_functions: ClassVar[int] = 0
 
 
 @dataclass(frozen=True)
 class Call:
-    """Application of a binary operator to two subtrees."""
+    """Application of a binary operator to two subtrees.
+
+    size (nodes), depth (a lone node is 0) and n_functions (Call nodes) are
+    derived from the children on construction; they take no part in
+    equality, hashing or repr.
+    """
 
     op: str
     left: "Node"
     right: "Node"
+    size: int = field(init=False, compare=False, repr=False)
+    depth: int = field(init=False, compare=False, repr=False)
+    n_functions: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        left, right = self.left, self.right
+        object.__setattr__(self, "size", 1 + left.size + right.size)
+        object.__setattr__(self, "depth", 1 + max(left.depth, right.depth))
+        object.__setattr__(self, "n_functions", 1 + left.n_functions + right.n_functions)
 
 
 Node = Union[Feature, Constant, Call]
@@ -207,23 +233,11 @@ def evaluate_semantics(tree: Node, features: np.ndarray) -> np.ndarray:
 
 def tree_depth(tree: Node) -> int:
     """Depth of the deepest node, with a lone node at depth 0."""
-    if isinstance(tree, Call):
-        return 1 + max(tree_depth(tree.left), tree_depth(tree.right))
-    return 0
+    return tree.depth
 
 
 def node_count(tree: Node) -> int:
-    if isinstance(tree, Call):
-        return 1 + node_count(tree.left) + node_count(tree.right)
-    return 1
-
-
-def iter_paths(tree: Node, _prefix: Path = ()):
-    """Yield (path, node) pairs in preorder; paths are tuples of 0/1 steps."""
-    yield _prefix, tree
-    if isinstance(tree, Call):
-        yield from iter_paths(tree.left, _prefix + (0,))
-        yield from iter_paths(tree.right, _prefix + (1,))
+    return tree.size
 
 
 def subtree_at(tree: Node, path: Path) -> Node:
@@ -244,22 +258,53 @@ def replace_subtree(tree: Node, path: Path, replacement: Node) -> Node:
     return Call(tree.op, tree.left, replace_subtree(tree.right, path[1:], replacement))
 
 
+def _nth_in_preorder(tree: Node, k: int, count: str) -> Path:
+    """Path to the k-th node, in preorder, among the Call nodes (count
+    "n_functions") or among all nodes (count "size"); the root is one of them."""
+    path = []
+    node = tree
+    while k:
+        k -= 1
+        left = node.left
+        in_left = getattr(left, count)
+        if k < in_left:
+            path.append(0)
+            node = left
+        else:
+            k -= in_left
+            path.append(1)
+            node = node.right
+    return tuple(path)
+
+
+def _nth_terminal(tree: Node, k: int) -> Path:
+    """Path to the k-th terminal in preorder."""
+    path = []
+    node = tree
+    while type(node) is Call:
+        left = node.left
+        in_left = left.size - left.n_functions
+        if k < in_left:
+            path.append(0)
+            node = left
+        else:
+            k -= in_left
+            path.append(1)
+            node = node.right
+    return tuple(path)
+
+
 def pick_crossover_point(tree: Node, rng: random.Random) -> Path:
     # Koza-style bias: prefer function nodes 90% of the time when any exist.
-    function_paths = []
-    terminal_paths = []
-    for path, node in iter_paths(tree):
-        (function_paths if isinstance(node, Call) else terminal_paths).append(path)
-    if function_paths and (not terminal_paths or rng.random() < FUNCTION_POINT_BIAS):
-        pool = function_paths
-    else:
-        pool = terminal_paths
-    return pool[rng.randrange(len(pool))]
+    # Every tree has a terminal, so random() is drawn exactly when it has a function.
+    n_functions = tree.n_functions
+    if n_functions and rng.random() < FUNCTION_POINT_BIAS:
+        return _nth_in_preorder(tree, rng.randrange(n_functions), "n_functions")
+    return _nth_terminal(tree, rng.randrange(tree.size - n_functions))
 
 
 def pick_uniform_point(tree: Node, rng: random.Random) -> Path:
-    paths = [path for path, _ in iter_paths(tree)]
-    return paths[rng.randrange(len(paths))]
+    return _nth_in_preorder(tree, rng.randrange(tree.size), "size")
 
 
 def subtree_crossover(p1: Node, p2: Node, rng: random.Random, max_depth: int) -> tuple[Node, Node]:

@@ -49,6 +49,14 @@ def left_comb(depth: int):
     return tree
 
 
+def reference_shape(tree) -> tuple[int, int, int]:
+    """(size, depth, n_functions) by a plain recursive walk: the shape oracle."""
+    if isinstance(tree, Call):
+        left, right = reference_shape(tree.left), reference_shape(tree.right)
+        return 1 + left[0] + right[0], 1 + max(left[1], right[1]), 1 + left[2] + right[2]
+    return 1, 0, 0
+
+
 def make_individual(semantics=None, objectives=None, tree=None):
     return Individual(
         tree=tree if tree is not None else Feature(0),

@@ -9,7 +9,12 @@ reads and that uninstalling them restores every patched name.
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
+
+from semogp.gp_core import Constant, PrimitiveSet, full_tree, grow_tree
+
+from conftest import left_comb, reference_shape
 
 BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -79,3 +84,16 @@ def test_probes_and_tracer_patch_and_restore(blob_csv, tmp_path):
         assert restored.keys() == attrs.keys(), owner
         changed = [name for name, value in attrs.items() if restored[name] is not value]
         assert not changed, (owner, changed)
+
+
+def test_node_counter_counts_every_node():
+    # bench/run.py sizes the evaluated trees for nodes_per_s with this clone.
+    tracing = _load_tracing()
+    gp_core = importlib.import_module("semogp.gp_core")
+    node_count = tracing.recursion_clone(gp_core.node_count)
+    ps = PrimitiveSet(n_features=3)
+    rng = random.Random(0)
+    trees = [Constant(0.5), left_comb(17), full_tree(ps, 6, rng)]
+    trees += [grow_tree(ps, depth, rng) for depth in range(9)]
+    for tree in trees:
+        assert node_count(tree) == reference_shape(tree)[0]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from semogp.gp_core import (
     CROSSOVER_DEPTH_RETRIES,
     DIV_EPSILON,
+    FUNCTION_POINT_BIAS,
     FUNCTIONS,
     VALUE_CLAMP,
     Call,
@@ -24,10 +26,10 @@ from semogp.gp_core import (
     evaluate_semantics,
     full_tree,
     grow_tree,
-    iter_paths,
     node_count,
     parse_prefix,
     pick_crossover_point,
+    pick_uniform_point,
     ramped_half_and_half,
     replace_subtree,
     subtree_at,
@@ -37,7 +39,7 @@ from semogp.gp_core import (
     tree_depth,
 )
 
-from conftest import ScriptedRandom, left_comb
+from conftest import ScriptedRandom, left_comb, reference_shape
 
 
 PS = PrimitiveSet(n_features=2)
@@ -48,12 +50,75 @@ def sample_tree():
     return Call("+", Feature(0), Call("*", Constant(0.5), Feature(1)))
 
 
+def iter_paths(tree, _prefix=()):
+    """Yield (path, node) pairs in preorder; paths are tuples of 0/1 steps.
+
+    The path-listing oracle for the pickers, which descend by counts instead.
+    """
+    yield _prefix, tree
+    if isinstance(tree, Call):
+        yield from iter_paths(tree.left, _prefix + (0,))
+        yield from iter_paths(tree.right, _prefix + (1,))
+
+
+def listed_crossover_point(tree, rng):
+    """pick_crossover_point as it was: list every path, then index a pool."""
+    function_paths = []
+    terminal_paths = []
+    for path, node in iter_paths(tree):
+        (function_paths if isinstance(node, Call) else terminal_paths).append(path)
+    if function_paths and (not terminal_paths or rng.random() < FUNCTION_POINT_BIAS):
+        pool = function_paths
+    else:
+        pool = terminal_paths
+    return pool[rng.randrange(len(pool))]
+
+
+def listed_uniform_point(tree, rng):
+    """pick_uniform_point as it was."""
+    paths = [path for path, _ in iter_paths(tree)]
+    return paths[rng.randrange(len(paths))]
+
+
+def reference_repr(tree):
+    if isinstance(tree, Feature):
+        return f"Feature(index={tree.index!r})"
+    if isinstance(tree, Constant):
+        return f"Constant(value={tree.value!r})"
+    return f"Call(op={tree.op!r}, left={reference_repr(tree.left)}, right={reference_repr(tree.right)})"
+
+
+def rebuilt(tree):
+    """A structurally equal copy that shares no Call node with tree."""
+    if isinstance(tree, Call):
+        return Call(tree.op, rebuilt(tree.left), rebuilt(tree.right))
+    return tree
+
+
+def shape(tree):
+    return tree.size, tree.depth, tree.n_functions
+
+
+# Grown and full trees of depth 0 (a bare terminal) to 8, from any seed.
+shaped_trees = st.builds(
+    lambda method, depth, seed: method(PS, depth, random.Random(seed)),
+    st.sampled_from([grow_tree, full_tree]),
+    st.integers(0, 8),
+    st.integers(0, 2**32 - 1),
+)
+seeds = st.integers(0, 2**32 - 1)
+
+
 class TestShape:
     def test_nodes_are_immutable(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             Feature(0).index = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
             sample_tree().op = "-"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sample_tree().size = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Feature(0).size = 2
 
     def test_depth_and_count(self):
         assert tree_depth(Feature(0)) == 0
@@ -61,6 +126,8 @@ class TestShape:
         assert node_count(Feature(0)) == 1
         assert tree_depth(sample_tree()) == 2
         assert node_count(sample_tree()) == 5
+        assert shape(Feature(0)) == shape(Constant(1.0)) == (1, 0, 0)
+        assert shape(sample_tree()) == (5, 2, 2)
 
     def test_full_depth_three_has_fifteen_nodes(self):
         tree = full_tree(PS, 3, random.Random(0))
@@ -71,6 +138,38 @@ class TestShape:
         tree = sample_tree()
         paths = [path for path, _ in iter_paths(tree)]
         assert paths == [(), (0,), (1,), (1, 0), (1, 1)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(shaped_trees, shaped_trees, seeds)
+    def test_shape_fields_match_the_recursive_oracle(self, p1, p2, seed):
+        rng = random.Random(seed)
+        path = listed_uniform_point(p1, rng)
+        made = [
+            p1,
+            p2,
+            replace_subtree(p1, path, p2),
+            *subtree_crossover(p1, p2, rng, max_depth=17),
+            subtree_mutation(p1, PS, rng, max_depth=17, subtree_depth=4),
+            parse_prefix(to_prefix(p1)),
+        ]
+        for tree in made:
+            assert shape(tree) == reference_shape(tree), to_prefix(tree)
+            assert (node_count(tree), tree_depth(tree)) == reference_shape(tree)[:2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(shaped_trees)
+    def test_equality_hash_and_repr_ignore_shape_fields(self, tree):
+        twin = rebuilt(tree)
+        assert twin == tree and hash(twin) == hash(tree)
+        assert parse_prefix(to_prefix(tree)) == tree
+        assert repr(tree) == reference_repr(tree)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shaped_trees, st.integers(0, pickle.HIGHEST_PROTOCOL))
+    def test_pickle_keeps_shape_fields(self, tree, protocol):
+        copy = pickle.loads(pickle.dumps(tree, protocol))
+        assert copy == tree and hash(copy) == hash(tree)
+        assert shape(copy) == shape(tree) == reference_shape(tree)
 
     def test_subtree_at(self):
         tree = sample_tree()
@@ -343,6 +442,39 @@ class TestCrossover:
         assert pick_crossover_point(tree, rng) == ()
         rng = ScriptedRandom([0.91, 0])
         assert pick_crossover_point(tree, rng) == (0,)
+
+
+class TestPointPicking:
+    """The pickers descend by counts; listing every path is their oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shaped_trees, seeds)
+    def test_same_paths_and_draws_as_listing(self, tree, seed):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(6):
+            assert pick_crossover_point(tree, fast) == listed_crossover_point(tree, slow)
+            assert pick_uniform_point(tree, fast) == listed_uniform_point(tree, slow)
+        assert fast.getstate() == slow.getstate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(shaped_trees)
+    def test_every_index_reaches_its_listed_path(self, tree):
+        listed = list(iter_paths(tree))
+        functions = [path for path, node in listed if isinstance(node, Call)]
+        terminals = [path for path, node in listed if not isinstance(node, Call)]
+        for k, (path, _) in enumerate(listed):
+            assert pick_uniform_point(tree, ScriptedRandom([k])) == path
+        for k, path in enumerate(functions):
+            assert pick_crossover_point(tree, ScriptedRandom([0.0, k])) == path
+        for k, path in enumerate(terminals):
+            script = [0.95, k] if functions else [k]
+            assert pick_crossover_point(tree, ScriptedRandom(script)) == path
+
+    def test_bare_terminal_draws_only_the_index(self):
+        rng, expected = random.Random(0), random.Random(0)
+        assert pick_crossover_point(Constant(0.5), rng) == ()
+        expected.randrange(1)
+        assert rng.getstate() == expected.getstate()
 
 
 class TestMutation:
