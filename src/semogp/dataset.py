@@ -29,7 +29,8 @@ class Dataset:
     """
 
     def __init__(self, features, labels, positive_token="pos", negative_token="neg"):
-        feats = np.array(features, dtype=np.float64)
+        # Fortran order keeps each feature column contiguous, as evaluation reads it.
+        feats = np.array(features, dtype=np.float64, order="F")
         labs = np.array(labels, dtype=bool)
         if feats.ndim != 2 or feats.shape[1] < 1:
             raise DatasetError("features must be a 2-D matrix with at least one column")
@@ -141,14 +142,19 @@ def load_csv(path, label_column: int = -1, positive_label: str | None = None) ->
     features = []
     tokens = []
     for offset, row in enumerate(data_rows):
-        row_no = offset + (2 if has_header else 1)
         if len(row) != width:
+            row_no = offset + (2 if has_header else 1)
             raise DatasetError(f"ragged row {row_no}: expected {width} cells, got {len(row)}")
-        feats = [
-            _parse_feature(cell, row_no, col)
-            for col, cell in enumerate(row)
-            if col != label_idx
-        ]
+        try:
+            feats = list(map(float, row[:label_idx] + row[label_idx + 1 :]))
+        except ValueError:
+            feats = None
+        if feats is None or not all(map(math.isfinite, feats)):
+            # Re-parse cell by cell so the first bad cell is named.
+            row_no = offset + (2 if has_header else 1)
+            for col, cell in enumerate(row):
+                if col != label_idx:
+                    _parse_feature(cell, row_no, col)
         features.append(feats)
         tokens.append(row[label_idx].strip())
 
@@ -187,7 +193,7 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     train_idx: list[int] = []
     test_idx: list[int] = []
     for positive in (True, False):
-        members = [i for i, lab in enumerate(ds.labels) if bool(lab) == positive]
+        members = np.flatnonzero(ds.labels == positive).tolist()
         if len(members) < 2:
             raise DatasetError("each class needs at least two cases to split")
         rng.shuffle(members)

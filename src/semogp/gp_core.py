@@ -168,7 +168,16 @@ def ramped_half_and_half(
     return trees
 
 
-def evaluate_semantics(tree: Node, features: np.ndarray) -> np.ndarray:
+def feature_bound(features: np.ndarray) -> float:
+    """max |feature| over a feature matrix (0.0 for an empty one).
+
+    It depends on the dataset alone, so callers that evaluate many trees on
+    one matrix compute it once and pass it to evaluate_semantics.
+    """
+    return float(np.abs(np.asarray(features, dtype=np.float64)).max(initial=0.0))
+
+
+def evaluate_semantics(tree: Node, features: np.ndarray, bound: float | None = None) -> np.ndarray:
     """Program outputs over every row of a feature matrix, as a fresh float64 array.
 
     Division is protected (denominators below 1e-9 in magnitude yield 1.0)
@@ -182,14 +191,18 @@ def evaluate_semantics(tree: Node, features: np.ndarray) -> np.ndarray:
     bound is above the clamp, inf or NaN is clamped. Constants stay Python
     floats and broadcast; constant-only subtrees compute the same IEEE
     doubles in Python.
+
+    bound, when given, must be feature_bound(features); it is computed here
+    when None. Feature columns are read as features[:, i], which is
+    contiguous for the Fortran-ordered matrices a Dataset holds.
     """
     features = np.asarray(features, dtype=np.float64)
-    feature_bound = float(np.abs(features).max(initial=0.0))
+    column_bound = feature_bound(features) if bound is None else bound
 
     def walk(node: Node):
         kind = type(node)
         if kind is Feature:
-            return features[:, node.index], feature_bound
+            return features[:, node.index], column_bound
         if kind is Constant:
             return node.value, abs(node.value)
         a, a_bound = walk(node.left)

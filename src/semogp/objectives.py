@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .gp_core import Individual, Node, evaluate_semantics
+from .gp_core import Individual, Node, evaluate_semantics, feature_bound
 
 CLASSIFICATION_THRESHOLD = 0.0
 
@@ -64,16 +64,31 @@ def objective_vector(counts: ConfusionCounts) -> np.ndarray:
 
 
 class ClassificationEvaluator:
-    """Maps trees to cached semantics and objectives on one dataset."""
+    """Maps trees to cached semantics and objectives on one dataset.
+
+    What depends on the dataset alone is computed once, here: the feature
+    bound evaluate_semantics starts from, the positive rows and the class
+    sizes. evaluate_tree then counts true and false positives directly and
+    gives the same objectives, bit for bit, as
+    objective_vector(confusion(classify(semantics, threshold), labels)).
+    """
 
     def __init__(self, dataset: Dataset, threshold: float = CLASSIFICATION_THRESHOLD):
         self.dataset = dataset
         self.threshold = threshold
+        self._bound = feature_bound(dataset.features)
+        self._positive_rows = np.flatnonzero(dataset.labels)
+        self._n_pos = self._positive_rows.size
+        self._n_neg = dataset.n_cases - self._n_pos
 
     def evaluate_tree(self, tree: Node) -> Individual:
-        semantics = evaluate_semantics(tree, self.dataset.features)
-        counts = confusion(classify(semantics, self.threshold), self.dataset.labels)
-        return Individual(tree, semantics, objective_vector(counts))
+        semantics = evaluate_semantics(tree, self.dataset.features, self._bound)
+        predicted = semantics >= self.threshold
+        tp = np.count_nonzero(predicted[self._positive_rows])
+        tn = self._n_neg - (np.count_nonzero(predicted) - tp)
+        # objective_vector's expressions: tp + fn and tn + fp are the class sizes.
+        objectives = np.array([1.0 - tp / self._n_pos, 1.0 - tn / self._n_neg])
+        return Individual(tree, semantics, objectives)
 
     def evaluate_all(self, trees) -> list[Individual]:
         return [self.evaluate_tree(tree) for tree in trees]

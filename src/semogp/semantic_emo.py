@@ -41,6 +41,7 @@ from .gp_core import (
     PrimitiveSet,
     Variation,
     evaluate_semantics,
+    feature_bound,
     node_count,
     pick_crossover_point,
     replace_subtree,
@@ -129,9 +130,11 @@ def ssc_crossover(
     if cfg.ssc_subset_fraction < 1.0:
         k = max(1, int(cfg.ssc_subset_fraction * n_cases + 0.5))
         subset = sorted(rng.sample(range(n_cases), k))
-    parent_distance = None
+    parent_distance = bound = None
     if cfg.ssc_parent_distance:
         parent_distance = ssc_distance(p1.semantics, p2.semantics, subset)
+    else:
+        bound = feature_bound(features)
     if stats is not None:
         stats.calls += 1
     final_pair: tuple[Node, Node] | None = None
@@ -146,8 +149,8 @@ def ssc_crossover(
             distance = parent_distance
         else:
             distance = ssc_distance(
-                evaluate_semantics(sub1, features),
-                evaluate_semantics(sub2, features),
+                evaluate_semantics(sub1, features, bound),
+                evaluate_semantics(sub2, features, bound),
                 subset,
             )
         child1 = replace_subtree(p1.tree, point1, sub2)
@@ -180,8 +183,8 @@ def scd_assign(members: Population, pivot: Pivot, cfg: SemanticConfig) -> np.nda
     if not members:
         raise ValueError("members must be non-empty")
     _require_semantics(members)
-    matrix = np.stack([ind.semantics for ind in members])
-    return count_distances(matrix, pivot.semantics, cfg.bounds, cfg.distance_rule)
+    rows = [ind.semantics for ind in members]
+    return count_distances(rows, pivot.semantics, cfg.bounds, cfg.distance_rule)
 
 
 def sdo_extend(members: Population, pivot: Pivot, cfg: SemanticConfig) -> np.ndarray:
@@ -245,10 +248,9 @@ class SdoObjectives:
     def vector(self, ind: Individual) -> np.ndarray:
         if self.pivot is None:
             raise ValueError("refresh must run before extending single members")
-        counts = count_distances(
-            ind.semantics[None, :], self.pivot.semantics, self.cfg.bounds, self.cfg.distance_rule
-        )
-        third = -float(counts[0]) / self.pivot.semantics.size
+        pivot, cfg = self.pivot, self.cfg
+        counts = count_distances([ind.semantics], pivot.semantics, cfg.bounds, cfg.distance_rule)
+        third = -float(counts[0]) / pivot.semantics.size
         return np.append(ind.objectives, third)
 
 

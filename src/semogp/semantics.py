@@ -73,17 +73,65 @@ def ssc_distance(s1: np.ndarray, s2: np.ndarray, subset=None) -> float:
     return float(diff.mean())
 
 
+# Rows of differences processed at once by count_distances: about 256 KB of
+# float64, so a block's buffers stay in cache between its passes.
+BLOCK_BYTES = 1 << 18
+
+
+def block_rows(n_cases: int) -> int:
+    """Rows per count_distances block for semantics of n_cases entries."""
+    return max(1, BLOCK_BYTES // (8 * max(n_cases, 1)))
+
+
 def count_distances(
-    semantics_matrix: np.ndarray, pivot_semantics: np.ndarray, bounds: SimilarityBounds, rule: str
+    semantics_rows, pivot_semantics: np.ndarray, bounds: SimilarityBounds, rule: str
 ) -> np.ndarray:
-    """Vectorized case-count distances of each matrix row to the pivot."""
+    """Case-count distance of each row to the pivot, as a float64 vector.
+
+    semantics_rows is a 2-D array or a sequence of equal-length rows. The
+    rows are taken block_rows at a time into one reused difference buffer
+    (sliced from an array, concatenated from a sequence), then subtracted,
+    made absolute and compared in place into one reused mask and counted
+    per row, so no temporary of the whole input is built. The band count is
+    the cases at or above lbss less those above ubss, which lbss <= ubss
+    makes exact.
+    """
     if rule not in DISTANCE_RULES:
         raise ValueError(f"unknown distance rule {rule!r}")
-    matrix = np.asarray(semantics_matrix, dtype=np.float64)
-    diff = np.abs(matrix - np.asarray(pivot_semantics, dtype=np.float64))
-    if rule == RULE_ABOVE:
-        return (diff > bounds.ubss).sum(axis=1).astype(np.float64)
-    return ((diff >= bounds.lbss) & (diff <= bounds.ubss)).sum(axis=1).astype(np.float64)
+    pivot = np.asarray(pivot_semantics, dtype=np.float64)
+    n_rows = len(semantics_rows)
+    if n_rows == 1:
+        # A lone row (SdoObjectives.vector): flat counts, no buffers to set up.
+        diff = np.abs(np.subtract(semantics_rows[0], pivot))
+        count = np.count_nonzero(diff > bounds.ubss)
+        if rule == RULE_BAND:
+            count = np.count_nonzero(diff >= bounds.lbss) - count
+        return np.array([count], dtype=np.float64)
+    block = block_rows(pivot.size)
+    counts = np.empty(n_rows, dtype=np.float64)
+    diff = np.empty((min(block, n_rows), pivot.size))
+    mask = np.empty(diff.shape, dtype=bool)
+    for start in range(0, n_rows, block):
+        stop = min(start + block, n_rows)
+        d, m = diff[: stop - start], mask[: stop - start]
+        if isinstance(semantics_rows, np.ndarray):
+            np.subtract(semantics_rows[start:stop], pivot, out=d)
+        else:
+            rows = semantics_rows[start:stop]
+            # concatenate checks only the total length, so check each row here.
+            if any(len(row) != pivot.size for row in rows):
+                raise ValueError("every semantics row must have the pivot's length")
+            np.concatenate(rows, out=d.reshape(-1))
+            np.subtract(d, pivot, out=d)
+        np.abs(d, out=d)
+        np.greater(d, bounds.ubss, out=m)
+        above = np.add.reduce(m, axis=1, dtype=np.intp)
+        if rule == RULE_ABOVE:
+            counts[start:stop] = above
+        else:
+            np.greater_equal(d, bounds.lbss, out=m)
+            counts[start:stop] = np.add.reduce(m, axis=1, dtype=np.intp) - above
+    return counts
 
 
 def select_pivot(semantics_list, crowding, rng: random.Random) -> Pivot:

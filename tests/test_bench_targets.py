@@ -75,7 +75,11 @@ def test_probes_and_tracer_patch_and_restore(blob_csv, tmp_path):
     assert tracer.ssc_stats
     # Generation 0 is the initial population: one step per two-generation run.
     assert len(probes.step_s) == 3
-    assert probes.evaluated_trees
+    # nodes_per_s counts the trees the probe sees at gp_core.evaluate_semantics:
+    # every scoring and both subtrees of every ssc trial must reach that name.
+    trials = sum(stats.trials for stats in tracer.ssc_stats.values())
+    assert trials > 0
+    assert len(probes.evaluated_trees) == calls["objectives.evaluate_tree"] + 2 * trials
 
     after = _snapshot(tracing, mods)
     assert after.keys() == before.keys()

@@ -1,6 +1,8 @@
 """CSV loading, validation, stratified splitting, scaling, synthetic data."""
 
+import math
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -63,6 +65,25 @@ class TestLoadCsv:
         path = write(tmp_path / "d.csv", f"1.0,2.0,pos\n{cell},4.0,neg\n")
         with pytest.raises(DatasetError, match="non-numeric feature cell"):
             load_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, label_column, message",
+        [
+            ("x0,x1,label\n1,2,pos\n3,abc,neg\n", -1, "non-numeric feature cell at row 3, column 1: 'abc'"),
+            # The first bad cell of a row is the one named.
+            ("1,2,pos\nnan,inf,neg\n", -1, "non-numeric feature cell at row 2, column 0: 'nan'"),
+            ("1,pos,2\n3,neg,-inf\n", 1, "non-numeric feature cell at row 2, column 2: '-inf'"),
+            ("pos,1,2\nneg, ,4\n", 0, "non-numeric feature cell at row 2, column 1: ' '"),
+            # Rows are checked in file order, for width and cells alike.
+            ("1,2,pos\n1,pos\n1,abc,neg\n", -1, "ragged row 2: expected 3 cells, got 2"),
+            ("1,2,pos\nabc,2,neg\n1,neg\n", -1, "non-numeric feature cell at row 2, column 0: 'abc'"),
+        ],
+    )
+    def test_bad_row_messages(self, tmp_path, text, label_column, message):
+        path = write(tmp_path / "d.csv", text)
+        with pytest.raises(DatasetError) as info:
+            load_csv(path, label_column=label_column)
+        assert str(info.value) == message
 
     def test_label_cardinality(self, tmp_path):
         path = write(tmp_path / "d.csv", "1,2,a\n3,4,b\n5,6,c\n")
@@ -134,7 +155,63 @@ class TestDataset:
         assert sub.positive_token == ds.positive_token
 
 
+class TestLayout:
+    """Feature matrices are Fortran-ordered, so each column is contiguous, and read-only."""
+
+    @staticmethod
+    def assert_layout(ds):
+        assert ds.features.flags.f_contiguous
+        assert not ds.features.flags.writeable
+        assert ds.features[:, 1].flags.c_contiguous
+
+    def test_after_init_from_any_layout(self):
+        rows = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+        labels = [True, False, False]
+        for features in (rows, np.array(rows), np.asfortranarray(rows), np.array(rows)[:, ::-1]):
+            ds = Dataset(features, labels)
+            self.assert_layout(ds)
+            assert np.array_equal(ds.features, np.asarray(features))
+
+    def test_after_subset_scaling_and_pickling(self, blob_csv):
+        ds = load_csv(blob_csv)
+        self.assert_layout(ds)
+        train, test = stratified_split(ds, 0.7, 3)
+        self.assert_layout(train)
+        self.assert_layout(test)
+        self.assert_layout(ds.subset(range(ds.n_cases - 1, -1, -3)))
+        mins, maxs = minmax_fit(train)
+        self.assert_layout(minmax_apply(test, mins, maxs))
+        copy = pickle.loads(pickle.dumps(train))
+        self.assert_layout(copy)
+        assert np.array_equal(copy.features, train.features)
+
+
+def reference_split(ds, train_fraction, seed):
+    """stratified_split with its class member lists built row by row, as it was."""
+    rng = random.Random(seed)
+    train_idx, test_idx = [], []
+    for positive in (True, False):
+        members = [i for i, lab in enumerate(ds.labels) if bool(lab) == positive]
+        rng.shuffle(members)
+        n_train = math.floor(train_fraction * len(members) + 0.5)
+        n_train = min(max(n_train, 1), len(members) - 1)
+        train_idx.extend(members[:n_train])
+        test_idx.extend(members[n_train:])
+    return sorted(train_idx), sorted(test_idx)
+
+
 class TestStratifiedSplit:
+    def test_matches_the_row_by_row_member_lists(self):
+        for n_cases, imbalance in ((20, 1), (60, 3), (200, 9)):
+            ds = blob_dataset(n_cases=n_cases, imbalance=imbalance, seed=n_cases)
+            for seed in range(10):
+                for fraction in (0.3, 0.7):
+                    train_idx, test_idx = reference_split(ds, fraction, seed)
+                    train, test = stratified_split(ds, fraction, seed)
+                    assert np.array_equal(train.features, ds.features[train_idx])
+                    assert np.array_equal(test.features, ds.features[test_idx])
+                    assert np.array_equal(train.labels, ds.labels[train_idx])
+
     def test_fifty_fifty_counts(self):
         # 10 positive / 90 negative at fraction 0.5 -> 5 + 45 in train.
         ds = blob_dataset(n_cases=100, imbalance=9, seed=1)

@@ -24,6 +24,7 @@ from semogp.gp_core import (
     PrimitiveSet,
     Variation,
     evaluate_semantics,
+    feature_bound,
     full_tree,
     grow_tree,
     node_count,
@@ -399,6 +400,66 @@ class TestEvaluationOracle:
             assert same_bits(
                 evaluate_semantics(reparsed, features), evaluate_semantics(tree, features)
             )
+
+
+def reference_feature_bound(features):
+    """The bound evaluate_semantics computed on every call before callers passed it."""
+    return float(np.abs(np.asarray(features, dtype=np.float64)).max(initial=0.0))
+
+
+NEAR_CLAMP = (
+    VALUE_CLAMP,
+    -VALUE_CLAMP,
+    float(np.nextafter(VALUE_CLAMP, 0.0)),
+    float(np.nextafter(VALUE_CLAMP, math.inf)),
+    -float(np.nextafter(VALUE_CLAMP, math.inf)),
+    VALUE_CLAMP / 2,
+    math.sqrt(VALUE_CLAMP),
+)
+near_clamp_values = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from(NEAR_CLAMP),
+    st.floats(-2 * VALUE_CLAMP, 2 * VALUE_CLAMP),
+)
+# Finite matrices of 0 to 5 rows with entries at and around the +-1e10 clamp.
+near_clamp_matrices = st.lists(
+    st.lists(near_clamp_values, min_size=N_FEATURES, max_size=N_FEATURES), max_size=5
+).map(lambda rows: np.array(rows, dtype=np.float64).reshape(len(rows), N_FEATURES))
+
+
+class TestFeatureBound:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(feature_matrices, near_clamp_matrices))
+    def test_equals_the_former_inline_expression(self, features):
+        with np.errstate(all="ignore"):
+            bound = feature_bound(features)
+        expected = reference_feature_bound(features)
+        assert np.array_equal([bound], [expected], equal_nan=True)
+
+    @settings(max_examples=400, deadline=None)
+    @given(finite_trees, st.one_of(near_clamp_matrices, scaled_matrices(st.floats(-10.0, 10.0))))
+    def test_given_bound_is_bit_identical_and_finite(self, tree, features):
+        with np.errstate(all="ignore"):
+            out = evaluate_semantics(tree, features, feature_bound(features))
+            assert same_bits(out, evaluate_semantics(tree, features))
+            assert same_bits(out, reference_semantics(tree, features))
+        assert np.isfinite(out).all(), to_prefix(tree)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees, feature_matrices)
+    def test_given_bound_matches_on_any_input(self, tree, features):
+        with np.errstate(all="ignore"):
+            out = evaluate_semantics(tree, features, feature_bound(features))
+            assert same_bits(out, evaluate_semantics(tree, features))
+
+    def test_fortran_ordered_features_give_the_same_bits(self):
+        rng = random.Random(5)
+        data = np.random.default_rng(5).normal(scale=1e4, size=(40, N_FEATURES))
+        columns = np.asfortranarray(data)
+        bound = feature_bound(data)
+        for _ in range(100):
+            tree = grow_tree(PrimitiveSet(n_features=N_FEATURES), rng.randint(0, 8), rng)
+            assert same_bits(evaluate_semantics(tree, columns, bound), evaluate_semantics(tree, data))
 
 
 class TestCrossover:

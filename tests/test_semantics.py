@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semogp.semantics import (
     DISTANCE_RULES,
@@ -12,6 +14,7 @@ from semogp.semantics import (
     RULE_BAND,
     Pivot,
     SimilarityBounds,
+    block_rows,
     count_distances,
     select_pivot,
     ssc_distance,
@@ -141,6 +144,77 @@ class TestCaseCountRules:
 
     def test_rule_names(self):
         assert DISTANCE_RULES == ("above", "band")
+
+
+def reference_count_distances(rows, pivot, bounds, rule):
+    """count_distances as it was: one broadcast over the stacked rows."""
+    matrix = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(pivot))
+    diff = np.abs(matrix - np.asarray(pivot, dtype=np.float64))
+    if rule == RULE_ABOVE:
+        return (diff > bounds.ubss).sum(axis=1).astype(np.float64)
+    return ((diff >= bounds.lbss) & (diff <= bounds.ubss)).sum(axis=1).astype(np.float64)
+
+
+# Bounds and values on a quarter grid, so that differences land exactly on
+# lbss and ubss; 1e10 is the evaluator's clamp.
+GRID_BOUNDS = st.tuples(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, math.inf])
+).filter(lambda b: b[0] <= b[1]).map(lambda b: SimilarityBounds(*b))
+ROW_COUNTS = ("0", "1", "block-1", "block", "block+1")
+
+
+def row_count(kind, block):
+    return {"0": 0, "1": 1, "block-1": block - 1, "block": block, "block+1": block + 1}[kind]
+
+
+class TestCountDistancesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([1, 2, 140, 3500, 5000]), st.integers(1, 5000)),
+        st.sampled_from(ROW_COUNTS),
+        st.integers(0, 2**32 - 1),
+        GRID_BOUNDS,
+        st.sampled_from(DISTANCE_RULES),
+        st.booleans(),
+    )
+    def test_matches_the_broadcast_expression(self, n_cases, rows, seed, bounds, rule, as_list):
+        n_rows = row_count(rows, block_rows(n_cases))
+        rng = np.random.default_rng(seed)
+        grid = np.array([-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 1e10, -1e10])
+        matrix = rng.choice(grid, size=(n_rows, n_cases)) + rng.choice([0.0, 0.5], size=(n_rows, 1))
+        pivot = rng.choice(grid, size=n_cases)
+        out = count_distances(list(matrix) if as_list else matrix, pivot, bounds, rule)
+        expected = reference_count_distances(matrix, pivot, bounds, rule)
+        assert out.dtype == np.float64 and out.shape == (n_rows,)
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("n_cases", [1, 3, 140, 3500, 5000, 40000])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_edges(self, n_cases, offset):
+        block = block_rows(n_cases)
+        assert block * n_cases * 8 <= 1 << 18 or block == 1
+        n_rows = block + offset
+        rng = np.random.default_rng(n_cases + offset)
+        matrix = rng.normal(size=(n_rows, n_cases))
+        pivot = rng.normal(size=n_cases)
+        for rule in DISTANCE_RULES:
+            expected = reference_count_distances(matrix, pivot, BOUNDS, rule)
+            assert np.array_equal(count_distances(matrix, pivot, BOUNDS, rule), expected)
+            assert np.array_equal(count_distances(list(matrix), pivot, BOUNDS, rule), expected)
+
+    def test_rows_of_another_length_rejected(self):
+        # Lengths 3 and 5 fill two 4-case rows exactly; they must not be counted.
+        rows = [np.zeros(3), np.zeros(5)]
+        with pytest.raises(ValueError, match="pivot's length"):
+            count_distances(rows, np.zeros(4), BOUNDS, RULE_BAND)
+
+    def test_rows_need_not_be_contiguous(self):
+        matrix = np.asfortranarray(np.random.default_rng(0).normal(size=(9, 7)))
+        pivot = np.zeros(7)
+        for rule in DISTANCE_RULES:
+            expected = reference_count_distances(matrix, pivot, BOUNDS, rule)
+            assert np.array_equal(count_distances(matrix, pivot, BOUNDS, rule), expected)
+            assert np.array_equal(count_distances(list(matrix), pivot, BOUNDS, rule), expected)
 
 
 class TestSelectPivot:
