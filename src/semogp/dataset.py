@@ -142,19 +142,14 @@ def load_csv(path, label_column: int = -1, positive_label: str | None = None) ->
     features = []
     tokens = []
     for offset, row in enumerate(data_rows):
+        row_no = offset + (2 if has_header else 1)
         if len(row) != width:
-            row_no = offset + (2 if has_header else 1)
             raise DatasetError(f"ragged row {row_no}: expected {width} cells, got {len(row)}")
-        try:
-            feats = list(map(float, row[:label_idx] + row[label_idx + 1 :]))
-        except ValueError:
-            feats = None
-        if feats is None or not all(map(math.isfinite, feats)):
-            # Re-parse cell by cell so the first bad cell is named.
-            row_no = offset + (2 if has_header else 1)
-            for col, cell in enumerate(row):
-                if col != label_idx:
-                    _parse_feature(cell, row_no, col)
+        feats = [
+            _parse_feature(cell, row_no, col)
+            for col, cell in enumerate(row)
+            if col != label_idx
+        ]
         features.append(feats)
         tokens.append(row[label_idx].strip())
 

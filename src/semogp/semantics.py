@@ -89,12 +89,11 @@ def count_distances(
     """Case-count distance of each row to the pivot, as a float64 vector.
 
     semantics_rows is a 2-D array or a sequence of equal-length rows. The
-    rows are taken block_rows at a time into one reused difference buffer
-    (sliced from an array, concatenated from a sequence), then subtracted,
-    made absolute and compared in place into one reused mask and counted
-    per row, so no temporary of the whole input is built. The band count is
-    the cases at or above lbss less those above ubss, which lbss <= ubss
-    makes exact.
+    rows are concatenated block_rows at a time into one reused difference
+    buffer, then subtracted, made absolute and compared in place into one
+    reused mask and counted per row, so no temporary of the whole input is
+    built. The band count is the cases at or above lbss less those above
+    ubss, which lbss <= ubss makes exact.
     """
     if rule not in DISTANCE_RULES:
         raise ValueError(f"unknown distance rule {rule!r}")
@@ -114,15 +113,12 @@ def count_distances(
     for start in range(0, n_rows, block):
         stop = min(start + block, n_rows)
         d, m = diff[: stop - start], mask[: stop - start]
-        if isinstance(semantics_rows, np.ndarray):
-            np.subtract(semantics_rows[start:stop], pivot, out=d)
-        else:
-            rows = semantics_rows[start:stop]
-            # concatenate checks only the total length, so check each row here.
-            if any(len(row) != pivot.size for row in rows):
-                raise ValueError("every semantics row must have the pivot's length")
-            np.concatenate(rows, out=d.reshape(-1))
-            np.subtract(d, pivot, out=d)
+        rows = semantics_rows[start:stop]
+        # concatenate checks only the total length, so check each row here.
+        if any(len(row) != pivot.size for row in rows):
+            raise ValueError("every semantics row must have the pivot's length")
+        np.concatenate(rows, out=d.reshape(-1))
+        np.subtract(d, pivot, out=d)
         np.abs(d, out=d)
         np.greater(d, bounds.ubss, out=m)
         above = np.add.reduce(m, axis=1, dtype=np.intp)

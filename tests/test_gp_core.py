@@ -402,11 +402,6 @@ class TestEvaluationOracle:
             )
 
 
-def reference_feature_bound(features):
-    """The bound evaluate_semantics computed on every call before callers passed it."""
-    return float(np.abs(np.asarray(features, dtype=np.float64)).max(initial=0.0))
-
-
 NEAR_CLAMP = (
     VALUE_CLAMP,
     -VALUE_CLAMP,
@@ -428,14 +423,6 @@ near_clamp_matrices = st.lists(
 
 
 class TestFeatureBound:
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(feature_matrices, near_clamp_matrices))
-    def test_equals_the_former_inline_expression(self, features):
-        with np.errstate(all="ignore"):
-            bound = feature_bound(features)
-        expected = reference_feature_bound(features)
-        assert np.array_equal([bound], [expected], equal_nan=True)
-
     @settings(max_examples=400, deadline=None)
     @given(finite_trees, st.one_of(near_clamp_matrices, scaled_matrices(st.floats(-10.0, 10.0))))
     def test_given_bound_is_bit_identical_and_finite(self, tree, features):
