@@ -15,6 +15,8 @@ every path.
 from __future__ import annotations
 
 import random
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Union
 
@@ -28,6 +30,10 @@ DIV_EPSILON = 1e-9
 VALUE_CLAMP = 1e10
 FUNCTION_POINT_BIAS = 0.9
 CROSSOVER_DEPTH_RETRIES = 5
+# SemanticsMemo keeps up to MEMO_ENTRIES function-node outputs when that
+# many float64 outputs fit in MEMO_BYTES; otherwise it keeps none.
+MEMO_ENTRIES = 256
+MEMO_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,8 @@ class Individual:
 
     The caches are either None or consistent with the tree and the dataset
     the evaluator was built on; evaluated individuals are never mutated.
+    semantics may be a read-only array that a SemanticsMemo, and so other
+    individuals sharing the tree's root node, hold too.
     """
 
     tree: Node
@@ -171,14 +179,71 @@ def ramped_half_and_half(
 def feature_bound(features: np.ndarray) -> float:
     """max |feature| over a feature matrix (0.0 for an empty one).
 
-    It depends on the dataset alone, so callers that evaluate many trees on
-    one matrix compute it once and pass it to evaluate_semantics.
+    It depends on the dataset alone, so a SemanticsMemo computes it once
+    for every tree scored on its matrix.
     """
     return float(np.abs(np.asarray(features, dtype=np.float64)).max(initial=0.0))
 
 
-def evaluate_semantics(tree: Node, features: np.ndarray, bound: float | None = None) -> np.ndarray:
-    """Program outputs over every row of a feature matrix, as a fresh float64 array.
+class SemanticsMemo:
+    """What evaluate_semantics reuses across the trees scored on one matrix.
+
+    It holds the matrix, its feature_bound, and the outputs of recently
+    computed function nodes keyed by node identity: id(node) maps to
+    (weak reference to the node, output, walk bound). An entry counts only
+    while its reference still resolves to the node looked up, so a dead or
+    reused id misses, and the memo never keeps a tree alive. The capacity
+    most recently used entries are kept: MEMO_ENTRIES where that many
+    outputs fit in MEMO_BYTES (at most 256 cases by default), else 0, so
+    that no node is kept. On larger matrices a memo saves time only while
+    it holds megabytes of outputs.
+    """
+
+    def __init__(self, features: np.ndarray):
+        self.features = features
+        self.bound = feature_bound(features)
+        n_cases = np.shape(features)[0]
+        self.capacity = MEMO_ENTRIES if MEMO_ENTRIES * 8 * n_cases <= MEMO_BYTES else 0
+        self.entries: OrderedDict[int, tuple[weakref.ref, np.ndarray | float, float]] = OrderedDict()
+
+
+def _apply(op: str, a, a_bound: float, b, b_bound: float):
+    """One function node's (output, bound) from its children's.
+
+    The output is clamped to +-VALUE_CLAMP only where its bound can exceed
+    the clamp (a NaN or inf bound included), and is then a fresh array or a
+    Python float.
+    """
+    if op == "+":
+        out, bound = a + b, a_bound + b_bound
+    elif op == "-":
+        out, bound = a - b, a_bound + b_bound
+    elif op == "*":
+        out, bound = a * b, a_bound * b_bound
+    elif type(b) is not np.ndarray:
+        if abs(b) < DIV_EPSILON:
+            return 1.0, 1.0
+        out, bound = a / b, a_bound / abs(b)
+    else:
+        small = np.abs(b) < DIV_EPSILON
+        if small.any():
+            out = np.where(small, 1.0, np.divide(a, np.where(small, 1.0, b)))
+        else:
+            # Without near-zero divisors both where() calls are the identity.
+            out = a / b
+        bound = max(a_bound / DIV_EPSILON, 1.0)
+    if bound <= VALUE_CLAMP:
+        return out, bound
+    if type(out) is np.ndarray:
+        # Function-node outputs are fresh arrays, never views of features.
+        np.clip(out, -VALUE_CLAMP, VALUE_CLAMP, out=out)
+    else:
+        out = min(max(out, -VALUE_CLAMP), VALUE_CLAMP)
+    return out, VALUE_CLAMP
+
+
+def evaluate_semantics(tree: Node, features: np.ndarray, memo: SemanticsMemo | None = None) -> np.ndarray:
+    """Program outputs over every row of a feature matrix, as a float64 array.
 
     Division is protected (denominators below 1e-9 in magnitude yield 1.0)
     and the result is as if every function node's output were clamped to
@@ -192,12 +257,22 @@ def evaluate_semantics(tree: Node, features: np.ndarray, bound: float | None = N
     floats and broadcast; constant-only subtrees compute the same IEEE
     doubles in Python.
 
-    bound, when given, must be feature_bound(features); it is computed here
-    when None. Feature columns are read as features[:, i], which is
-    contiguous for the Fortran-ordered matrices a Dataset holds.
+    memo, when given, must have been built on this very features object
+    (ValueError otherwise); its bound is used and, when its capacity is
+    above 0, every function node is looked up in it before being walked and
+    stored in it after. The outputs are the same bits either way, but with
+    a memo a function-node root's result is the memo's read-only array and
+    may be shared with other callers; without one it is a fresh array.
+    Feature columns are read as features[:, i], which is contiguous for the
+    Fortran-ordered matrices a Dataset holds.
     """
+    if memo is None:
+        column_bound, capacity = feature_bound(features), 0
+    elif memo.features is not features:
+        raise ValueError("memo was built on another feature matrix")
+    else:
+        column_bound, capacity, entries = memo.bound, memo.capacity, memo.entries
     features = np.asarray(features, dtype=np.float64)
-    column_bound = feature_bound(features) if bound is None else bound
 
     def walk(node: Node):
         kind = type(node)
@@ -205,35 +280,21 @@ def evaluate_semantics(tree: Node, features: np.ndarray, bound: float | None = N
             return features[:, node.index], column_bound
         if kind is Constant:
             return node.value, abs(node.value)
-        a, a_bound = walk(node.left)
-        b, b_bound = walk(node.right)
-        op = node.op
-        if op == "+":
-            out, bound = a + b, a_bound + b_bound
-        elif op == "-":
-            out, bound = a - b, a_bound + b_bound
-        elif op == "*":
-            out, bound = a * b, a_bound * b_bound
-        elif type(b) is not np.ndarray:
-            if abs(b) < DIV_EPSILON:
-                return 1.0, 1.0
-            out, bound = a / b, a_bound / abs(b)
-        else:
-            small = np.abs(b) < DIV_EPSILON
-            if small.any():
-                out = np.where(small, 1.0, np.divide(a, np.where(small, 1.0, b)))
-            else:
-                # Without near-zero divisors both where() calls are the identity.
-                out = a / b
-            bound = max(a_bound / DIV_EPSILON, 1.0)
-        if bound <= VALUE_CLAMP:
-            return out, bound
+        if not capacity:
+            return _apply(node.op, *walk(node.left), *walk(node.right))
+        key = id(node)
+        entry = entries.pop(key, None)
+        if entry is not None and entry[0]() is node:
+            # Re-inserting moves the hit to the most recently used end.
+            entries[key] = entry
+            return entry[1], entry[2]
+        out, bound = _apply(node.op, *walk(node.left), *walk(node.right))
         if type(out) is np.ndarray:
-            # Function-node outputs are fresh arrays, never views of features.
-            np.clip(out, -VALUE_CLAMP, VALUE_CLAMP, out=out)
-        else:
-            out = min(max(out, -VALUE_CLAMP), VALUE_CLAMP)
-        return out, VALUE_CLAMP
+            out.flags.writeable = False
+        entries[key] = (weakref.ref(node), out, bound)
+        if len(entries) > capacity:
+            entries.popitem(last=False)
+        return out, bound
 
     result, _ = walk(tree)
     if type(result) is not np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .gp_core import Individual, Node, evaluate_semantics, feature_bound
+from .gp_core import Individual, Node, SemanticsMemo, evaluate_semantics
 
 CLASSIFICATION_THRESHOLD = 0.0
 
@@ -66,23 +66,26 @@ def objective_vector(counts: ConfusionCounts) -> np.ndarray:
 class ClassificationEvaluator:
     """Maps trees to cached semantics and objectives on one dataset.
 
-    What depends on the dataset alone is computed once, here: the feature
-    bound evaluate_semantics starts from, the positive rows and the class
-    sizes. evaluate_tree then counts true and false positives directly and
-    gives the same objectives, bit for bit, as
+    What depends on the dataset alone is built once, here: the positive
+    rows, the class sizes and one SemanticsMemo of the features, which every
+    evaluate_tree call passes to evaluate_semantics (so a function node
+    shared with an earlier tree is looked up, on matrices small enough for
+    the memo to keep entries). evaluate_tree then counts true and false
+    positives directly and gives the same objectives, bit for bit, as
     objective_vector(confusion(classify(semantics, threshold), labels)).
+    The semantics it caches may be read-only arrays shared with the memo.
     """
 
     def __init__(self, dataset: Dataset, threshold: float = CLASSIFICATION_THRESHOLD):
         self.dataset = dataset
         self.threshold = threshold
-        self._bound = feature_bound(dataset.features)
+        self.memo = SemanticsMemo(dataset.features)
         self._positive_rows = np.flatnonzero(dataset.labels)
         self._n_pos = self._positive_rows.size
         self._n_neg = dataset.n_cases - self._n_pos
 
     def evaluate_tree(self, tree: Node) -> Individual:
-        semantics = evaluate_semantics(tree, self.dataset.features, self._bound)
+        semantics = evaluate_semantics(tree, self.dataset.features, self.memo)
         predicted = semantics >= self.threshold
         tp = np.count_nonzero(predicted[self._positive_rows])
         tn = self._n_neg - (np.count_nonzero(predicted) - tp)

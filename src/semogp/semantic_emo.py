@@ -39,9 +39,9 @@ from .gp_core import (
     Node,
     Population,
     PrimitiveSet,
+    SemanticsMemo,
     Variation,
     evaluate_semantics,
-    feature_bound,
     node_count,
     pick_crossover_point,
     replace_subtree,
@@ -111,6 +111,7 @@ def ssc_crossover(
     max_depth: int,
     features: np.ndarray,
     stats: SscCounters | None = None,
+    memo: SemanticsMemo | None = None,
 ) -> tuple[Node, Node]:
     """Subtree crossover gated on the similarity of the exchanged subtrees.
 
@@ -124,17 +125,22 @@ def ssc_crossover(
     whole-program semantics instead of the exchanged subtrees. When
     cfg.ssc_subset_fraction < 1, one random case subset per call feeds every
     trial's distance.
+
+    Subtrees are scored through memo, which must have been built on
+    features; run_variant passes its evaluator's, so subtrees of parents
+    it has just scored are looked up. Without one, a call that scores
+    subtrees builds its own.
     """
     subset = None
     n_cases = features.shape[0]
     if cfg.ssc_subset_fraction < 1.0:
         k = max(1, int(cfg.ssc_subset_fraction * n_cases + 0.5))
         subset = sorted(rng.sample(range(n_cases), k))
-    parent_distance = bound = None
+    parent_distance = None
     if cfg.ssc_parent_distance:
         parent_distance = ssc_distance(p1.semantics, p2.semantics, subset)
-    else:
-        bound = feature_bound(features)
+    elif memo is None:
+        memo = SemanticsMemo(features)
     if stats is not None:
         stats.calls += 1
     final_pair: tuple[Node, Node] | None = None
@@ -149,8 +155,8 @@ def ssc_crossover(
             distance = parent_distance
         else:
             distance = ssc_distance(
-                evaluate_semantics(sub1, features, bound),
-                evaluate_semantics(sub2, features, bound),
+                evaluate_semantics(sub1, features, memo),
+                evaluate_semantics(sub2, features, memo),
                 subset,
             )
         child1 = replace_subtree(p1.tree, point1, sub2)
@@ -362,7 +368,7 @@ def run_variant(
     ssc_stats = SscCounters()
     if cfg.approach == "ssc":
         variation.crossover = lambda a, b, r: ssc_crossover(
-            a, b, cfg, r, gp.max_depth, dataset.features, ssc_stats
+            a, b, cfg, r, gp.max_depth, dataset.features, ssc_stats, evaluator.memo
         )
     eng = build_engine(engine, cfg, evaluator, variation, rng, engine_params)
 

@@ -4,12 +4,14 @@ import dataclasses
 import math
 import pickle
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semogp import gp_core
 from semogp.gp_core import (
     CROSSOVER_DEPTH_RETRIES,
     DIV_EPSILON,
@@ -22,6 +24,7 @@ from semogp.gp_core import (
     GPParams,
     Individual,
     PrimitiveSet,
+    SemanticsMemo,
     Variation,
     evaluate_semantics,
     feature_bound,
@@ -427,7 +430,7 @@ class TestFeatureBound:
     @given(finite_trees, st.one_of(near_clamp_matrices, scaled_matrices(st.floats(-10.0, 10.0))))
     def test_given_bound_is_bit_identical_and_finite(self, tree, features):
         with np.errstate(all="ignore"):
-            out = evaluate_semantics(tree, features, feature_bound(features))
+            out = evaluate_semantics(tree, features, SemanticsMemo(features))
             assert same_bits(out, evaluate_semantics(tree, features))
             assert same_bits(out, reference_semantics(tree, features))
         assert np.isfinite(out).all(), to_prefix(tree)
@@ -436,17 +439,114 @@ class TestFeatureBound:
     @given(trees, feature_matrices)
     def test_given_bound_matches_on_any_input(self, tree, features):
         with np.errstate(all="ignore"):
-            out = evaluate_semantics(tree, features, feature_bound(features))
+            out = evaluate_semantics(tree, features, SemanticsMemo(features))
             assert same_bits(out, evaluate_semantics(tree, features))
 
     def test_fortran_ordered_features_give_the_same_bits(self):
         rng = random.Random(5)
         data = np.random.default_rng(5).normal(scale=1e4, size=(40, N_FEATURES))
         columns = np.asfortranarray(data)
-        bound = feature_bound(data)
+        memo = SemanticsMemo(columns)
         for _ in range(100):
             tree = grow_tree(PrimitiveSet(n_features=N_FEATURES), rng.randint(0, 8), rng)
-            assert same_bits(evaluate_semantics(tree, columns, bound), evaluate_semantics(tree, data))
+            assert same_bits(evaluate_semantics(tree, columns, memo), evaluate_semantics(tree, data))
+
+
+def check_memo(memo):
+    """The memo's standing invariants: bounded, and every stored array read-only."""
+    assert len(memo.entries) <= memo.capacity
+    for _, value, _ in memo.entries.values():
+        assert type(value) is not np.ndarray or not value.flags.writeable
+
+
+class TestSemanticsMemo:
+    @pytest.mark.parametrize("entries", [1, 2, 7, gp_core.MEMO_ENTRIES])
+    @settings(max_examples=40, deadline=None)
+    @given(parents=st.lists(finite_trees, min_size=2, max_size=4), features=feature_matrices, seed=seeds)
+    def test_offspring_chains_match_unmemoized_and_reference(self, entries, parents, features, seed):
+        # Offspring share every node off the variation path with their
+        # parents; the pool keeps at most four trees, so dropped nodes die
+        # and their ids can come back on new nodes while the memo holds them.
+        # Constants are finite, as variation makes them; the matrices carry
+        # NaN and inf.
+        rng = random.Random(seed)
+        ps = PrimitiveSet(n_features=N_FEATURES)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gp_core, "MEMO_ENTRIES", entries)
+            memo = SemanticsMemo(features)
+        assert memo.capacity == entries
+        pool = list(parents)
+        with np.errstate(all="ignore"):
+            for _ in range(8):
+                a, b = rng.sample(pool, 2)
+                c1, c2 = subtree_crossover(a, b, rng, max_depth=17)
+                c1 = subtree_mutation(c1, ps, rng, max_depth=17, subtree_depth=3)
+                sub = subtree_at(c2, pick_crossover_point(c2, rng))
+                for tree in (c1, c2, sub, a):
+                    out = evaluate_semantics(tree, features, memo)
+                    assert same_bits(out, evaluate_semantics(tree, features)), to_prefix(tree)
+                    assert same_bits(out, reference_semantics(tree, features)), to_prefix(tree)
+                    check_memo(memo)
+                pool[rng.randrange(len(pool))] = c1
+                pool[rng.randrange(len(pool))] = c2
+
+    def test_holds_the_matrix_and_its_bound(self):
+        features = np.array([[1.0, -4.0, 0.5], [2.0, 3.0, -0.25]])
+        memo = SemanticsMemo(features)
+        assert memo.features is features
+        assert memo.bound == feature_bound(features) == 4.0
+        assert memo.capacity == gp_core.MEMO_ENTRIES
+        assert not memo.entries
+
+    def test_results_are_shared_read_only_arrays(self):
+        features = np.arange(12.0).reshape(4, 3)
+        memo = SemanticsMemo(features)
+        tree = sample_tree()
+        out = evaluate_semantics(tree, features, memo)
+        assert not out.flags.writeable
+        assert evaluate_semantics(tree, features, memo) is out
+        assert evaluate_semantics(tree, features).flags.writeable
+        check_memo(memo)
+
+    def test_refuses_another_matrix(self):
+        features = np.arange(12.0).reshape(4, 3)
+        memo = SemanticsMemo(features)
+        for other in (features.copy(), features[:], np.zeros((4, 3))):
+            with pytest.raises(ValueError, match="another feature matrix"):
+                evaluate_semantics(sample_tree(), other, memo)
+
+    def test_entry_of_another_node_misses(self):
+        # An id that a dead node held and a new node reuses keeps a weak
+        # reference to something else: it must be walked, not looked up.
+        features = np.arange(12.0).reshape(4, 3)
+        memo = SemanticsMemo(features)
+        stale = Call("*", Feature(2), Feature(2))
+        tree = Call("-", Feature(0), Feature(1))
+        memo.entries[id(tree)] = (weakref.ref(stale), np.full(4, 99.0), 99.0)
+        out = evaluate_semantics(tree, features, memo)
+        assert same_bits(out, reference_semantics(tree, features))
+        assert memo.entries[id(tree)][0]() is tree
+        check_memo(memo)
+
+    def test_oldest_entry_leaves_first(self):
+        features = np.arange(12.0).reshape(4, 3)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gp_core, "MEMO_ENTRIES", 2)
+            memo = SemanticsMemo(features)
+        nodes = [Call("+", Feature(i), Constant(1.0)) for i in range(3)]
+        evaluate_semantics(nodes[0], features, memo)
+        evaluate_semantics(nodes[1], features, memo)
+        evaluate_semantics(nodes[0], features, memo)  # a hit moves it to the newest end
+        evaluate_semantics(nodes[2], features, memo)
+        assert [ref() for ref, _, _ in memo.entries.values()] == [nodes[0], nodes[2]]
+
+    def test_capacity_is_zero_above_the_cut(self):
+        cut = gp_core.MEMO_BYTES // (8 * gp_core.MEMO_ENTRIES)
+        assert SemanticsMemo(np.zeros((cut, 2))).capacity == gp_core.MEMO_ENTRIES
+        memo = SemanticsMemo(np.zeros((cut + 1, 2)))
+        assert memo.capacity == 0
+        out = evaluate_semantics(sample_tree(), memo.features, memo)
+        assert out.flags.writeable and not memo.entries
 
 
 class TestCrossover:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from semogp import gp_core, semantic_emo
 from semogp.emo import (
     BaseObjectives,
     EngineParams,
@@ -27,6 +28,7 @@ from semogp.gp_core import (
 )
 from semogp.harness import ExperimentConfig
 from semogp.metrics import GenerationStats
+from semogp.objectives import ClassificationEvaluator
 from semogp.semantics import RULE_ABOVE, RULE_BAND, Pivot, SimilarityBounds
 from semogp.semantic_emo import (
     APPROACHES,
@@ -163,6 +165,29 @@ class TestSscCrossover:
             c1, c2 = ssc_crossover(p1, p2, cfg, rng, 6, self.FEATURES)
             assert tree_depth(c1) <= 6
             assert tree_depth(c2) <= 6
+
+    def test_memo_built_once_per_call_that_scores_subtrees(self, monkeypatch):
+        built = []
+
+        def counted(features):
+            built.append(features)
+            return gp_core.SemanticsMemo(features)
+
+        monkeypatch.setattr(semantic_emo, "SemanticsMemo", counted)
+        p1 = make_individual(tree=Feature(0), semantics=(0.0, 0.2))
+        p2 = make_individual(tree=Constant(0.0), semantics=(0.0, 0.0))
+        cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.3, 0.4))
+        stats = SscCounters()
+        ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES, stats)
+        assert stats.trials == cfg.ssc_max_trials and len(built) == 1
+        assert built[0] is self.FEATURES
+        parent_cfg = SemanticConfig(approach="ssc", ssc_parent_distance=True)
+        ssc_crossover(p1, p2, parent_cfg, random.Random(0), 17, self.FEATURES)
+        shared = gp_core.SemanticsMemo(self.FEATURES)
+        ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES, None, shared)
+        assert len(built) == 1
+        with pytest.raises(ValueError, match="another feature matrix"):
+            ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES.copy(), None, shared)
 
 
 class ScdFixture:
@@ -450,6 +475,24 @@ class TestRunVariant:
         a = run_variant("spea2", SemanticConfig(approach="sdo"), dataset, gp=self.GP, seed=3)
         b = run_variant("spea2", SemanticConfig(approach="sdo"), dataset, gp=self.GP, seed=3)
         assert payload(a) == payload(b)
+
+    def test_memo_capacity_leaves_every_pair_unchanged(self, monkeypatch):
+        # Every valid pair on 200 cases: the default memo, a one-entry memo
+        # that evicts on every store, and no memo give equal results.
+        data = blob_dataset(n_cases=200, imbalance=9, seed=0)
+        gp = GPParams(pop_size=30, generations=8)
+        pairs = [(e, a) for e in ENGINES for a in APPROACHES if (e, a) != ("moead", "scd")]
+        assert len(pairs) == 11
+
+        def runs(capacity):
+            assert ClassificationEvaluator(data).memo.capacity == capacity
+            return [run_variant(e, SemanticConfig(approach=a), data, gp=gp, seed=11) for e, a in pairs]
+
+        default = runs(gp_core.MEMO_ENTRIES)
+        monkeypatch.setattr(gp_core, "MEMO_ENTRIES", 1)
+        one_entry = runs(1)
+        monkeypatch.setattr(gp_core, "MEMO_BYTES", 0)
+        assert default == one_entry == runs(0)
 
     def test_seed_changes_the_run(self, dataset):
         a = run_variant("nsga2", SemanticConfig(), dataset, gp=self.GP, seed=4)
