@@ -197,8 +197,11 @@ def spea2_truncate(objectives, target_size: int) -> list[int]:
 
     A round sorts the rows of the alive distance submatrix with +inf on
     its diagonal. The self-distance then sorts last in every row, so the
-    sorted rows compare as the lists of distances to the others do; the
-    smallest is found by narrowing the candidates column by column.
+    sorted rows compare as the lists of distances to the others do. The
+    distances of finite objectives are +0.0, positive or +inf, never -0.0
+    or NaN, and for such doubles the big-endian bytes order as the numbers
+    do; so the smallest row is the first minimum of the rows' bytes.
+    Objectives with a NaN or an infinity raise ValueError.
     """
     F = np.asarray(objectives, dtype=np.float64)
     n = F.shape[0]
@@ -206,19 +209,17 @@ def spea2_truncate(objectives, target_size: int) -> list[int]:
         raise ValueError("target_size must be at least 1")
     if n <= target_size:
         raise ValueError("pool must exceed target_size")
+    if not np.isfinite(F).all():
+        raise ValueError("objectives must be finite (no NaN or infinity)")
     dist = _pairwise_distances(F)
     alive = np.arange(n)
     while alive.size > target_size:
         rows = dist[np.ix_(alive, alive)]
         np.fill_diagonal(rows, math.inf)
         rows.sort(axis=1)
-        candidates = np.arange(alive.size)
-        for col in range(alive.size - 1):
-            column = rows[candidates, col]
-            candidates = candidates[column == column.min()]
-            if candidates.size == 1:
-                break
-        alive = np.delete(alive, candidates[0])
+        # One bytes object per row: its doubles, big-endian.
+        keys = rows.astype(">f8").view(f"V{8 * alive.size}").ravel().tolist()
+        alive = np.delete(alive, keys.index(min(keys)))
     return alive.tolist()
 
 
@@ -495,6 +496,7 @@ class MoeadEngine(_Engine):
         self._selection_objs = self.space.refresh(self.population, self.rng)
         self.ideal = self._selection_objs.min(axis=0).copy()
         self.archive = []
+        self._archive_objs = np.empty((0, self.population[0].objectives.size))
         for ind in self.population:
             self._archive_add(ind)
         self.ideal_history = [self.ideal.copy()]
@@ -540,22 +542,24 @@ class MoeadEngine(_Engine):
         A member equals or dominates the child exactly when it is <= the
         child in every objective. Past that check no member equals the
         child, so the child dominates exactly the members it is <= in
-        every objective.
+        every objective. _archive_objs holds the members' objectives, row
+        for row, and follows every change to the archive.
         """
-        if self.archive:
-            objs = np.stack([member.objectives for member in self.archive])
-            f = ind.objectives
-            if (objs <= f).all(axis=1).any():
-                return
-            beaten = (f <= objs).all(axis=1)
-            self.archive = [m for m, out in zip(self.archive, beaten.tolist()) if not out]
+        objs = self._archive_objs
+        f = ind.objectives
+        if (objs <= f).all(axis=1).any():
+            return
+        beaten = (f <= objs).all(axis=1)
+        self.archive = [m for m, out in zip(self.archive, beaten.tolist()) if not out]
         self.archive.append(ind)
+        objs = np.concatenate((objs[~beaten], f[None]))
         if len(self.archive) > self.archive_cap:
-            objs = np.stack([member.objectives for member in self.archive])
             rank = self.archive_rank(self.archive, objs, self.rng)
             order = sorted(range(len(self.archive)), key=lambda idx: (-rank[idx], idx))
             keep = sorted(order[: self.archive_cap])
             self.archive = [self.archive[idx] for idx in keep]
+            objs = objs[keep]
+        self._archive_objs = objs
 
     def front(self) -> Population:
         """External archive members (already mutually non-dominated)."""

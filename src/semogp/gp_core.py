@@ -257,6 +257,16 @@ def evaluate_semantics(tree: Node, features: np.ndarray, memo: SemanticsMemo | N
     floats and broadcast; constant-only subtrees compute the same IEEE
     doubles in Python.
 
+    Only the sign bit of a NaN can differ from an all-numpy walk: IEEE 754
+    does not fix which operand's NaN an operation returns, and Python's
+    float arithmetic and numpy's vector loops choose differently. On
+    x86-64, (+ (+ 0.0 nan) (+ inf -inf)) gives 0xfff8... from this walk
+    and 0x7ff8... from numpy arrays. Numpy does not agree with itself
+    either: with a = 0x7ff8... and b = 0xfff8..., np.full(n, a) +
+    np.full(n, b) gives a's NaN in its 8-wide blocks and b's in the tail,
+    so both signs in one array for n = 15 or 17. Runs build no NaN
+    constant, and the NaN is a NaN either way.
+
     memo, when given, must have been built on this very features object
     (ValueError otherwise); its bound is used and, when its capacity is
     above 0, every function node is looked up in it before being walked and

@@ -139,6 +139,15 @@ def grid_matrices(draw, min_rows, max_rows, cols=None):
 
 
 @st.composite
+def duplicate_heavy_matrices(draw, min_rows, max_rows):
+    """Rows drawn from at most 6 distinct grid vectors, as SPEA2's pools are."""
+    palette = draw(grid_matrices(1, 6))
+    n = draw(st.integers(min_rows, max_rows))
+    picks = draw(st.lists(st.integers(0, len(palette) - 1), min_size=n, max_size=n))
+    return palette[picks]
+
+
+@st.composite
 def kernel_inputs(draw):
     """0..200 rows by 1..3 columns: k/4 or k/10 grids, or finite floats in +-1e6."""
     shape = (draw(st.integers(0, 200)), draw(st.integers(1, 3)))
@@ -180,7 +189,7 @@ class TestKernelOracles:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_spea2_truncate_matches_resort(self, data):
-        F = data.draw(grid_matrices(2, 80))
+        F = data.draw(st.one_of(grid_matrices(2, 110), duplicate_heavy_matrices(2, 110)))
         target = data.draw(st.integers(1, len(F) - 1))
         got = spea2_truncate(F, target)
         assert got == reference_spea2_truncate(F, target)
@@ -197,6 +206,7 @@ class TestKernelOracles:
         for add in (MoeadEngine._archive_add, reference_archive_add):
             engine = MoeadEngine.__new__(MoeadEngine)
             engine.archive = list(members)
+            engine._archive_objs = F[1:]
             engine.archive_cap = cap
             engine.archive_rank = canonical_archive_rank
             engine.rng = random.Random(0)
@@ -434,6 +444,13 @@ class TestSpea2Truncate:
         with pytest.raises(ValueError):
             spea2_truncate(self.COLLINEAR, 5)
 
+    @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+    def test_non_finite_objectives_rejected(self, bad):
+        objs = [list(row) for row in self.COLLINEAR]
+        objs[2][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            spea2_truncate(objs, 2)
+
     def test_keeps_requested_count(self):
         rng = random.Random(5)
         for _ in range(20):
@@ -659,53 +676,102 @@ class TestEngines:
     @pytest.mark.parametrize("sdo", [False, True])
     @pytest.mark.parametrize("cls", [Nsga2Engine, Spea2Engine, MoeadEngine])
     def test_reference_kernels_step_identically(self, cls, sdo, monkeypatch):
-        calls = []
+        params = EngineParams(archive_size=4) if cls is Spea2Engine else EngineParams()
+        check_reference_kernels(cls, sdo, monkeypatch, seed=11, pop_size=12, engine_params=params)
 
-        def counted(reference):
-            def wrapper(*args):
-                calls.append(reference.__name__)
-                return reference(*args)
+    @pytest.mark.parametrize("sdo", [False, True])
+    @pytest.mark.parametrize("cls", [Spea2Engine, MoeadEngine])
+    def test_reference_kernels_step_identically_at_default_archive(self, cls, sdo, monkeypatch):
+        # As the benchmark runs them: SPEA2's archive is the population
+        # size, and its truncated pools hold 58-69 members with 8-23
+        # distinct objective vectors.
+        check_reference_kernels(cls, sdo, monkeypatch, seed=2, pop_size=50, steps=8)
 
-            return wrapper
+    @pytest.mark.parametrize("pop_size", [4, 12])
+    @pytest.mark.parametrize("sdo", [False, True])
+    def test_moead_held_archive_matrix_follows_archive(self, sdo, pop_size, monkeypatch):
+        # At pop_size 4 the archive outgrows its cap of 4 (6 with sdo's
+        # three-objective lattice) and is ranked and cut.
+        add = MoeadEngine._archive_add
+        adds = []
 
-        def run():
-            kwargs = {}
-            if sdo:
-                kwargs["objective_space"] = SdoObjectives(SemanticConfig(approach="sdo"))
-            if cls is Spea2Engine:
-                kwargs["engine_params"] = EngineParams(archive_size=4)
-            engine = make_engine(cls, seed=11, **kwargs)
-            engine.initialize()
-            for _ in range(5):
-                engine.step()
-            if cls is Nsga2Engine:
-                members = engine.parents
-            else:
-                members = engine.population + engine.archive
-            return (
-                [to_prefix(ind.tree) for ind in members],
-                [ind.objectives.tobytes() for ind in members],
-                engine.rng.getstate(),
-            )
+        def checked(engine, ind):
+            add(engine, ind)
+            adds.append(1)
+            held = engine._archive_objs
+            want = np.stack([m.objectives for m in engine.archive])
+            assert held.dtype == want.dtype and held.shape == want.shape
+            assert np.array_equal(held.view(np.int64), want.view(np.int64))
 
-        plain = run()
-        monkeypatch.setattr(emo, "dominance_matrix", counted(reference_dominance_matrix))
-        monkeypatch.setattr(emo, "_pairwise_distances", counted(reference_pairwise_distances))
-        monkeypatch.setattr(emo, "moead_replacements", counted(reference_moead_replacements))
-        monkeypatch.setattr(emo, "spea2_truncate", counted(reference_spea2_truncate))
-        monkeypatch.setattr(MoeadEngine, "_archive_add", counted(reference_archive_add))
-        assert run() == plain
-        expected = {
-            Nsga2Engine: {"reference_dominance_matrix"},
-            Spea2Engine: {
-                "reference_dominance_matrix",
-                "reference_pairwise_distances",
-                "reference_spea2_truncate",
-            },
-            MoeadEngine: {
-                "reference_pairwise_distances",
-                "reference_moead_replacements",
-                "reference_archive_add",
-            },
-        }[cls]
-        assert expected <= set(calls)
+        monkeypatch.setattr(MoeadEngine, "_archive_add", checked)
+        kwargs = {}
+        if sdo:
+            kwargs["objective_space"] = SdoObjectives(SemanticConfig(approach="sdo"))
+        engine = make_engine(MoeadEngine, seed=3, pop_size=pop_size, **kwargs)
+        rank = engine.archive_rank
+        ranked = []
+
+        def counted_rank(*args):
+            ranked.append(1)
+            return rank(*args)
+
+        engine.archive_rank = counted_rank
+        engine.initialize()
+        for _ in range(5):
+            engine.step()
+        assert len(adds) == engine.n_subproblems * 6
+        assert bool(ranked) == (pop_size == 4)
+
+
+def check_reference_kernels(
+    cls, sdo, monkeypatch, seed, pop_size, steps=5, engine_params=EngineParams()
+):
+    """A run with the reference kernels swapped in steps as the plain run does."""
+    calls = []
+
+    def counted(reference):
+        def wrapper(*args):
+            calls.append(reference.__name__)
+            return reference(*args)
+
+        return wrapper
+
+    def run():
+        kwargs = {"engine_params": engine_params}
+        if sdo:
+            kwargs["objective_space"] = SdoObjectives(SemanticConfig(approach="sdo"))
+        engine = make_engine(cls, seed=seed, pop_size=pop_size, **kwargs)
+        engine.initialize()
+        for _ in range(steps):
+            engine.step()
+        if cls is Nsga2Engine:
+            members = engine.parents
+        else:
+            members = engine.population + engine.archive
+        return (
+            [to_prefix(ind.tree) for ind in members],
+            [ind.objectives.tobytes() for ind in members],
+            engine.rng.getstate(),
+        )
+
+    plain = run()
+    monkeypatch.setattr(emo, "dominance_matrix", counted(reference_dominance_matrix))
+    monkeypatch.setattr(emo, "_pairwise_distances", counted(reference_pairwise_distances))
+    monkeypatch.setattr(emo, "moead_replacements", counted(reference_moead_replacements))
+    monkeypatch.setattr(emo, "spea2_truncate", counted(reference_spea2_truncate))
+    monkeypatch.setattr(MoeadEngine, "_archive_add", counted(reference_archive_add))
+    assert run() == plain
+    expected = {
+        Nsga2Engine: {"reference_dominance_matrix"},
+        Spea2Engine: {
+            "reference_dominance_matrix",
+            "reference_pairwise_distances",
+            "reference_spea2_truncate",
+        },
+        MoeadEngine: {
+            "reference_pairwise_distances",
+            "reference_moead_replacements",
+            "reference_archive_add",
+        },
+    }[cls]
+    assert expected <= set(calls)

@@ -390,6 +390,20 @@ class TestEvaluationOracle:
         assert not np.shares_memory(out, features)
         assert same_bits(out, reference_semantics(tree, features))
 
+    def test_constant_only_nan_takes_its_sign_from_python_floats(self):
+        # Pinned, not a fault: a constant-only subtree is folded in Python
+        # floats and the oracle adds numpy arrays, and the two need not give
+        # a NaN the same sign bit (see evaluate_semantics). On x86-64 with
+        # numpy 2.4 the output's top 16 bits are 0xfff8, the oracle's 0x7ff8.
+        tree = parse_prefix("(+ (+ 0.0 nan) (+ inf -inf))")
+        features = np.zeros((4, N_FEATURES))
+        with np.errstate(all="ignore"):
+            out = evaluate_semantics(tree, features)
+            expected = reference_semantics(tree, features)
+        folded = (0.0 + math.nan) + (math.inf + -math.inf)
+        assert same_bits(out, np.full(4, folded))
+        assert np.isnan(expected).all()
+
     def test_empty_matrix(self):
         out = evaluate_semantics(sample_tree(), np.zeros((0, 2)))
         assert out.dtype == np.float64 and out.shape == (0,)
