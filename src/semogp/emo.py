@@ -159,13 +159,13 @@ class Spea2Fitness(NamedTuple):
     fitness: np.ndarray
 
 
-def spea2_fitness(objectives, k: int | None = None) -> Spea2Fitness:
+def spea2_fitness(objectives) -> Spea2Fitness:
     """Strength, raw fitness, density, and total fitness for a combined pool.
 
     Strength counts dominated members; raw fitness sums the strengths of a
     member's dominators (0 for non-dominated members); density is
     1 / (sigma_k + 2) where sigma_k is the Euclidean distance to the k-th
-    nearest other member and k defaults to floor(sqrt(pool size)).
+    nearest other member and k = floor(sqrt(pool size)).
     """
     F = np.asarray(objectives, dtype=np.float64)
     if F.size == 0:
@@ -178,9 +178,7 @@ def spea2_fitness(objectives, k: int | None = None) -> Spea2Fitness:
         sigma = np.zeros(1)
     else:
         dist = _pairwise_distances(F)
-        if k is None:
-            k = math.isqrt(n)
-        k = min(max(k, 1), n - 1)
+        k = min(math.isqrt(n), n - 1)
         # Column 0 of the sorted rows is the zero self-distance, so column k
         # is the k-th nearest other member.
         sigma = np.sort(dist, axis=1)[:, k]

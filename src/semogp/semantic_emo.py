@@ -79,8 +79,6 @@ class SemanticConfig:
     bounds: SimilarityBounds = SimilarityBounds()
     distance_rule: str = RULE_BAND
     ssc_max_trials: int = 4
-    ssc_subset_fraction: float = 1.0
-    ssc_parent_distance: bool = False
     allow_scd_moead: bool = False
 
     def __post_init__(self):
@@ -90,13 +88,11 @@ class SemanticConfig:
             raise ValueError(f"unknown distance rule {self.distance_rule!r}")
         if self.ssc_max_trials < 1:
             raise ValueError("ssc_max_trials must be at least 1")
-        if not 0.0 < self.ssc_subset_fraction <= 1.0:
-            raise ValueError("ssc_subset_fraction must lie in (0, 1]")
 
 
 @dataclass
 class SscCounters:
-    """Tally of gated-crossover activity, for reporting and tests."""
+    """Tally of gated-crossover activity; the benchmark reads its trials and acceptances."""
 
     calls: int = 0
     trials: int = 0
@@ -110,7 +106,7 @@ def ssc_crossover(
     rng: random.Random,
     max_depth: int,
     features: np.ndarray,
-    stats: SscCounters | None = None,
+    stats: SscCounters | None = None,  # bench/tracing.py reads stats as positional argument 6
     memo: SemanticsMemo | None = None,
 ) -> tuple[Node, Node]:
     """Subtree crossover gated on the similarity of the exchanged subtrees.
@@ -121,25 +117,11 @@ def ssc_crossover(
     max_depth. If no trial qualifies, the final trial's offspring are
     returned as-is (or the parents, if those offspring were too deep).
 
-    With cfg.ssc_parent_distance the gate compares the parents' cached
-    whole-program semantics instead of the exchanged subtrees. When
-    cfg.ssc_subset_fraction < 1, one random case subset per call feeds every
-    trial's distance.
-
     Subtrees are scored through memo, which must have been built on
     features; run_variant passes its evaluator's, so subtrees of parents
-    it has just scored are looked up. Without one, a call that scores
-    subtrees builds its own.
+    it has just scored are looked up. Without one, the call builds its own.
     """
-    subset = None
-    n_cases = features.shape[0]
-    if cfg.ssc_subset_fraction < 1.0:
-        k = max(1, int(cfg.ssc_subset_fraction * n_cases + 0.5))
-        subset = sorted(rng.sample(range(n_cases), k))
-    parent_distance = None
-    if cfg.ssc_parent_distance:
-        parent_distance = ssc_distance(p1.semantics, p2.semantics, subset)
-    elif memo is None:
+    if memo is None:
         memo = SemanticsMemo(features)
     if stats is not None:
         stats.calls += 1
@@ -151,14 +133,9 @@ def ssc_crossover(
         point2 = pick_crossover_point(p2.tree, rng)
         sub1 = subtree_at(p1.tree, point1)
         sub2 = subtree_at(p2.tree, point2)
-        if parent_distance is not None:
-            distance = parent_distance
-        else:
-            distance = ssc_distance(
-                evaluate_semantics(sub1, features, memo),
-                evaluate_semantics(sub2, features, memo),
-                subset,
-            )
+        distance = ssc_distance(
+            evaluate_semantics(sub1, features, memo), evaluate_semantics(sub2, features, memo)
+        )
         child1 = replace_subtree(p1.tree, point1, sub2)
         child2 = replace_subtree(p2.tree, point2, sub1)
         depth_ok = tree_depth(child1) <= max_depth and tree_depth(child2) <= max_depth

@@ -53,24 +53,15 @@ class Pivot:
     source_index: int
 
 
-def ssc_distance(s1: np.ndarray, s2: np.ndarray, subset=None) -> float:
-    """Mean absolute difference between two semantics vectors.
-
-    When subset is given, only those case indices contribute.
-    """
+def ssc_distance(s1: np.ndarray, s2: np.ndarray) -> float:
+    """Mean absolute difference between two semantics vectors."""
     a = np.asarray(s1, dtype=np.float64)
     b = np.asarray(s2, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("semantics vectors must have the same length")
     if a.size == 0:
         raise ValueError("semantics vectors must be non-empty")
-    diff = np.abs(a - b)
-    if subset is not None:
-        idx = list(subset)
-        if not idx:
-            raise ValueError("subset must be non-empty")
-        diff = diff[idx]
-    return float(diff.mean())
+    return float(np.abs(a - b).mean())
 
 
 # Rows of differences processed at once by count_distances: about 256 KB of

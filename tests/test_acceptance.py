@@ -19,39 +19,30 @@ import pytest
 from conftest import blob_dataset, make_individual
 
 from semogp import (
-    CLASSIFICATION_THRESHOLD,
-    HV_REFERENCE,
-    ClassificationEvaluator,
     Dataset,
     EngineParams,
     GPParams,
-    MoeadEngine,
-    Nsga2Engine,
-    Pivot,
-    PrimitiveSet,
     SemanticConfig,
-    SimilarityBounds,
-    Spea2Engine,
-    SscCounters,
-    Variation,
-    dominates,
-    fast_nondominated_sort,
-    hypervolume_2d,
-    node_count,
     run_experiment,
     run_variant,
-    sdo_extend,
-    spea2_fitness,
-    ssc_crossover,
     synthetic_blobs,
-    tchebycheff,
-    to_prefix,
-    unique_solutions,
-    write_synthetic_csv,
 )
-from semogp.gp_core import Constant, Feature
+from semogp.dataset import write_synthetic_csv
+from semogp.emo import (
+    MoeadEngine,
+    Nsga2Engine,
+    Spea2Engine,
+    dominates,
+    fast_nondominated_sort,
+    spea2_fitness,
+    tchebycheff,
+)
+from semogp.gp_core import Constant, Feature, PrimitiveSet, Variation, node_count, to_prefix
 from semogp.harness import ExperimentConfig
-from semogp.semantics import RULE_ABOVE, RULE_BAND, count_distances
+from semogp.metrics import HV_REFERENCE, hypervolume_2d, unique_solutions
+from semogp.objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
+from semogp.semantic_emo import SscCounters, sdo_extend, ssc_crossover
+from semogp.semantics import RULE_ABOVE, RULE_BAND, Pivot, SimilarityBounds, count_distances
 
 from test_emo import peel_front_oracle
 

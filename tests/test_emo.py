@@ -374,11 +374,6 @@ class TestSpea2Fitness:
         third = 1.0 / 3.0
         assert parts.density.tolist() == pytest.approx([0.25, third, third, third, 0.25])
 
-    def test_density_k_override(self):
-        objs = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)]
-        parts = spea2_fitness(objs, k=1)
-        assert parts.density.tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3, 1 / 3, 1 / 3])
-
     def test_two_member_pool(self):
         parts = spea2_fitness([(0.0, 0.0), (1.0, 1.0)])
         assert parts.raw.tolist() == [0.0, 1.0]

@@ -3,7 +3,7 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -165,10 +165,19 @@ class TestExperimentConfig:
         assert cfg.pop_size == 100
 
     def test_from_json_unknown_key(self, tmp_path):
+        # The retired ssc keys fail loudly instead of being silently ignored.
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"dataset": "d.csv", "population": 10}))
-        with pytest.raises(ValueError, match="unknown config keys"):
-            ExperimentConfig.from_json(path)
+        for key in ("population", "ssc_subset_fraction", "ssc_parent_distance"):
+            path.write_text(json.dumps({"dataset": "d.csv", key: 1}))
+            with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+                ExperimentConfig.from_json(path)
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        start = readme.index("Config keys and defaults")
+        paragraph = readme[start : readme.index("\n\n", start)]
+        documented = set(re.findall(r"`(\w+)`\s*\(", paragraph))
+        assert documented == {f.name for f in fields(ExperimentConfig)}
 
     def test_from_json_checks_types(self, tmp_path):
         path = tmp_path / "cfg.json"

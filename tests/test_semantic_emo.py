@@ -60,7 +60,6 @@ class TestSemanticConfig:
         assert cfg.bounds == SimilarityBounds(0.01, 0.5)
         assert cfg.distance_rule == RULE_BAND
         assert cfg.ssc_max_trials == 4
-        assert cfg.ssc_subset_fraction == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -69,10 +68,6 @@ class TestSemanticConfig:
             SemanticConfig(distance_rule="nearest")
         with pytest.raises(ValueError):
             SemanticConfig(ssc_max_trials=0)
-        with pytest.raises(ValueError):
-            SemanticConfig(ssc_subset_fraction=0.0)
-        with pytest.raises(ValueError):
-            SemanticConfig(ssc_subset_fraction=1.5)
 
     def test_known_names(self):
         assert ENGINES == ("nsga2", "spea2", "moead")
@@ -124,35 +119,6 @@ class TestSscCrossover:
         assert c1 is p1.tree
         assert c2 is p2.tree
 
-    def test_parent_distance_mode_uses_cached_semantics(self):
-        cfg = SemanticConfig(
-            approach="ssc",
-            bounds=SimilarityBounds(0.2, 0.4),
-            ssc_parent_distance=True,
-        )
-        near = make_individual(tree=Feature(0), semantics=(0.0, 0.0))
-        far = make_individual(tree=Constant(0.3), semantics=(0.3, 0.3))
-        stats = SscCounters()
-        ssc_crossover(near, far, cfg, random.Random(0), 17, np.zeros((2, 1)), stats)
-        assert stats.accepted == 1
-        assert stats.trials == 1
-
-        stats = SscCounters()
-        ssc_crossover(near, near, cfg, random.Random(0), 17, np.zeros((2, 1)), stats)
-        assert stats.accepted == 0
-        assert stats.trials == cfg.ssc_max_trials
-
-    def test_subset_fraction_is_deterministic(self):
-        cfg = SemanticConfig(approach="ssc", ssc_subset_fraction=0.5)
-        features = np.array([[0.0], [0.0], [10.0], [10.0]])
-        p1 = make_individual(tree=Feature(0))
-        p2 = make_individual(tree=Constant(0.0))
-        runs = [
-            ssc_crossover(p1, p2, cfg, random.Random(5), 17, features)
-            for _ in range(2)
-        ]
-        assert runs[0] == runs[1]
-
     def test_offspring_respect_max_depth(self):
         cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.0, float("inf")))
         rng = random.Random(6)
@@ -181,8 +147,6 @@ class TestSscCrossover:
         ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES, stats)
         assert stats.trials == cfg.ssc_max_trials and len(built) == 1
         assert built[0] is self.FEATURES
-        parent_cfg = SemanticConfig(approach="ssc", ssc_parent_distance=True)
-        ssc_crossover(p1, p2, parent_cfg, random.Random(0), 17, self.FEATURES)
         shared = gp_core.SemanticsMemo(self.FEATURES)
         ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES, None, shared)
         assert len(built) == 1
@@ -519,13 +483,13 @@ class TestRunVariant:
         assert result.wall_time_s > 0
 
     def test_config_echo_defaults(self, dataset):
-        cfg = SemanticConfig(ssc_parent_distance=True)
+        cfg = SemanticConfig(ssc_max_trials=7)
         result = run_variant("nsga2", cfg, dataset, gp=self.GP, seed=9, threshold=0.25)
         assert result.config["engine"] == "nsga2"
         assert result.config["approach"] == "canonical"
         assert result.config["seed"] == 9
         assert result.config["pop_size"] == 16
-        assert result.config["ssc_parent_distance"] is True
+        assert result.config["ssc_max_trials"] == 7
         # The echo names every setting of the run as ExperimentConfig does,
         # so the run can be configured again from it.
         settings = {k: v for k, v in result.config.items() if k != "seed"}

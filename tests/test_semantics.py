@@ -70,13 +70,6 @@ class TestSscDistance:
             b = np.array([rng.uniform(-5, 5) for _ in range(8)])
             assert ssc_distance(a, b) == ssc_distance(b, a)
 
-    def test_subset_restricts_cases(self):
-        a = np.array([0.0, 0.0, 0.0, 0.0])
-        b = np.array([4.0, 0.0, 2.0, 0.0])
-        assert ssc_distance(a, b, subset=[0, 2]) == 3.0
-        assert ssc_distance(a, b, subset=[1, 3]) == 0.0
-        assert ssc_distance(a, b) == 1.5
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ssc_distance(np.zeros(3), np.zeros(4))
