@@ -260,30 +260,32 @@ def tchebycheff(f, w, z) -> float:
     return float(np.max(w * np.abs(f - z)))
 
 
-def moead_replacements(
-    selection_objs: np.ndarray,
-    weights: np.ndarray,
-    ideal: np.ndarray,
-    scan_order,
-    child_vector: np.ndarray,
-    max_replacements: int,
-) -> list[int]:
+def chebyshev_values(objs: np.ndarray, weights: np.ndarray, ideal: np.ndarray) -> np.ndarray:
+    """tchebycheff of each row of objs under the matching row of weights.
+
+    objs may also be one vector, scored under every weight. The values are
+    elementwise the expression tchebycheff evaluates, so the bits agree.
+    """
+    return (weights * np.abs(objs - ideal)).max(axis=1)
+
+
+def moead_replacements(own: np.ndarray, new: np.ndarray, scan_order, max_replacements: int) -> list[int]:
     """Subproblems, scanned in order, whose incumbent the child improves.
 
-    A subproblem is replaced when the child's Chebyshev value under its
-    weight vector is strictly better than the incumbent's; the scan stops
-    after max_replacements replacements.
-
-    All values are computed in one array pass, elementwise as tchebycheff
-    does. That is exact because nothing the scan reads changes during it:
-    the caller writes the replaced incumbents only after this returns, and
-    the ideal point is fixed for the call.
+    own and new hold, per subproblem, the incumbent's and the child's
+    Chebyshev values under one ideal point. A subproblem is replaced when
+    the child's value is strictly lower; the scan stops after
+    max_replacements replacements. Neither array changes during the scan:
+    the caller writes the replaced incumbents only after this returns.
     """
-    order = np.asarray(scan_order, dtype=np.intp)
-    W = weights[order]
-    own = (W * np.abs(selection_objs[order] - ideal)).max(axis=1)
-    new = (W * np.abs(child_vector - ideal)).max(axis=1)
-    return order[new < own][:max_replacements].tolist()
+    better = (new < own).tolist()
+    replaced = []
+    for j in scan_order:
+        if better[j]:
+            replaced.append(j)
+            if len(replaced) == max_replacements:
+                break
+    return replaced
 
 
 class BaseObjectives:
@@ -484,6 +486,7 @@ class MoeadEngine(_Engine):
         self.n_subproblems = len(self.weights)
         self.neighbor_idx = neighborhoods(self.weights, self.engine_params.moead_neighbors)
         self._neighbor_lists = self.neighbor_idx.tolist()
+        self._all_subproblems = list(range(self.n_subproblems))
         self.delta = self.engine_params.moead_delta
         self.max_replacements = self.engine_params.moead_max_replacements
         self.archive_rank = self.diversity or canonical_archive_rank
@@ -500,16 +503,26 @@ class MoeadEngine(_Engine):
         self.ideal_history = [self.ideal.copy()]
 
     def step(self):
+        """Breed one child per subproblem in turn and let it replace neighbours.
+
+        own holds every incumbent's Chebyshev value. It is computed in full
+        after the refresh and again whenever a child lowers the ideal point;
+        in between neither an incumbent nor the ideal changes, except where
+        a child replaces an incumbent and own takes the child's value. A
+        child that only equals the ideal leaves it as it is: the sign of a
+        zero in the ideal changes no |f - z|.
+        """
         # Pivot-dependent spaces shift per generation, so re-derive the
         # selection objectives; the ideal point only ever min-updates.
-        self._selection_objs = self.space.refresh(self.population, self.rng)
-        self.ideal = np.minimum(self.ideal, self._selection_objs.min(axis=0))
+        sel = self._selection_objs = self.space.refresh(self.population, self.rng)
+        self.ideal = np.minimum(self.ideal, sel.min(axis=0))
+        own = chebyshev_values(sel, self.weights, self.ideal)
         for i in range(self.n_subproblems):
             neigh = self._neighbor_lists[i]
             if self.rng.random() < self.delta:
                 pool = neigh
             else:
-                pool = list(range(self.n_subproblems))
+                pool = self._all_subproblems
             if len(pool) >= 2:
                 a, b = self.rng.sample(pool, 2)
             else:
@@ -517,19 +530,16 @@ class MoeadEngine(_Engine):
             tree = self.variation.breed_one(self.population[a], self.population[b], self.rng)
             child = self.evaluator.evaluate_tree(tree)
             child_sel = np.asarray(self.space.vector(child), dtype=np.float64)
-            self.ideal = np.minimum(self.ideal, child_sel)
+            if (child_sel < self.ideal).any():
+                self.ideal = np.minimum(self.ideal, child_sel)
+                own = chebyshev_values(sel, self.weights, self.ideal)
+            new = chebyshev_values(child_sel, self.weights, self.ideal)
             order = neigh[:]
             self.rng.shuffle(order)
-            for j in moead_replacements(
-                self._selection_objs,
-                self.weights,
-                self.ideal,
-                order,
-                child_sel,
-                self.max_replacements,
-            ):
+            for j in moead_replacements(own, new, order, self.max_replacements):
                 self.population[j] = child
-                self._selection_objs[j] = child_sel
+                sel[j] = child_sel
+                own[j] = new[j]
             self._archive_add(child)
         self.ideal_history.append(self.ideal.copy())
 

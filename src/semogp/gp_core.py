@@ -226,7 +226,7 @@ def _apply(op: str, a, a_bound: float, b, b_bound: float):
         out, bound = a / b, a_bound / abs(b)
     else:
         small = np.abs(b) < DIV_EPSILON
-        if small.any():
+        if np.count_nonzero(small):
             out = np.where(small, 1.0, np.divide(a, np.where(small, 1.0, b)))
         else:
             # Without near-zero divisors both where() calls are the identity.
@@ -236,7 +236,10 @@ def _apply(op: str, a, a_bound: float, b, b_bound: float):
         return out, bound
     if type(out) is np.ndarray:
         # Function-node outputs are fresh arrays, never views of features.
-        np.clip(out, -VALUE_CLAMP, VALUE_CLAMP, out=out)
+        # Two ufunc calls give np.clip's bits, NaNs included, without the
+        # Python-level dispatch np.clip goes through.
+        np.maximum(out, -VALUE_CLAMP, out=out)
+        np.minimum(out, VALUE_CLAMP, out=out)
     else:
         out = min(max(out, -VALUE_CLAMP), VALUE_CLAMP)
     return out, VALUE_CLAMP
@@ -391,6 +394,40 @@ def pick_uniform_point(tree: Node, rng: random.Random) -> Path:
     return _nth_in_preorder(tree, rng.randrange(tree.size), "size")
 
 
+def _depth_after_replace(tree: Node, path: Path, replacement: Node) -> int:
+    """tree_depth(replace_subtree(tree, path, replacement)), building nothing.
+
+    The new tree's deepest node lies in the replacement, at len(path) plus
+    its depth, or in the sibling subtree hanging off the path at some level.
+    """
+    depth = len(path) + replacement.depth
+    node = tree
+    for level, step in enumerate(path, 1):
+        if step == 0:
+            sibling, node = node.right, node.left
+        else:
+            sibling, node = node.left, node.right
+        depth = max(depth, level + sibling.depth)
+    return depth
+
+
+def _crossover_points(p1: Node, p2: Node, rng: random.Random, max_depth: int) -> tuple[Path, Path] | None:
+    """The points subtree_crossover exchanges at, or None when it gives up.
+
+    Draws a point in each parent, and draws again, up to five more times,
+    while either offspring would exceed max_depth. No offspring is built.
+    """
+    for _ in range(1 + CROSSOVER_DEPTH_RETRIES):
+        point1 = pick_crossover_point(p1, rng)
+        point2 = pick_crossover_point(p2, rng)
+        if (
+            _depth_after_replace(p1, point1, subtree_at(p2, point2)) <= max_depth
+            and _depth_after_replace(p2, point2, subtree_at(p1, point1)) <= max_depth
+        ):
+            return point1, point2
+    return None
+
+
 def subtree_crossover(p1: Node, p2: Node, rng: random.Random, max_depth: int) -> tuple[Node, Node]:
     """Exchange one subtree between two parents.
 
@@ -398,14 +435,14 @@ def subtree_crossover(p1: Node, p2: Node, rng: random.Random, max_depth: int) ->
     exceed max_depth; after that the parents are returned unchanged. Parents
     are never modified (trees are immutable).
     """
-    for _ in range(1 + CROSSOVER_DEPTH_RETRIES):
-        point1 = pick_crossover_point(p1, rng)
-        point2 = pick_crossover_point(p2, rng)
-        child1 = replace_subtree(p1, point1, subtree_at(p2, point2))
-        child2 = replace_subtree(p2, point2, subtree_at(p1, point1))
-        if tree_depth(child1) <= max_depth and tree_depth(child2) <= max_depth:
-            return child1, child2
-    return p1, p2
+    points = _crossover_points(p1, p2, rng, max_depth)
+    if points is None:
+        return p1, p2
+    point1, point2 = points
+    return (
+        replace_subtree(p1, point1, subtree_at(p2, point2)),
+        replace_subtree(p2, point2, subtree_at(p1, point1)),
+    )
 
 
 def subtree_mutation(
@@ -525,8 +562,14 @@ class Variation:
         return self._mutate(t1, rng), self._mutate(t2, rng)
 
     def breed_one(self, a: Individual, b: Individual, rng: random.Random) -> Node:
+        """breed_pair's first offspring, drawing what breed_pair draws up to
+        its second mutation; plain crossover builds no second offspring."""
+        tree = a.tree
         if rng.random() < self.params.crossover_rate:
-            tree = self._cross(a, b, rng)[0]
-        else:
-            tree = a.tree
+            if self.crossover is not None:
+                tree = self.crossover(a, b, rng)[0]
+            else:
+                points = _crossover_points(tree, b.tree, rng, self.params.max_depth)
+                if points is not None:
+                    tree = replace_subtree(tree, points[0], subtree_at(b.tree, points[1]))
         return self._mutate(tree, rng)

@@ -57,6 +57,14 @@ def reference_shape(tree) -> tuple[int, int, int]:
     return 1, 0, 0
 
 
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bits (NaN payloads and zero signs included)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.int64), b.view(np.int64)
+    )
+
+
 def make_individual(semantics=None, objectives=None, tree=None):
     return Individual(
         tree=tree if tree is not None else Feature(0),

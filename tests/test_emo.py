@@ -18,6 +18,7 @@ from semogp.emo import (
     Spea2Engine,
     canonical_archive_rank,
     canonical_crowding,
+    chebyshev_values,
     crowding_distance,
     dominance_matrix,
     dominates,
@@ -34,7 +35,7 @@ from semogp.gp_core import GPParams, PrimitiveSet, Variation, to_prefix
 from semogp.objectives import ClassificationEvaluator
 from semogp.semantic_emo import SdoObjectives, SemanticConfig
 
-from conftest import blob_dataset, make_individual
+from conftest import blob_dataset, make_individual, same_bits
 
 INF = float("inf")
 
@@ -101,6 +102,23 @@ def reference_moead_replacements(
         own = tchebycheff(selection_objs[j], weights[j], ideal)
         new = tchebycheff(child_vector, weights[j], ideal)
         if new < own:
+            replaced.append(int(j))
+            if len(replaced) >= max_replacements:
+                break
+    return replaced
+
+
+def reference_chebyshev_values(objs, weights, ideal):
+    """tchebycheff per weight row; a single vector is scored under every row."""
+    rows = np.broadcast_to(objs, np.shape(weights))
+    return np.array([tchebycheff(f, w, ideal) for f, w in zip(rows, weights)])
+
+
+def reference_moead_scan(own, new, scan_order, max_replacements):
+    """The replacement scan as a plain loop over the two value arrays."""
+    replaced = []
+    for j in scan_order:
+        if new[j] < own[j]:
             replaced.append(int(j))
             if len(replaced) >= max_replacements:
                 break
@@ -182,7 +200,10 @@ class TestKernelOracles:
         ideal, child = data.draw(grid_matrices(2, 2, cols))
         order = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
         cap = data.draw(st.integers(1, 4))
-        got = moead_replacements(F, W, ideal, order, child, cap)
+        own, new = chebyshev_values(F, W, ideal), chebyshev_values(child, W, ideal)
+        assert same_bits(own, reference_chebyshev_values(F, W, ideal))
+        assert same_bits(new, reference_chebyshev_values(child, W, ideal))
+        got = moead_replacements(own, new, order, cap)
         assert got == reference_moead_replacements(F, W, ideal, order, child, cap)
         assert all(type(j) is int for j in got)
 
@@ -521,34 +542,24 @@ class TestMoeadReplacements:
     INCUMBENTS = np.array([[0.5, 0.5], [0.6, 0.6], [0.7, 0.7]])
     IDEAL = np.zeros(2)
 
+    def replacements(self, order, child, n=3):
+        W, F = self.WEIGHTS[:n], self.INCUMBENTS[:n]
+        own = chebyshev_values(F, W, self.IDEAL)
+        new = chebyshev_values(np.asarray(child, dtype=np.float64), W, self.IDEAL)
+        return moead_replacements(own, new, order, 2)
+
     def test_cap_stops_the_scan(self):
-        child = np.zeros(2)
-        replaced = moead_replacements(
-            self.INCUMBENTS, self.WEIGHTS, self.IDEAL, [2, 0, 1], child, 2
-        )
-        assert replaced == [2, 0]
+        assert self.replacements([2, 0, 1], [0.0, 0.0]) == [2, 0]
 
     def test_no_improvement_no_replacement(self):
-        child = np.array([0.9, 0.9])
-        replaced = moead_replacements(
-            self.INCUMBENTS, self.WEIGHTS, self.IDEAL, [0, 1, 2], child, 2
-        )
-        assert replaced == []
+        assert self.replacements([0, 1, 2], [0.9, 0.9]) == []
 
     def test_partial_improvement(self):
         # Better than subproblem 0's incumbent only under weight (1, 0).
-        child = np.array([0.4, 2.0])
-        replaced = moead_replacements(
-            self.INCUMBENTS, self.WEIGHTS, self.IDEAL, [0, 1, 2], child, 2
-        )
-        assert replaced == [0]
+        assert self.replacements([0, 1, 2], [0.4, 2.0]) == [0]
 
     def test_equal_scalarization_does_not_replace(self):
-        child = np.array([0.5, 0.5])
-        replaced = moead_replacements(
-            self.INCUMBENTS[:1], self.WEIGHTS[:1], self.IDEAL, [0], child, 2
-        )
-        assert replaced == []
+        assert self.replacements([0], [0.5, 0.5], n=1) == []
 
 
 def make_engine(cls, seed=0, pop_size=12, **kwargs):
@@ -717,6 +728,54 @@ class TestEngines:
         assert len(adds) == engine.n_subproblems * 6
         assert bool(ranked) == (pop_size == 4)
 
+    @pytest.mark.parametrize("pop_size", [4, 12])
+    @pytest.mark.parametrize("sdo", [False, True])
+    def test_moead_held_chebyshev_values_follow_incumbents(self, sdo, pop_size, monkeypatch):
+        # Each child's replacements are followed by its _archive_add, so the
+        # values are checked as the scan reads them and after its writes.
+        held = []
+
+        def expected(engine):
+            sel, W, z = engine._selection_objs, engine.weights, engine.ideal
+            return np.array([tchebycheff(sel[j], W[j], z) for j in range(len(W))])
+
+        def scan(own, new, order, cap):
+            held[:] = [own]
+            assert same_bits(own, expected(engine))
+            return moead_replacements(own, new, order, cap)
+
+        full = []
+
+        def values(objs, weights, ideal):
+            full.append(np.ndim(objs) == 2)
+            return chebyshev_values(objs, weights, ideal)
+
+        add = MoeadEngine._archive_add
+        checked = []
+
+        def add_checked(engine, ind):
+            if held:
+                assert same_bits(held[0], expected(engine))
+                checked.append(1)
+            add(engine, ind)
+
+        monkeypatch.setattr(emo, "moead_replacements", scan)
+        monkeypatch.setattr(emo, "chebyshev_values", values)
+        monkeypatch.setattr(MoeadEngine, "_archive_add", add_checked)
+        kwargs = {}
+        if sdo:
+            kwargs["objective_space"] = SdoObjectives(SemanticConfig(approach="sdo"))
+        # At seed 0 children lower the ideal in every one of the four runs.
+        engine = make_engine(MoeadEngine, seed=0, pop_size=pop_size, **kwargs)
+        engine.initialize()
+        steps = 5
+        for _ in range(steps):
+            engine.step()
+        assert len(checked) == engine.n_subproblems * steps
+        # One full computation per step after the refresh; the rest came
+        # from children that lowered the ideal point.
+        assert sum(full) > steps
+
 
 def check_reference_kernels(
     cls, sdo, monkeypatch, seed, pop_size, steps=5, engine_params=EngineParams()
@@ -752,7 +811,8 @@ def check_reference_kernels(
     plain = run()
     monkeypatch.setattr(emo, "dominance_matrix", counted(reference_dominance_matrix))
     monkeypatch.setattr(emo, "_pairwise_distances", counted(reference_pairwise_distances))
-    monkeypatch.setattr(emo, "moead_replacements", counted(reference_moead_replacements))
+    monkeypatch.setattr(emo, "chebyshev_values", counted(reference_chebyshev_values))
+    monkeypatch.setattr(emo, "moead_replacements", counted(reference_moead_scan))
     monkeypatch.setattr(emo, "spea2_truncate", counted(reference_spea2_truncate))
     monkeypatch.setattr(MoeadEngine, "_archive_add", counted(reference_archive_add))
     assert run() == plain
@@ -765,7 +825,8 @@ def check_reference_kernels(
         },
         MoeadEngine: {
             "reference_pairwise_distances",
-            "reference_moead_replacements",
+            "reference_chebyshev_values",
+            "reference_moead_scan",
             "reference_archive_add",
         },
     }[cls]

@@ -43,7 +43,7 @@ from semogp.gp_core import (
     tree_depth,
 )
 
-from conftest import ScriptedRandom, left_comb, reference_shape
+from conftest import ScriptedRandom, left_comb, reference_shape, same_bits
 
 
 PS = PrimitiveSet(n_features=2)
@@ -252,6 +252,36 @@ class TestEvaluation:
         out = evaluate_semantics(tree, np.zeros((2, 1)))
         assert np.all(out == VALUE_CLAMP)
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 15, 16, 17, 140, 3500])
+    def test_clamp_matches_np_clip_bit_for_bit(self, n):
+        # NaNs of both signs with assorted payloads (quiet and signalling),
+        # infinities, zeros, the clamp itself and the doubles next to it.
+        nan_bits = [
+            0x7FF8000000000000,
+            0xFFF8000000000000,
+            0x7FF8000000000123,
+            0xFFFC0000000000AB,
+            0x7FF0000000000001,
+            0xFFF4000000000007,
+        ]
+        near = [VALUE_CLAMP, math.nextafter(VALUE_CLAMP, 0.0), math.nextafter(VALUE_CLAMP, math.inf)]
+        values = [
+            *np.array(nan_bits, dtype=np.uint64).view(np.float64).tolist(),
+            math.inf,
+            -math.inf,
+            0.0,
+            -0.0,
+            1.5,
+            *near,
+            *(-c for c in near),
+        ]
+        a = np.array(random.Random(n).choices(values, k=n), dtype=np.float64)
+        with np.errstate(invalid="ignore"):
+            want = np.clip(a + 0.0, -VALUE_CLAMP, VALUE_CLAMP)
+            got, bound = gp_core._apply("+", a, math.inf, 0.0, 0.0)
+        assert bound == VALUE_CLAMP
+        assert same_bits(got, want)
+
     def test_ten_thousand_random_trees_stay_finite(self):
         rng = random.Random(5)
         features = np.array(
@@ -353,12 +383,6 @@ feature_matrices = st.one_of(
     scaled_matrices(st.floats(-10.0, 10.0)),
     scaled_matrices(st.one_of(st.floats(-10.0, 10.0), st.sampled_from(EDGE_VALUES), any_float)),
 )
-
-
-def same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
-        a.view(np.int64), b.view(np.int64)
-    )
 
 
 class TestEvaluationOracle:
@@ -604,6 +628,106 @@ class TestCrossover:
         assert pick_crossover_point(tree, rng) == ()
         rng = ScriptedRandom([0.91, 0])
         assert pick_crossover_point(tree, rng) == (0,)
+
+
+def reference_subtree_crossover(p1, p2, rng, max_depth):
+    """subtree_crossover as it was: both offspring built on every try."""
+    for _ in range(1 + CROSSOVER_DEPTH_RETRIES):
+        point1 = pick_crossover_point(p1, rng)
+        point2 = pick_crossover_point(p2, rng)
+        child1 = replace_subtree(p1, point1, subtree_at(p2, point2))
+        child2 = replace_subtree(p2, point2, subtree_at(p1, point1))
+        if tree_depth(child1) <= max_depth and tree_depth(child2) <= max_depth:
+            return child1, child2
+    return p1, p2
+
+
+def reference_breed_one(variation, a, b, rng):
+    """Variation.breed_one as it was: the first of two built offspring."""
+    if rng.random() < variation.params.crossover_rate:
+        if variation.crossover is not None:
+            tree = variation.crossover(a, b, rng)[0]
+        else:
+            tree = reference_subtree_crossover(a.tree, b.tree, rng, variation.params.max_depth)[0]
+    else:
+        tree = a.tree
+    return variation._mutate(tree, rng)
+
+
+def swapped_crossover(a, b, rng):
+    """A crossover hook: plain crossover with the parents' roles swapped."""
+    return subtree_crossover(b.tree, a.tree, rng, 9)
+
+
+class TestOffspringOracles:
+    """Offspring built only once accepted, against the build-every-try forms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shaped_trees, shaped_trees)
+    def test_depth_after_replace_matches_the_built_tree(self, tree, replacement):
+        for path, _ in iter_paths(tree):
+            built = replace_subtree(tree, path, replacement)
+            want = reference_shape(built)[1]
+            assert gp_core._depth_after_replace(tree, path, replacement) == want == tree_depth(built)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shaped_trees, shaped_trees, seeds, st.integers(3, 17))
+    def test_crossover_matches_reference(self, p1, p2, seed, max_depth):
+        fast, slow = random.Random(seed), random.Random(seed)
+        got = subtree_crossover(p1, p2, fast, max_depth)
+        want = reference_subtree_crossover(p1, p2, slow, max_depth)
+        assert got == want
+        assert (got[0] is p1) == (want[0] is p1)
+        assert fast.getstate() == slow.getstate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shaped_trees,
+        shaped_trees,
+        seeds,
+        st.integers(3, 17),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from([None, swapped_crossover]),
+    )
+    def test_breed_one_matches_reference(self, t1, t2, seed, max_depth, cx_rate, mut_rate, hook):
+        params = GPParams(
+            init_max_depth=3, max_depth=max_depth, crossover_rate=cx_rate, mutation_rate=mut_rate
+        )
+        variation = Variation(PS, params, crossover=hook)
+        a, b = Individual(tree=t1), Individual(tree=t2)
+        fast, slow = random.Random(seed), random.Random(seed)
+        got = variation.breed_one(a, b, fast)
+        assert got == reference_breed_one(variation, a, b, slow)
+        assert fast.getstate() == slow.getstate()
+
+    def test_retries_and_give_ups_occur_and_match(self, monkeypatch):
+        # The hypothesis draws above reach both; this pins that they do.
+        picks = []
+        pick = gp_core.pick_crossover_point
+
+        def counted(tree, rng):
+            picks.append(1)
+            return pick(tree, rng)
+
+        monkeypatch.setattr(gp_core, "pick_crossover_point", counted)
+        rng = random.Random(21)
+        crossings = give_ups = 0
+        for _ in range(400):
+            p1 = grow_tree(PS, rng.randint(2, 8), rng)
+            p2 = grow_tree(PS, rng.randint(2, 8), rng)
+            max_depth = rng.randint(3, 9)
+            seed = rng.getrandbits(32)
+            fast, slow = random.Random(seed), random.Random(seed)
+            got = subtree_crossover(p1, p2, fast, max_depth)
+            assert got == reference_subtree_crossover(p1, p2, slow, max_depth)
+            assert fast.getstate() == slow.getstate()
+            crossings += 1
+            give_ups += got[0] is p1
+        # Only subtree_crossover reads the patched picker, two picks a try.
+        tries = len(picks) // 2
+        assert give_ups > 0
+        assert tries > crossings
 
 
 class TestPointPicking:
