@@ -213,45 +213,22 @@ def minmax_apply(ds: Dataset, mins: np.ndarray, maxs: np.ndarray) -> Dataset:
     return Dataset(scaled, ds.labels, ds.positive_token, ds.negative_token)
 
 
-def synthetic_blobs(
-    n_cases: int,
-    imbalance: int,
-    seed: int,
-    *,
-    minority_center: tuple[float, float] = (1.0, 1.0),
-    majority_center: tuple[float, float] = (0.0, 0.0),
-    spread: float = 2.0,
-) -> list[tuple[float, float, str]]:
+def synthetic_blobs(n_cases: int, imbalance: int, seed: int) -> list[tuple[float, float, str]]:
     """Generate two overlapping 2-D Gaussian blobs with a 1:imbalance class ratio.
 
-    Returns shuffled (x0, x1, label) rows with labels "pos" (minority) and
-    "neg" (majority). Deterministic per seed. The default geometry keeps the
-    classes heavily overlapped so the trade-off front stays long; widely
-    separated blobs collapse the front to a few near-perfect classifiers,
-    which makes diversity comparisons meaningless.
+    Returns shuffled (x0, x1, label) rows with labels "pos" (minority, centred
+    at (1, 1)) and "neg" (majority, at (0, 0)), both with spread 2.
+    Deterministic per seed. The classes stay heavily overlapped so the
+    trade-off front stays long; widely separated blobs collapse the front to
+    a few near-perfect classifiers, which makes diversity comparisons
+    meaningless.
     """
     if n_cases < 2 or imbalance < 1:
         raise ValueError("need n_cases >= 2 and imbalance >= 1")
     rng = random.Random(seed)
     n_pos = max(1, math.floor(n_cases / (1 + imbalance) + 0.5))
-    n_neg = n_cases - n_pos
-    rows: list[tuple[float, float, str]] = []
-    for _ in range(n_pos):
-        rows.append(
-            (
-                rng.gauss(minority_center[0], spread),
-                rng.gauss(minority_center[1], spread),
-                "pos",
-            )
-        )
-    for _ in range(n_neg):
-        rows.append(
-            (
-                rng.gauss(majority_center[0], spread),
-                rng.gauss(majority_center[1], spread),
-                "neg",
-            )
-        )
+    classes = [("pos", 1.0)] * n_pos + [("neg", 0.0)] * (n_cases - n_pos)
+    rows = [(rng.gauss(centre, 2.0), rng.gauss(centre, 2.0), label) for label, centre in classes]
     rng.shuffle(rows)
     return rows
 

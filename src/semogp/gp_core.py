@@ -428,6 +428,14 @@ def _crossover_points(p1: Node, p2: Node, rng: random.Random, max_depth: int) ->
     return None
 
 
+def _exchange(p1: Node, p2: Node, point1: Path, point2: Path) -> tuple[Node, Node]:
+    """The offspring of swapping p1's subtree at point1 with p2's at point2."""
+    return (
+        replace_subtree(p1, point1, subtree_at(p2, point2)),
+        replace_subtree(p2, point2, subtree_at(p1, point1)),
+    )
+
+
 def subtree_crossover(p1: Node, p2: Node, rng: random.Random, max_depth: int) -> tuple[Node, Node]:
     """Exchange one subtree between two parents.
 
@@ -436,13 +444,7 @@ def subtree_crossover(p1: Node, p2: Node, rng: random.Random, max_depth: int) ->
     are never modified (trees are immutable).
     """
     points = _crossover_points(p1, p2, rng, max_depth)
-    if points is None:
-        return p1, p2
-    point1, point2 = points
-    return (
-        replace_subtree(p1, point1, subtree_at(p2, point2)),
-        replace_subtree(p2, point2, subtree_at(p1, point1)),
-    )
+    return (p1, p2) if points is None else _exchange(p1, p2, *points)
 
 
 def subtree_mutation(
@@ -492,7 +494,10 @@ def parse_prefix(text: str) -> Node:
             return Feature(int(tok[1:])), pos + 1
         return Constant(float(tok)), pos + 1
 
-    node, end = read(0)
+    try:
+        node, end = read(0)
+    except IndexError:  # read ran past the last token
+        raise ValueError(f"program ends early: {text!r}") from None
     if end != len(tokens):
         raise ValueError("trailing tokens after program")
     return node

@@ -255,7 +255,7 @@ def load_results(directory) -> list[RunResult]:
     return [load_run(path) for path in paths]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ConfigKey:
     engine: str
     approach: str
@@ -327,7 +327,7 @@ def summarize(results) -> Summary:
                 raise ValueError(f"runs grouped as {key} differ in config keys {differing}")
 
     configs = []
-    for key in sorted(groups, key=lambda k: (k.engine, k.approach, k.lbss, k.ubss, k.distance_rule)):
+    for key in sorted(groups):
         rows = [r.generations[-1] for r in groups[key]]
         test_hvs = [hv for hv in map(_test_hypervolume, groups[key]) if hv is not None]
         metrics = {}

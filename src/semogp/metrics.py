@@ -26,6 +26,10 @@ class GenerationStats:
     mean_nodes: float
     front_size: int
 
+    def validate(self):
+        if self.unique_count > self.front_size:
+            raise ValueError("unique_count cannot exceed front_size")
+
 
 class SizeStats(NamedTuple):
     mean: float

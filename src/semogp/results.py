@@ -1,7 +1,8 @@
 """Run result containers with deterministic JSON/CSV persistence.
 
-Each run produces one JSON file (configuration echo plus the final front)
-and one CSV file of per-generation statistics. Serialization is canonical:
+Each run produces one JSON file (every RunResult field but the generations
+and the wall time) and one CSV file with a column per GenerationStats
+field; both layouts follow the record classes. Serialization is canonical:
 sorted keys, repr-rounded floats, atomic replace on write. Wall time is
 kept on the in-memory result only, so files for the same configuration and
 seed are byte-identical across runs.
@@ -13,12 +14,11 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .metrics import GenerationStats
-
-GEN_STATS_COLUMNS = ("generation", "hypervolume", "unique_count", "mean_nodes", "front_size")
 
 
 @dataclass
@@ -49,8 +49,7 @@ class RunResult:
         if not self.generations:
             raise ValueError("a run must report at least one generation row")
         for row in self.generations:
-            if row.unique_count > row.front_size:
-                raise ValueError("unique_count cannot exceed front_size")
+            row.validate()
 
 
 def run_file_stem(result: RunResult) -> str:
@@ -77,6 +76,12 @@ def _atomic_write(path: Path, text: str):
         raise
 
 
+# The generations go to the CSV, a column per field, cast to its declared
+# type; the wall time is kept in memory only; the rest goes to the JSON.
+_COLUMNS = typing.get_type_hints(GenerationStats)
+_JSON_KEYS = {f.name for f in fields(RunResult)} - {"generations", "wall_time_s"}
+
+
 def save_run(result: RunResult, directory) -> tuple[Path, Path]:
     """Write the JSON and CSV files for one run; returns their paths.
 
@@ -91,37 +96,18 @@ def save_run(result: RunResult, directory) -> tuple[Path, Path]:
     json_path = directory / f"{stem}.json"
     csv_path = directory / f"{stem}.csv"
     if json_path.exists():
-        with open(json_path) as handle:
-            existing = json.load(handle).get("config")
+        existing = json.loads(json_path.read_text()).get("config")
         # Compared as JSON text, so the loaded copy and the one in memory agree.
         if json.dumps(existing, sort_keys=True) != json.dumps(result.config, sort_keys=True):
             raise ValueError(f"{json_path} holds a run of another configuration; use another output directory")
 
-    payload = {
-        "engine": result.engine,
-        "approach": result.approach,
-        "seed": result.seed,
-        "config": result.config,
-        "front": [
-            {
-                "program": m.program,
-                "objectives": [float(x) for x in m.objectives],
-                "nodes": m.nodes,
-                "test_objectives": None
-                if m.test_objectives is None
-                else [float(x) for x in m.test_objectives],
-            }
-            for m in result.front
-        ],
-    }
+    payload = {key: value for key, value in asdict(result).items() if key in _JSON_KEYS}
     _atomic_write(json_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-    lines = [",".join(GEN_STATS_COLUMNS)]
-    for row in result.generations:
-        lines.append(
-            f"{row.generation},{row.hypervolume!r},{row.unique_count},"
-            f"{row.mean_nodes!r},{row.front_size}"
-        )
+    # Cast before repr: repr(np.float64(x)) is not repr(float(x)) under numpy 2.
+    lines = [",".join(_COLUMNS)] + [
+        ",".join(repr(kind(getattr(row, name))) for name, kind in _COLUMNS.items())
+        for row in result.generations
+    ]
     _atomic_write(csv_path, "\n".join(lines) + "\n")
     return json_path, csv_path
 
@@ -129,37 +115,18 @@ def save_run(result: RunResult, directory) -> tuple[Path, Path]:
 def load_run(json_path) -> RunResult:
     """Rebuild a RunResult from its JSON file and sibling CSV file."""
     json_path = Path(json_path)
-    with open(json_path) as handle:
-        payload = json.load(handle)
+    payload = json.loads(json_path.read_text())
+    keys = set(payload) if isinstance(payload, dict) else set()
+    if keys != _JSON_KEYS:
+        missing, unknown = sorted(_JSON_KEYS - keys), sorted(keys - _JSON_KEYS)
+        raise ValueError(f"{json_path} is not a run result: missing keys {missing}, unknown keys {unknown}")
     front = [
-        FrontMember(
-            program=item["program"],
-            objectives=tuple(float(x) for x in item["objectives"]),
-            nodes=int(item["nodes"]),
-            test_objectives=None
-            if item.get("test_objectives") is None
-            else tuple(float(x) for x in item["test_objectives"]),
-        )
-        for item in payload["front"]
+        FrontMember(**{key: tuple(v) if isinstance(v, list) else v for key, v in item.items()})
+        for item in payload.pop("front")
     ]
-    generations = []
-    csv_path = json_path.with_suffix(".csv")
-    with open(csv_path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            generations.append(
-                GenerationStats(
-                    generation=int(row["generation"]),
-                    hypervolume=float(row["hypervolume"]),
-                    unique_count=int(row["unique_count"]),
-                    mean_nodes=float(row["mean_nodes"]),
-                    front_size=int(row["front_size"]),
-                )
-            )
-    return RunResult(
-        engine=payload["engine"],
-        approach=payload["approach"],
-        seed=int(payload["seed"]),
-        config=payload["config"],
-        front=front,
-        generations=generations,
-    )
+    with open(json_path.with_suffix(".csv"), newline="") as handle:
+        generations = [
+            GenerationStats(**{name: _COLUMNS[name](cell) for name, cell in row.items()})
+            for row in csv.DictReader(handle)
+        ]
+    return RunResult(**payload, front=front, generations=generations)

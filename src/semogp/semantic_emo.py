@@ -41,13 +41,13 @@ from .gp_core import (
     PrimitiveSet,
     SemanticsMemo,
     Variation,
+    _depth_after_replace,
+    _exchange,
     evaluate_semantics,
     node_count,
     pick_crossover_point,
-    replace_subtree,
     subtree_at,
     to_prefix,
-    tree_depth,
 )
 from .metrics import HV_REFERENCE, GenerationStats, hypervolume_2d, unique_solutions
 from .objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
@@ -116,6 +116,7 @@ def ssc_crossover(
     subtrees' outputs lies in [lbss, ubss] and both offspring respect
     max_depth. If no trial qualifies, the final trial's offspring are
     returned as-is (or the parents, if those offspring were too deep).
+    Only the returned offspring are built.
 
     Subtrees are scored through memo, which must have been built on
     features; run_variant passes its evaluator's, so subtrees of parents
@@ -125,7 +126,7 @@ def ssc_crossover(
         memo = SemanticsMemo(features)
     if stats is not None:
         stats.calls += 1
-    final_pair: tuple[Node, Node] | None = None
+    exchange = None
     for _ in range(cfg.ssc_max_trials):
         if stats is not None:
             stats.trials += 1
@@ -136,17 +137,16 @@ def ssc_crossover(
         distance = ssc_distance(
             evaluate_semantics(sub1, features, memo), evaluate_semantics(sub2, features, memo)
         )
-        child1 = replace_subtree(p1.tree, point1, sub2)
-        child2 = replace_subtree(p2.tree, point2, sub1)
-        depth_ok = tree_depth(child1) <= max_depth and tree_depth(child2) <= max_depth
-        if depth_ok and cfg.bounds.lbss <= distance <= cfg.bounds.ubss:
+        fits = (
+            _depth_after_replace(p1.tree, point1, sub2) <= max_depth
+            and _depth_after_replace(p2.tree, point2, sub1) <= max_depth
+        )
+        exchange = (point1, point2) if fits else None
+        if fits and cfg.bounds.lbss <= distance <= cfg.bounds.ubss:
             if stats is not None:
                 stats.accepted += 1
-            return child1, child2
-        final_pair = (child1, child2) if depth_ok else None
-    if final_pair is not None:
-        return final_pair
-    return p1.tree, p2.tree
+            break
+    return (p1.tree, p2.tree) if exchange is None else _exchange(p1.tree, p2.tree, *exchange)
 
 
 def _require_semantics(members: Population):

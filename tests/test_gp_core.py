@@ -824,6 +824,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_prefix("zebra")
 
+    @pytest.mark.parametrize("text", ["", "(", "(+ x0", "(+ x0 x1"])
+    def test_truncated_program_ends_early(self, text):
+        with pytest.raises(ValueError, match="program ends early"):
+            parse_prefix(text)
+
 
 class TestParams:
     def test_defaults(self):

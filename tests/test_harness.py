@@ -3,11 +3,14 @@
 import json
 import math
 import re
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semogp.harness
 from semogp.cli import main
@@ -25,7 +28,7 @@ from semogp.harness import (
 from semogp.metrics import GenerationStats
 from semogp.objectives import CLASSIFICATION_THRESHOLD
 from semogp.results import FrontMember, RunResult, load_run, run_file_stem, save_run
-from semogp.semantic_emo import SemanticConfig
+from semogp.semantic_emo import APPROACHES, ENGINES, SemanticConfig
 
 from conftest import grid_cell_hypervolume
 
@@ -70,6 +73,71 @@ def make_result(
         generations=rows,
         wall_time_s=wall,
     )
+
+
+# Doubles a result file must carry exactly: signed zeros, subnormals, extremes.
+edge_floats = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-310, 1e-300, 1e300, -1e300]),
+    st.floats(allow_nan=False),
+)
+float_pairs = st.tuples(edge_floats, edge_floats)
+words = st.text("abcdefghijklmnopqrstuvwxyz_", max_size=8)
+
+
+@st.composite
+def generation_rows(draw, generation):
+    front_size = draw(st.integers(0, 10**6))
+    return GenerationStats(
+        generation=generation,
+        hypervolume=draw(edge_floats),
+        unique_count=draw(st.integers(0, front_size)),
+        mean_nodes=draw(edge_floats),
+        front_size=front_size,
+    )
+
+
+@st.composite
+def run_results(draw):
+    member = st.builds(
+        FrontMember,
+        program=st.text(),
+        objectives=float_pairs,
+        nodes=st.integers(1, 10**9),
+        test_objectives=st.none() | float_pairs,
+    )
+    n_generations = draw(st.integers(1, 4))
+    return RunResult(
+        engine=draw(st.sampled_from(ENGINES)),
+        approach=draw(st.sampled_from(APPROACHES)),
+        seed=draw(st.integers(0, 2**63)),
+        config=draw(st.dictionaries(words, st.none() | st.integers() | edge_floats | words, max_size=4)),
+        front=draw(st.lists(member, min_size=1, max_size=4)),
+        generations=[draw(generation_rows(g)) for g in range(n_generations)],
+        wall_time_s=draw(st.none() | edge_floats),
+    )
+
+
+def as_numpy_floats(result: RunResult) -> RunResult:
+    """The same record with every front and generation float an np.float64."""
+    def pair(values):
+        return None if values is None else tuple(np.float64(x) for x in values)
+
+    return replace(
+        result,
+        front=[
+            replace(m, objectives=pair(m.objectives), test_objectives=pair(m.test_objectives))
+            for m in result.front
+        ],
+        generations=[
+            replace(row, hypervolume=np.float64(row.hypervolume), mean_nodes=np.float64(row.mean_nodes))
+            for row in result.generations
+        ],
+    )
+
+
+def saved_bytes(result: RunResult, directory) -> tuple[bytes, bytes]:
+    json_path, csv_path = save_run(result, directory)
+    return json_path.read_bytes(), csv_path.read_bytes()
 
 
 class TestRunResult:
@@ -142,6 +210,27 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"{json_path.name} holds a run of another configuration"):
             save_run(other, tmp_path)
         assert json_path.read_bytes() == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(run_results())
+    def test_any_result_round_trips_to_the_same_bytes(self, result):
+        with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
+            json_path, csv_path = save_run(result, first)
+            loaded = load_run(json_path)
+            assert loaded == result
+            assert saved_bytes(loaded, second) == (json_path.read_bytes(), csv_path.read_bytes())
+
+    @settings(max_examples=100, deadline=None)
+    @given(run_results())
+    def test_numpy_floats_write_the_same_bytes(self, result):
+        with tempfile.TemporaryDirectory() as plain, tempfile.TemporaryDirectory() as numpy:
+            assert saved_bytes(as_numpy_floats(result), numpy) == saved_bytes(result, plain)
+
+    def test_json_that_is_not_a_run_is_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match=r"list.json is not a run result: missing keys \['approach'"):
+            load_run(path)
 
     def test_load_results_requires_files(self, tmp_path):
         with pytest.raises(ValueError, match="no result files"):
@@ -580,3 +669,14 @@ class TestCli:
         code = main(["summarize", "--in", str(tmp_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_summarize_names_a_stray_json_and_its_keys(self, tmp_path, capsys):
+        save_run(make_result(), tmp_path)
+        stray = tmp_path / "config.json"
+        stray.write_text(json.dumps({"dataset": "d.csv", "engine": "nsga2", "seeds": [0]}))
+        code = main(["summarize", "--in", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {stray} is not a run result: missing keys ['approach', 'config', 'front', 'seed'],"
+            " unknown keys ['dataset', 'seeds']\n"
+        )

@@ -1,17 +1,19 @@
 """Pinned result digests of the 11 engine x approach pairs the paper compares.
 
 Each pair runs once at a small protocol (100 cases at 1:9, pop 20,
-6 generations, GP seed 0), and the SHA-256 of what its result files hold
-is compared with a pinned value: the final front (program, objectives,
-nodes) and every generation's statistics (hypervolume, unique_count,
-mean_nodes, front_size). A change meant to keep every result byte, such
+6 generations, GP seed 0), and two SHA-256 digests are compared with
+pinned values. PINNED covers what its result files hold: the final front
+(program, objectives, nodes) and every generation's statistics
+(hypervolume, unique_count, mean_nodes, front_size). FILE_PINNED covers
+the bytes of the JSON and CSV files that save_run writes, so it also
+guards the file layout. A change meant to keep every result byte, such
 as a speed-up or a refactor, keeps every pin. A change meant to move
 results updates the pins in one step:
 
     PYTHONPATH=src python tests/test_pinned_runs.py
 
-prints the current digests as a PINNED literal to paste below, and names
-the pairs whose digest moved.
+prints the current digests as PINNED and FILE_PINNED literals to paste
+below, and names the pairs whose digest moved.
 
 The pins were recorded with numpy 2.4 and Python 3.11 on x86-64 Linux.
 Another numpy may round a vector loop's NaN or reduction differently, and
@@ -19,9 +21,11 @@ another Python may draw another random stream, so on another platform a
 pin can move while the program is unchanged.
 """
 
+import functools
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -30,6 +34,7 @@ if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from semogp.gp_core import GPParams
+from semogp.results import save_run
 from semogp.semantic_emo import APPROACHES, ENGINES, SemanticConfig, run_variant
 
 from conftest import blob_dataset
@@ -51,12 +56,32 @@ PINNED = {
     "moead/sdo": "82a76b8aba9c88058c6574fb48023c1744b27ea29b600056f1ecb5dfdfe7a6ed",
 }
 
+FILE_PINNED = {
+    "nsga2/canonical": "5662033a46a68c89b98d7014b39594507b1ae9ef90b0922300f266f5cff8a711",
+    "nsga2/ssc": "a3c75b64da6e07b4499f7d650dfd136db0e83e0f2b1979f28853dd4e677cbff5",
+    "nsga2/scd": "c425011444445c72306753a9fca71ef88235a6d096ec8d756e0eb6359eb9d5e2",
+    "nsga2/sdo": "2bc32bc10d6ed846ac9f593c1ad1be87021b2284f7cd8d24172e0f46c9782f73",
+    "spea2/canonical": "1b69b120c3952271f0488444957750c8ad3558b1b8135c6748449067bbae76cb",
+    "spea2/ssc": "8b4d3ea456f01618333eeb1d4e0f9a999ba5842502e422443409d76e13f95277",
+    "spea2/scd": "2c922fddce83a8340a91b94a3a3d863e5dae3b76e7fe66e3e8bc0657446adf3c",
+    "spea2/sdo": "6d4011750eb4a430450c771036e9cf6123ba8e451568acc20a0fdcf3dafb5ce0",
+    "moead/canonical": "eb433a510ac3d805d2e331aae5b54560e8b546be09335f728364dc780305ed1f",
+    "moead/ssc": "8703c27db6c14cf37586f78a9caa1724b0c295c3a0a1fe729f705b498044451e",
+    "moead/sdo": "e513a97977247a255a7a8621eba905be7a4c39d1cd5478d475d6cf01196d3e6d",
+}
+
+
+@functools.cache
+def pinned_run(engine: str, approach: str):
+    """One pair's run at the pinned protocol; both pin sets read the same run."""
+    dataset = blob_dataset(n_cases=100, imbalance=9, seed=0)
+    gp = GPParams(pop_size=20, generations=6)
+    return run_variant(engine, SemanticConfig(approach=approach), dataset, gp, seed=0)
+
 
 def run_digest(engine: str, approach: str) -> str:
     """SHA-256 of one pair's front and generation statistics at the pinned protocol."""
-    dataset = blob_dataset(n_cases=100, imbalance=9, seed=0)
-    gp = GPParams(pop_size=20, generations=6)
-    result = run_variant(engine, SemanticConfig(approach=approach), dataset, gp, seed=0)
+    result = pinned_run(engine, approach)
     record = {
         "front": [[m.program, list(m.objectives), m.nodes] for m in result.front],
         "generations": [
@@ -68,8 +93,18 @@ def run_digest(engine: str, approach: str) -> str:
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
 
+def file_digest(engine: str, approach: str) -> str:
+    """SHA-256 of the JSON bytes then the CSV bytes that save_run writes for one pair."""
+    with tempfile.TemporaryDirectory() as directory:
+        paths = save_run(pinned_run(engine, approach), directory)
+        digest = hashlib.sha256()
+        for path in paths:
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def test_every_paper_pair_is_pinned():
-    assert sorted(PINNED) == sorted(f"{e}/{a}" for e, a in PAIRS)
+    assert sorted(PINNED) == sorted(FILE_PINNED) == sorted(f"{e}/{a}" for e, a in PAIRS)
     assert len(PAIRS) == 11
 
 
@@ -78,14 +113,20 @@ def test_run_matches_pin(engine, approach):
     assert run_digest(engine, approach) == PINNED[f"{engine}/{approach}"]
 
 
+@pytest.mark.parametrize("engine,approach", PAIRS, ids=[f"{e}/{a}" for e, a in PAIRS])
+def test_files_match_pin(engine, approach):
+    assert file_digest(engine, approach) == FILE_PINNED[f"{engine}/{approach}"]
+
+
 def main():
-    current = {f"{e}/{a}": run_digest(e, a) for e, a in PAIRS}
-    print("PINNED = {")
-    for key, digest in current.items():
-        print(f'    "{key}": "{digest}",')
-    print("}")
-    moved = [key for key, digest in current.items() if PINNED.get(key) != digest]
-    print(f"moved: {', '.join(moved) if moved else 'none'}")
+    for name, pins, digest_of in (("PINNED", PINNED, run_digest), ("FILE_PINNED", FILE_PINNED, file_digest)):
+        current = {f"{e}/{a}": digest_of(e, a) for e, a in PAIRS}
+        print(f"{name} = {{")
+        for key, digest in current.items():
+            print(f'    "{key}": "{digest}",')
+        print("}")
+        moved = [key for key, digest in current.items() if pins.get(key) != digest]
+        print(f"moved: {', '.join(moved) if moved else 'none'}")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from semogp.gp_core import (
 from semogp.harness import ExperimentConfig
 from semogp.metrics import GenerationStats
 from semogp.objectives import ClassificationEvaluator
-from semogp.semantics import RULE_ABOVE, RULE_BAND, Pivot, SimilarityBounds
+from semogp.semantics import RULE_ABOVE, RULE_BAND, Pivot, SimilarityBounds, ssc_distance
 from semogp.semantic_emo import (
     APPROACHES,
     ENGINES,
@@ -152,6 +152,84 @@ class TestSscCrossover:
         assert len(built) == 1
         with pytest.raises(ValueError, match="another feature matrix"):
             ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES.copy(), None, shared)
+
+
+def reference_ssc_crossover(p1, p2, cfg, rng, max_depth, features, stats):
+    """ssc_crossover as it was: both offspring built on every trial."""
+    memo = gp_core.SemanticsMemo(features)
+    stats.calls += 1
+    final_pair = None
+    for _ in range(cfg.ssc_max_trials):
+        stats.trials += 1
+        point1 = gp_core.pick_crossover_point(p1.tree, rng)
+        point2 = gp_core.pick_crossover_point(p2.tree, rng)
+        sub1 = gp_core.subtree_at(p1.tree, point1)
+        sub2 = gp_core.subtree_at(p2.tree, point2)
+        distance = ssc_distance(
+            evaluate_semantics(sub1, features, memo), evaluate_semantics(sub2, features, memo)
+        )
+        child1 = gp_core.replace_subtree(p1.tree, point1, sub2)
+        child2 = gp_core.replace_subtree(p2.tree, point2, sub1)
+        depth_ok = gp_core.tree_depth(child1) <= max_depth and gp_core.tree_depth(child2) <= max_depth
+        if depth_ok and cfg.bounds.lbss <= distance <= cfg.bounds.ubss:
+            stats.accepted += 1
+            return child1, child2
+        final_pair = (child1, child2) if depth_ok else None
+    if final_pair is not None:
+        return final_pair
+    return p1.tree, p2.tree
+
+
+SSC_PS = gp_core.PrimitiveSet(n_features=2)
+SSC_FEATURES = np.array([[0.0, 1.0], [0.2, -0.5], [0.7, 0.1]])
+# Vacuous bounds accept every trial that fits; the other two reject some trials.
+SSC_BOUNDS = [SimilarityBounds(0.0, float("inf")), SimilarityBounds(0.1, 0.5), SimilarityBounds(0.3, 0.4)]
+ssc_trees = st.builds(
+    lambda method, depth, seed: make_individual(tree=method(SSC_PS, depth, random.Random(seed))),
+    st.sampled_from([gp_core.grow_tree, gp_core.full_tree]),
+    st.integers(0, 8),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def ssc_against_reference(p1, p2, bounds, seed, max_depth):
+    """Run ssc_crossover and the reference from one seed; assert they agree."""
+    cfg = SemanticConfig(approach="ssc", bounds=bounds)
+    fast, slow = random.Random(seed), random.Random(seed)
+    got_stats, want_stats = SscCounters(), SscCounters()
+    got = ssc_crossover(p1, p2, cfg, fast, max_depth, SSC_FEATURES, got_stats)
+    want = reference_ssc_crossover(p1, p2, cfg, slow, max_depth, SSC_FEATURES, want_stats)
+    assert got == want
+    assert (got[0] is p1.tree, got[1] is p2.tree) == (want[0] is p1.tree, want[1] is p2.tree)
+    assert got_stats == want_stats
+    assert fast.getstate() == slow.getstate()
+    return got, got_stats
+
+
+class TestSscOracle:
+    """Offspring built only for the returned pair, against the build-every-trial form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ssc_trees, ssc_trees, st.sampled_from(SSC_BOUNDS), st.integers(0, 2**32 - 1), st.integers(3, 17))
+    def test_matches_reference(self, p1, p2, bounds, seed, max_depth):
+        ssc_against_reference(p1, p2, bounds, seed, max_depth)
+
+    def test_accept_reject_and_depth_fallback_occur(self):
+        # The hypothesis draws above reach all three; this pins that they do.
+        rng = random.Random(17)
+        outcomes = set()
+        for _ in range(400):
+            p1 = make_individual(tree=gp_core.grow_tree(SSC_PS, rng.randint(1, 8), rng))
+            p2 = make_individual(tree=gp_core.grow_tree(SSC_PS, rng.randint(1, 8), rng))
+            bounds = rng.choice(SSC_BOUNDS)
+            (c1, _), stats = ssc_against_reference(p1, p2, bounds, rng.getrandbits(32), rng.randint(3, 17))
+            if stats.accepted:
+                outcomes.add("accept")
+            elif c1 is p1.tree:
+                outcomes.add("fallback to parents")
+            else:
+                outcomes.add("last trial kept")
+        assert outcomes == {"accept", "fallback to parents", "last trial kept"}
 
 
 class ScdFixture:
