@@ -7,7 +7,6 @@ into NSGA-II, SPEA2, or MOEA/D.
 """
 
 from .dataset import Dataset, synthetic_blobs
-from .emo import EngineParams
 from .gp_core import GPParams
 from .harness import ExperimentConfig, run_experiment
 from .metrics import GenerationStats

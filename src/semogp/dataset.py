@@ -24,11 +24,9 @@ class Dataset:
     Args:
         features: array-like of shape (n_cases, n_features), finite floats.
         labels: boolean array-like of length n_cases, True = positive class.
-        positive_token: original label token of the positive class.
-        negative_token: original label token of the negative class.
     """
 
-    def __init__(self, features, labels, positive_token="pos", negative_token="neg"):
+    def __init__(self, features, labels):
         # Fortran order keeps each feature column contiguous, as evaluation reads it.
         feats = np.array(features, dtype=np.float64, order="F")
         labs = np.array(labels, dtype=bool)
@@ -47,8 +45,6 @@ class Dataset:
         labs.setflags(write=False)
         self.features = feats
         self.labels = labs
-        self.positive_token = str(positive_token)
-        self.negative_token = str(negative_token)
 
     @property
     def n_cases(self) -> int:
@@ -58,25 +54,15 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def class_counts(self) -> dict[str, int]:
-        n_pos = int(self.labels.sum())
-        return {"positive": n_pos, "negative": self.n_cases - n_pos}
-
     def __reduce__(self):
         # Rebuild through __init__ so an unpickled copy (as sent to worker
         # processes) is validated and read-only too.
-        return Dataset, (self.features, self.labels, self.positive_token, self.negative_token)
+        return Dataset, (self.features, self.labels)
 
     def subset(self, indices) -> "Dataset":
         """Return a new dataset holding the given rows, in the given order."""
         idx = list(indices)
-        return Dataset(
-            self.features[idx],
-            self.labels[idx],
-            self.positive_token,
-            self.negative_token,
-        )
+        return Dataset(self.features[idx], self.labels[idx])
 
 
 def _parse_feature(cell: str, row_no: int, col_no: int) -> float:
@@ -169,10 +155,9 @@ def load_csv(path, label_column: int = -1, positive_label: str | None = None) ->
     else:
         # Rarer class is positive; ties go to the lexicographically smaller token.
         pos_token = min(distinct, key=lambda tok: (counts[tok], tok))
-    neg_token = next(tok for tok in distinct if tok != pos_token)
 
     labels = [tok == pos_token for tok in tokens]
-    return Dataset(features, labels, pos_token, neg_token)
+    return Dataset(features, labels)
 
 
 def stratified_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -210,7 +195,7 @@ def minmax_apply(ds: Dataset, mins: np.ndarray, maxs: np.ndarray) -> Dataset:
     safe = np.where(span > 0.0, span, 1.0)
     scaled = (ds.features - mins) / safe
     scaled = np.where(span > 0.0, scaled, 0.0)
-    return Dataset(scaled, ds.labels, ds.positive_token, ds.negative_token)
+    return Dataset(scaled, ds.labels)
 
 
 def synthetic_blobs(n_cases: int, imbalance: int, seed: int) -> list[tuple[float, float, str]]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,24 +20,13 @@ from .gp_core import Individual, Population, Variation, ramped_half_and_half
 from .objectives import ClassificationEvaluator
 
 
-@dataclass(frozen=True)
-class EngineParams:
-    """Engine-specific knobs; defaults are the canonical settings."""
-
-    archive_size: int | None = None
-    moead_neighbors: int = 20
-    moead_delta: float = 0.9
-    moead_max_replacements: int = 2
-
-    def __post_init__(self):
-        if self.archive_size is not None and self.archive_size < 1:
-            raise ValueError("archive_size must be at least 1")
-        if self.moead_neighbors < 1:
-            raise ValueError("moead_neighbors must be at least 1")
-        if not 0.0 <= self.moead_delta <= 1.0:
-            raise ValueError("moead_delta must lie in [0, 1]")
-        if self.moead_max_replacements < 1:
-            raise ValueError("moead_max_replacements must be at least 1")
+# MOEA/D's neighbourhood size T, probability δ of mating within the
+# neighbourhood, and cap n_r on the incumbents one child replaces: the
+# values of Li & Zhang, "Multiobjective Optimization Problems With
+# Complicated Pareto Sets, MOEA/D and NSGA-II" (IEEE TEC 2009).
+MOEAD_NEIGHBORS = 20
+MOEAD_DELTA = 0.9
+MOEAD_MAX_REPLACEMENTS = 2
 
 
 def dominates(a, b) -> bool:
@@ -331,14 +319,12 @@ class _Engine:
         evaluator: ClassificationEvaluator,
         variation: Variation,
         rng: random.Random,
-        engine_params: EngineParams = EngineParams(),
         objective_space=None,
         diversity=None,
     ):
         self.evaluator = evaluator
         self.variation = variation
         self.params = variation.params
-        self.engine_params = engine_params
         self.rng = rng
         self.space = objective_space if objective_space is not None else BaseObjectives()
         self.diversity = diversity
@@ -410,18 +396,13 @@ class Nsga2Engine(_Engine):
 
 
 class Spea2Engine(_Engine):
-    """SPEA2 with a fixed-capacity archive and tournament mating from it.
+    """SPEA2 with an archive of pop_size members and tournament mating from it.
 
     The diversity hook, when given, is called with (union, objs, raw
     fitness, rng) and replaces the density component of the fitness (raw
     dominance fitness is kept); archive truncation keeps its canonical
     nearest-neighbour rule.
     """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        archive_size = self.engine_params.archive_size
-        self.archive_size = archive_size if archive_size is not None else self.params.pop_size
 
     def initialize(self):
         self.population = self._initial_population(self.params.pop_size)
@@ -437,15 +418,16 @@ class Spea2Engine(_Engine):
         else:
             fitness = parts.fitness
         nondominated = [i for i in range(len(union)) if parts.raw[i] == 0]
-        if len(nondominated) > self.archive_size:
-            kept = spea2_truncate(objs[nondominated], self.archive_size)
+        size = self.params.pop_size
+        if len(nondominated) > size:
+            kept = spea2_truncate(objs[nondominated], size)
             keep = [nondominated[i] for i in kept]
         else:
             dominated = sorted(
                 (i for i in range(len(union)) if parts.raw[i] > 0),
                 key=lambda i: (fitness[i], i),
             )
-            keep = nondominated + dominated[: self.archive_size - len(nondominated)]
+            keep = nondominated + dominated[: size - len(nondominated)]
         self.archive = [union[i] for i in keep]
         self._archive_fitness = fitness[keep]
 
@@ -473,22 +455,20 @@ class MoeadEngine(_Engine):
 
     The internal population holds one individual per weight vector (the
     lattice may slightly exceed the requested population size). Mating stays
-    within a subproblem's neighbourhood with high probability, improvements
-    replace at most max_replacements neighbours, and an external archive of
-    distinct non-dominated solutions (capped at the subproblem count) feeds
-    reporting. The diversity hook, called as canonical_archive_rank is,
-    orders an overfull archive (larger values kept).
+    within a subproblem's MOEAD_NEIGHBORS nearest with probability
+    MOEAD_DELTA, a child replaces at most MOEAD_MAX_REPLACEMENTS of them,
+    and an external archive of distinct non-dominated solutions (capped at
+    the subproblem count) feeds reporting. The diversity hook, called as
+    canonical_archive_rank is, orders an overfull archive (larger values
+    kept).
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.weights = simplex_lattice_weights(self.space.n_objectives, self.params.pop_size)
         self.n_subproblems = len(self.weights)
-        self.neighbor_idx = neighborhoods(self.weights, self.engine_params.moead_neighbors)
-        self._neighbor_lists = self.neighbor_idx.tolist()
+        self._neighbor_lists = neighborhoods(self.weights, MOEAD_NEIGHBORS).tolist()
         self._all_subproblems = list(range(self.n_subproblems))
-        self.delta = self.engine_params.moead_delta
-        self.max_replacements = self.engine_params.moead_max_replacements
         self.archive_rank = self.diversity or canonical_archive_rank
         self.archive_cap = self.n_subproblems
 
@@ -519,7 +499,7 @@ class MoeadEngine(_Engine):
         own = chebyshev_values(sel, self.weights, self.ideal)
         for i in range(self.n_subproblems):
             neigh = self._neighbor_lists[i]
-            if self.rng.random() < self.delta:
+            if self.rng.random() < MOEAD_DELTA:
                 pool = neigh
             else:
                 pool = self._all_subproblems
@@ -536,7 +516,7 @@ class MoeadEngine(_Engine):
             new = chebyshev_values(child_sel, self.weights, self.ideal)
             order = neigh[:]
             self.rng.shuffle(order)
-            for j in moead_replacements(own, new, order, self.max_replacements):
+            for j in moead_replacements(own, new, order, MOEAD_MAX_REPLACEMENTS):
                 self.population[j] = child
                 sel[j] = child_sel
                 own[j] = new[j]

@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, field, fields, make_dataclass, replac
 from pathlib import Path
 
 from .dataset import Dataset, load_csv, minmax_apply, minmax_fit, stratified_split
-from .emo import EngineParams
 from .gp_core import GPParams, parse_prefix
 from .metrics import HV_REFERENCE, hypervolume_2d
 from .objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
@@ -31,13 +30,13 @@ from .semantic_emo import SemanticConfig, check_engine, run_variant
 from .semantics import SimilarityBounds
 
 
-# Every GP, engine and semantic setting, flat: named, typed and defaulted by
+# Every GP and semantic setting, flat: named, typed and defaulted by
 # its param class, with SemanticConfig.bounds as lbss and ubss.
 _Settings = make_dataclass(
     "_Settings",
     [
         (f.name, f.type, field(default=f.default))
-        for cls in (SemanticConfig, SimilarityBounds, GPParams, EngineParams)
+        for cls in (SemanticConfig, SimilarityBounds, GPParams)
         for f in fields(cls)
         if f.name != "bounds"
     ],
@@ -66,11 +65,10 @@ def _matches(value, hint) -> bool:
 class ExperimentConfig(_Settings):
     """Everything needed to reproduce a batch of runs.
 
-    Besides the run-level fields below it carries every GPParams,
-    EngineParams and SemanticConfig setting under its own name; those
-    classes check them. lbss and ubss may be single values or lists;
-    expand_grid turns lists into the cross-product of single-valued
-    configurations.
+    Besides the run-level fields below it carries every GPParams and
+    SemanticConfig setting under its own name; those classes check them.
+    lbss and ubss may be single values or lists; expand_grid turns lists
+    into the cross-product of single-valued configurations.
     """
 
     dataset: str
@@ -124,7 +122,6 @@ class ExperimentConfig(_Settings):
         if self.n_workers < 1:
             raise ValueError("n_workers must be at least 1")
         self.gp_params()
-        self.engine_params()
         check_engine(self.engine, self.semantic_config())
 
     def bounds(self) -> SimilarityBounds:
@@ -136,9 +133,6 @@ class ExperimentConfig(_Settings):
 
     def gp_params(self) -> GPParams:
         return self._params(GPParams)
-
-    def engine_params(self) -> EngineParams:
-        return self._params(EngineParams)
 
     def semantic_config(self) -> SemanticConfig:
         return self._params(SemanticConfig, bounds=self.bounds())
@@ -201,7 +195,6 @@ def _run_seed(cfg: ExperimentConfig, full: Dataset, seed: int) -> RunResult:
         cfg.semantic_config(),
         train,
         cfg.gp_params(),
-        cfg.engine_params(),
         seed=seed,
         threshold=cfg.threshold,
         config_echo=cfg.echo(seed),

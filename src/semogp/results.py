@@ -15,6 +15,7 @@ import json
 import os
 import tempfile
 import typing
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -112,6 +113,36 @@ def save_run(result: RunResult, directory) -> tuple[Path, Path]:
     return json_path, csv_path
 
 
+def _load_generations(csv_path: Path) -> list[GenerationStats]:
+    """GenerationStats rows of a CSV file, its header naming each field once."""
+    with open(csv_path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = Counter(list(_COLUMNS)) - Counter(header)
+        unknown = Counter(header) - Counter(list(_COLUMNS))
+        if missing or unknown:
+            raise ValueError(
+                f"{csv_path} is not a generations file: missing columns {sorted(missing)},"
+                f" unknown or repeated columns {sorted(unknown)}"
+            )
+        generations = []
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ValueError(f"{csv_path} line {reader.line_num}: {len(cells)} cells, expected {len(header)}")
+            row = {}
+            for name, cell in zip(header, cells):
+                kind = _COLUMNS[name]
+                try:
+                    row[name] = kind(cell)
+                except ValueError:
+                    message = f"{csv_path} line {reader.line_num}, column {name}: {cell!r} is not"
+                    raise ValueError(f"{message} of type {kind.__name__}") from None
+            generations.append(GenerationStats(**row))
+    return generations
+
+
 def load_run(json_path) -> RunResult:
     """Rebuild a RunResult from its JSON file and sibling CSV file."""
     json_path = Path(json_path)
@@ -124,9 +155,5 @@ def load_run(json_path) -> RunResult:
         FrontMember(**{key: tuple(v) if isinstance(v, list) else v for key, v in item.items()})
         for item in payload.pop("front")
     ]
-    with open(json_path.with_suffix(".csv"), newline="") as handle:
-        generations = [
-            GenerationStats(**{name: _COLUMNS[name](cell) for name, cell in row.items()})
-            for row in csv.DictReader(handle)
-        ]
+    generations = _load_generations(json_path.with_suffix(".csv"))
     return RunResult(**payload, front=front, generations=generations)

@@ -26,7 +26,6 @@ import numpy as np
 
 from .dataset import Dataset
 from .emo import (
-    EngineParams,
     MoeadEngine,
     Nsga2Engine,
     Spea2Engine,
@@ -311,14 +310,13 @@ def build_engine(
     evaluator: ClassificationEvaluator,
     variation: Variation,
     rng: random.Random,
-    engine_params: EngineParams = EngineParams(),
 ):
     """Assemble an engine with the approach's hooks installed."""
     check_engine(engine, cfg)
     engine_cls, scd_cls = _ENGINES[engine]
     space = SdoObjectives(cfg) if cfg.approach == "sdo" else None
     diversity = scd_cls(cfg) if cfg.approach == "scd" else None
-    return engine_cls(evaluator, variation, rng, engine_params, space, diversity)
+    return engine_cls(evaluator, variation, rng, space, diversity)
 
 
 def run_variant(
@@ -326,7 +324,6 @@ def run_variant(
     cfg: SemanticConfig,
     dataset: Dataset,
     gp: GPParams = GPParams(),
-    engine_params: EngineParams = EngineParams(),
     *,
     seed: int = 0,
     threshold: float = CLASSIFICATION_THRESHOLD,
@@ -347,7 +344,7 @@ def run_variant(
         variation.crossover = lambda a, b, r: ssc_crossover(
             a, b, cfg, r, gp.max_depth, dataset.features, ssc_stats, evaluator.memo
         )
-    eng = build_engine(engine, cfg, evaluator, variation, rng, engine_params)
+    eng = build_engine(engine, cfg, evaluator, variation, rng)
 
     start = time.perf_counter()
     eng.initialize()
@@ -372,7 +369,7 @@ def run_variant(
         for ind in front
     ]
     if config_echo is None:
-        config_echo = _default_echo(engine, cfg, gp, engine_params, seed, threshold)
+        config_echo = _default_echo(engine, cfg, gp, seed, threshold)
     result = RunResult(
         engine=engine,
         approach=cfg.approach,
@@ -386,11 +383,9 @@ def run_variant(
     return result
 
 
-def _default_echo(
-    engine: str, cfg: SemanticConfig, gp: GPParams, engine_params: EngineParams, seed: int, threshold: float
-) -> dict:
+def _default_echo(engine: str, cfg: SemanticConfig, gp: GPParams, seed: int, threshold: float) -> dict:
     """Every setting that shaped a library run, named as in ExperimentConfig, plus its seed."""
-    echo = {"engine": engine, **asdict(cfg), **asdict(gp), **asdict(engine_params)}
+    echo = {"engine": engine, **asdict(cfg), **asdict(gp)}
     echo.update(echo.pop("bounds"))
     echo.update(threshold=threshold, seed=seed)
     return echo

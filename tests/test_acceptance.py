@@ -20,7 +20,6 @@ from conftest import blob_dataset, make_individual
 
 from semogp import (
     Dataset,
-    EngineParams,
     GPParams,
     SemanticConfig,
     run_experiment,
@@ -209,7 +208,7 @@ def test_criterion_06_canonical_variant_is_the_raw_engine():
             if engine_name == "nsga2":
                 engine = Nsga2Engine(evaluator, variation, rng)
             else:
-                engine = Spea2Engine(evaluator, variation, rng, engine_params=EngineParams())
+                engine = Spea2Engine(evaluator, variation, rng)
             engine.initialize()
             fronts = [engine.front()]
             for _ in range(1, gp.generations):

@@ -4,12 +4,16 @@ bench/tracing.py patches semogp functions and methods by name from outside
 the package, so a refactor that renames or removes one of them would only
 show in a traced benchmark run. This runs the probes and the tracer over
 tiny runs of each engine and checks that they record what the benchmark
-reads and that uninstalling them restores every patched name.
+reads and that uninstalling them restores every patched name. It also
+builds every config bench/run.py runs and validates it, so that a config
+key the benchmark sets cannot be retired or renamed unnoticed.
 """
 
 import importlib
 import importlib.util
+import os
 import random
+import sys
 from pathlib import Path
 
 from semogp.gp_core import Constant, PrimitiveSet, full_tree, grow_tree
@@ -17,13 +21,35 @@ from semogp.gp_core import Constant, PrimitiveSet, full_tree, grow_tree
 from conftest import left_comb, reference_shape
 
 BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH_RUN = BENCH_TRACING.with_name("run.py")
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH_TRACING)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load("bench_tracing", BENCH_TRACING)
+
+
+def test_benchmark_configs_validate(monkeypatch):
+    # bench/run.py pins thread counts in os.environ and puts bench/ on
+    # sys.path when it is imported; both are restored after the test.
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    run = _load("bench_run", BENCH_RUN)
+    harness = importlib.import_module("semogp.harness")
+    checked = 0
+    for workload in run.WORKLOADS.values():
+        for pair in workload.pairs:
+            cfg = run.config({"harness": harness}, workload, "data.csv", pair, 0, "out")
+            for point in harness.expand_grid(cfg):
+                point.validate()
+                checked += 1
+    assert checked == sum(len(w.pairs) for w in run.WORKLOADS.values())
 
 
 def _snapshot(tracing, mods):

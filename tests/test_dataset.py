@@ -27,6 +27,11 @@ def write(path, text):
     return path
 
 
+def class_counts(ds):
+    n_pos = int(ds.labels.sum())
+    return {"positive": n_pos, "negative": ds.n_cases - n_pos}
+
+
 class TestLoadCsv:
     def test_header_detected_and_skipped(self, tmp_path):
         path = write(tmp_path / "d.csv", "x0,x1,label\n1.0,2.0,pos\n3.0,4.0,neg\n0.5,0.5,neg\n")
@@ -99,19 +104,17 @@ class TestLoadCsv:
     def test_positive_defaults_to_rarer_class(self, tmp_path):
         path = write(tmp_path / "d.csv", "1,2,up\n3,4,down\n5,6,down\n")
         ds = load_csv(path)
-        assert ds.positive_token == "up"
-        assert ds.class_counts == {"positive": 1, "negative": 2}
+        assert ds.labels.tolist() == [True, False, False]
 
     def test_positive_tie_breaks_lexicographically(self, tmp_path):
         path = write(tmp_path / "d.csv", "1,2,b\n3,4,a\n5,6,a\n7,8,b\n")
         ds = load_csv(path)
-        assert ds.positive_token == "a"
+        assert ds.labels.tolist() == [False, True, True, False]
 
     def test_explicit_positive_label(self, tmp_path):
         path = write(tmp_path / "d.csv", "1,2,up\n3,4,down\n5,6,down\n")
         ds = load_csv(path, positive_label="down")
-        assert ds.positive_token == "down"
-        assert ds.class_counts == {"positive": 2, "negative": 1}
+        assert ds.labels.tolist() == [False, True, True]
 
     def test_explicit_positive_label_absent(self, tmp_path):
         path = write(tmp_path / "d.csv", "1,2,up\n3,4,down\n")
@@ -123,7 +126,6 @@ class TestLoadCsv:
         b = load_csv(blob_csv)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
-        assert a.positive_token == b.positive_token
 
 
 class TestDataset:
@@ -153,7 +155,7 @@ class TestDataset:
         ds = load_csv(path)
         sub = ds.subset([0, 2])
         assert sub.features[:, 0].tolist() == [1.0, 3.0]
-        assert sub.positive_token == ds.positive_token
+        assert sub.labels.tolist() == [ds.labels[0], ds.labels[2]]
 
 
 class TestLayout:
@@ -216,10 +218,10 @@ class TestStratifiedSplit:
     def test_fifty_fifty_counts(self):
         # 10 positive / 90 negative at fraction 0.5 -> 5 + 45 in train.
         ds = blob_dataset(n_cases=100, imbalance=9, seed=1)
-        assert ds.class_counts == {"positive": 10, "negative": 90}
+        assert class_counts(ds) == {"positive": 10, "negative": 90}
         train, test = stratified_split(ds, 0.5, seed=7)
-        assert train.class_counts == {"positive": 5, "negative": 45}
-        assert test.class_counts == {"positive": 5, "negative": 45}
+        assert class_counts(train) == {"positive": 5, "negative": 45}
+        assert class_counts(test) == {"positive": 5, "negative": 45}
 
     def test_union_is_the_whole_dataset(self, small_dataset):
         train, test = stratified_split(small_dataset, 0.7, seed=3)
@@ -233,8 +235,8 @@ class TestStratifiedSplit:
         ds = blob_dataset(n_cases=20, imbalance=9, seed=2)
         train, test = stratified_split(ds, 0.9, seed=0)
         for part in (train, test):
-            assert part.class_counts["positive"] >= 1
-            assert part.class_counts["negative"] >= 1
+            assert class_counts(part)["positive"] >= 1
+            assert class_counts(part)["negative"] >= 1
 
     def test_deterministic_per_seed(self, small_dataset):
         a_train, a_test = stratified_split(small_dataset, 0.7, seed=11)
@@ -315,7 +317,7 @@ class TestSynthetic:
         path = tmp_path / "synth.csv"
         write_synthetic_csv(path, 100, 9, seed=1)
         ds = load_csv(path)
-        assert ds.class_counts == {"positive": 10, "negative": 90}
+        assert class_counts(ds) == {"positive": 10, "negative": 90}
         rows = synthetic_blobs(100, 9, seed=1)
         by_col = np.array([[x0, x1] for x0, x1, _ in rows])
         assert np.array_equal(ds.features, by_col)

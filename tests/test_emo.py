@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 from semogp import emo
 from semogp.emo import (
     BaseObjectives,
-    EngineParams,
     MoeadEngine,
     Nsga2Engine,
     Spea2Engine,
@@ -608,22 +607,10 @@ class TestEngines:
     def test_spea2_archive_defaults_to_pop_size(self):
         engine = make_engine(Spea2Engine)
         engine.initialize()
-        assert engine.archive_size == 12
         for _ in range(3):
             engine.step()
         assert len(engine.archive) <= 12
         assert len(engine.population) == 12
-
-    def test_spea2_archive_size_honored(self):
-        engine = make_engine(Spea2Engine, engine_params=EngineParams(archive_size=5))
-        engine.initialize()
-        for _ in range(3):
-            engine.step()
-        assert len(engine.archive) <= 5
-
-    def test_spea2_rejects_empty_archive(self):
-        with pytest.raises(ValueError, match="archive_size"):
-            EngineParams(archive_size=0)
 
     def test_moead_subproblem_count_covers_pop_size(self):
         engine = make_engine(MoeadEngine)
@@ -654,43 +641,21 @@ class TestEngines:
             for b in engine.archive:
                 assert not dominates(a.objectives, b.objectives)
 
-    def test_moead_validation(self):
-        with pytest.raises(ValueError, match="moead_delta"):
-            EngineParams(moead_delta=1.5)
-        with pytest.raises(ValueError, match="moead_delta"):
-            EngineParams(moead_delta=-0.1)
-        with pytest.raises(ValueError, match="moead_max_replacements"):
-            EngineParams(moead_max_replacements=0)
-        with pytest.raises(ValueError, match="moead_neighbors"):
-            EngineParams(moead_neighbors=0)
-
-    def test_moead_neighbors_honored(self):
-        engine = make_engine(MoeadEngine, engine_params=EngineParams(moead_neighbors=3))
-        assert engine.neighbor_idx.shape == (engine.n_subproblems, 3)
-
-    def test_engine_params_defaults(self):
-        params = EngineParams()
-        assert params.archive_size is None
-        assert params.moead_neighbors == 20
-        assert params.moead_delta == 0.9
-        assert params.moead_max_replacements == 2
-
     def test_base_objective_space(self):
         space = BaseObjectives()
         assert space.n_objectives == 2
 
     @pytest.mark.parametrize("sdo", [False, True])
-    @pytest.mark.parametrize("cls", [Nsga2Engine, Spea2Engine, MoeadEngine])
+    @pytest.mark.parametrize("cls", [Nsga2Engine, MoeadEngine])
     def test_reference_kernels_step_identically(self, cls, sdo, monkeypatch):
-        params = EngineParams(archive_size=4) if cls is Spea2Engine else EngineParams()
-        check_reference_kernels(cls, sdo, monkeypatch, seed=11, pop_size=12, engine_params=params)
+        check_reference_kernels(cls, sdo, monkeypatch, seed=11, pop_size=12)
 
     @pytest.mark.parametrize("sdo", [False, True])
     @pytest.mark.parametrize("cls", [Spea2Engine, MoeadEngine])
     def test_reference_kernels_step_identically_at_default_archive(self, cls, sdo, monkeypatch):
-        # As the benchmark runs them: SPEA2's archive is the population
-        # size, and its truncated pools hold 58-69 members with 8-23
-        # distinct objective vectors.
+        # As the benchmark runs them. SPEA2's archive is the population
+        # size, so SPEA2 runs here only: its truncated pools hold 58-69
+        # members with 8-23 distinct objective vectors.
         check_reference_kernels(cls, sdo, monkeypatch, seed=2, pop_size=50, steps=8)
 
     @pytest.mark.parametrize("pop_size", [4, 12])
@@ -777,9 +742,7 @@ class TestEngines:
         assert sum(full) > steps
 
 
-def check_reference_kernels(
-    cls, sdo, monkeypatch, seed, pop_size, steps=5, engine_params=EngineParams()
-):
+def check_reference_kernels(cls, sdo, monkeypatch, seed, pop_size, steps=5):
     """A run with the reference kernels swapped in steps as the plain run does."""
     calls = []
 
@@ -791,7 +754,7 @@ def check_reference_kernels(
         return wrapper
 
     def run():
-        kwargs = {"engine_params": engine_params}
+        kwargs = {}
         if sdo:
             kwargs["objective_space"] = SdoObjectives(SemanticConfig(approach="sdo"))
         engine = make_engine(cls, seed=seed, pop_size=pop_size, **kwargs)

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 
 import semogp.harness
 from semogp.cli import main
-from semogp.dataset import load_csv
-from semogp.emo import EngineParams
-from semogp.gp_core import GPParams
+from semogp.dataset import Dataset, load_csv, stratified_split, synthetic_blobs
+from semogp.gp_core import GPParams, parse_prefix
 from semogp.harness import (
     ExperimentConfig,
     expand_grid,
@@ -26,9 +25,9 @@ from semogp.harness import (
     summarize,
 )
 from semogp.metrics import GenerationStats
-from semogp.objectives import CLASSIFICATION_THRESHOLD
+from semogp.objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
 from semogp.results import FrontMember, RunResult, load_run, run_file_stem, save_run
-from semogp.semantic_emo import APPROACHES, ENGINES, SemanticConfig
+from semogp.semantic_emo import APPROACHES, ENGINES, SemanticConfig, run_variant
 
 from conftest import grid_cell_hypervolume
 
@@ -232,6 +231,34 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"list.json is not a run result: missing keys \['approach'"):
             load_run(path)
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda lines: [line + (",foo" if i == 0 else ",1") for i, line in enumerate(lines)],
+                r"is not a generations file: missing columns \[\], unknown or repeated columns \['foo'\]",
+            ),
+            (
+                lambda lines: [line.rsplit(",", 1)[0] for line in lines],
+                r"is not a generations file: missing columns \['front_size'\], unknown or repeated columns \[\]",
+            ),
+            (
+                lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], lines[2]],
+                r"line 2: 4 cells, expected 5",
+            ),
+            (
+                lambda lines: [lines[0], lines[1], lines[2].replace("0.5", "abc")],
+                r"line 3, column hypervolume: 'abc' is not of type float",
+            ),
+        ],
+        ids=["unknown-column", "missing-column", "short-row", "non-numeric-cell"],
+    )
+    def test_malformed_csv_is_rejected(self, tmp_path, edit, message):
+        json_path, csv_path = save_run(make_result(), tmp_path)
+        csv_path.write_text("\n".join(edit(csv_path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(csv_path)) + " " + message):
+            load_run(json_path)
+
     def test_load_results_requires_files(self, tmp_path):
         with pytest.raises(ValueError, match="no result files"):
             load_results(tmp_path)
@@ -254,9 +281,17 @@ class TestExperimentConfig:
         assert cfg.pop_size == 100
 
     def test_from_json_unknown_key(self, tmp_path):
-        # The retired ssc keys fail loudly instead of being silently ignored.
+        # The retired ssc and engine keys fail loudly instead of being silently ignored.
         path = tmp_path / "cfg.json"
-        for key in ("population", "ssc_subset_fraction", "ssc_parent_distance"):
+        for key in (
+            "population",
+            "ssc_subset_fraction",
+            "ssc_parent_distance",
+            "archive_size",
+            "moead_neighbors",
+            "moead_delta",
+            "moead_max_replacements",
+        ):
             path.write_text(json.dumps({"dataset": "d.csv", key: 1}))
             with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
                 ExperimentConfig.from_json(path)
@@ -306,14 +341,13 @@ class TestExperimentConfig:
         for settings, message in (
             ({"n_workers": 0}, "n_workers"),
             ({"pop_size": 1}, "pop_size"),
-            ({"engine": "moead", "moead_delta": 2.0}, "moead_delta"),
             ({"approach": "ssc", "ssc_max_trials": 0}, "ssc_max_trials"),
             ({"lbss": 0.6, "ubss": 0.5}, "lbss <= ubss"),
             ({"engine": "moead", "approach": "scd"}, "allow_scd_moead"),
             ({"train_fraction": 1.5}, "train_fraction must lie strictly between 0 and 1"),
             ({"pop_size": "10"}, "pop_size must be of type int"),
             ({"seeds": 3}, "seeds must be of type list"),
-            ({"moead_delta": None}, "moead_delta must be of type float"),
+            ({"crossover_rate": None}, "crossover_rate must be of type float"),
             ({"ubss": "abc"}, "ubss must be a number"),
             ({"lbss": "abc"}, "lbss must be a number"),
             ({"ubss": True}, "ubss must be of type"),
@@ -363,7 +397,6 @@ class TestExperimentConfig:
     def test_param_object_mapping(self):
         defaults = ExperimentConfig(dataset="d.csv")
         assert defaults.gp_params() == GPParams()
-        assert defaults.engine_params() == EngineParams()
         assert defaults.semantic_config() == SemanticConfig()
         assert defaults.threshold == CLASSIFICATION_THRESHOLD
         cfg = ExperimentConfig(
@@ -371,14 +404,10 @@ class TestExperimentConfig:
             approach="ssc",
             pop_size=30,
             generations=5,
-            archive_size=9,
-            moead_neighbors=7,
         )
         assert cfg.gp_params().pop_size == 30
         assert cfg.gp_params().generations == 5
         assert cfg.semantic_config().approach == "ssc"
-        assert cfg.engine_params().archive_size == 9
-        assert cfg.engine_params().moead_neighbors == 7
 
 
 @pytest.fixture
@@ -443,6 +472,38 @@ class TestRunExperiment:
         cfg = ExperimentConfig(dataset="missing.csv", lbss=[0.1, 0.6], ubss=0.5)
         with pytest.raises(ValueError, match="need lbss <= ubss"):
             run_experiment(cfg)
+
+    def test_scaled_features_use_the_train_bounds(self, tiny_config, tmp_path):
+        # Features of large magnitude, so that scaling moves every program output.
+        path = tmp_path / "large.csv"
+        rows = synthetic_blobs(200, 9, seed=5)
+        path.write_text(
+            "x0,x1,label\n" + "".join(f"{5e4 + 1e3 * a!r},{-2e3 - 300 * b!r},{c}\n" for a, b, c in rows)
+        )
+        cfg = replace(tiny_config, dataset=str(path), scale_features=True, seeds=[3])
+        (result,) = run_experiment(cfg)
+
+        train, test = stratified_split(load_csv(path), cfg.train_fraction, seed=3)
+        lo, hi = train.features.min(axis=0), train.features.max(axis=0)
+        assert not np.array_equal(test.features.min(axis=0), lo)
+
+        def scaled(ds):
+            return Dataset((ds.features - lo) / (hi - lo), ds.labels)
+
+        expected = run_variant(
+            cfg.engine,
+            cfg.semantic_config(),
+            scaled(train),
+            cfg.gp_params(),
+            seed=3,
+            threshold=cfg.threshold,
+            config_echo=cfg.echo(3),
+        )
+        assert replace(result, front=[replace(m, test_objectives=None) for m in result.front]) == expected
+        evaluator = ClassificationEvaluator(scaled(test), cfg.threshold)
+        for member in result.front:
+            scored = evaluator.evaluate_tree(parse_prefix(member.program)).objectives
+            assert member.test_objectives == tuple(scored.tolist())
 
     def test_results_loadable_and_equal(self, tiny_config):
         results = run_experiment(tiny_config)
@@ -557,7 +618,7 @@ class TestCli:
         assert code == 0
         assert "wrote" in capsys.readouterr().out
         ds = load_csv(out)
-        assert ds.class_counts == {"positive": 10, "negative": 90}
+        assert int(ds.labels.sum()) == 10 and ds.n_cases == 100
 
     def test_run_and_summarize(self, blob_csv, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -679,4 +740,15 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: {stray} is not a run result: missing keys ['approach', 'config', 'front', 'seed'],"
             " unknown keys ['dataset', 'seeds']\n"
+        )
+
+    def test_summarize_names_a_malformed_csv_and_its_columns(self, tmp_path, capsys):
+        _, csv_path = save_run(make_result(), tmp_path)
+        lines = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join(line + (",foo" if i == 0 else ",1") for i, line in enumerate(lines)) + "\n")
+        code = main(["summarize", "--in", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {csv_path} is not a generations file: missing columns [],"
+            " unknown or repeated columns ['foo']\n"
         )

@@ -57,17 +57,17 @@ PINNED = {
 }
 
 FILE_PINNED = {
-    "nsga2/canonical": "5662033a46a68c89b98d7014b39594507b1ae9ef90b0922300f266f5cff8a711",
-    "nsga2/ssc": "a3c75b64da6e07b4499f7d650dfd136db0e83e0f2b1979f28853dd4e677cbff5",
-    "nsga2/scd": "c425011444445c72306753a9fca71ef88235a6d096ec8d756e0eb6359eb9d5e2",
-    "nsga2/sdo": "2bc32bc10d6ed846ac9f593c1ad1be87021b2284f7cd8d24172e0f46c9782f73",
-    "spea2/canonical": "1b69b120c3952271f0488444957750c8ad3558b1b8135c6748449067bbae76cb",
-    "spea2/ssc": "8b4d3ea456f01618333eeb1d4e0f9a999ba5842502e422443409d76e13f95277",
-    "spea2/scd": "2c922fddce83a8340a91b94a3a3d863e5dae3b76e7fe66e3e8bc0657446adf3c",
-    "spea2/sdo": "6d4011750eb4a430450c771036e9cf6123ba8e451568acc20a0fdcf3dafb5ce0",
-    "moead/canonical": "eb433a510ac3d805d2e331aae5b54560e8b546be09335f728364dc780305ed1f",
-    "moead/ssc": "8703c27db6c14cf37586f78a9caa1724b0c295c3a0a1fe729f705b498044451e",
-    "moead/sdo": "e513a97977247a255a7a8621eba905be7a4c39d1cd5478d475d6cf01196d3e6d",
+    "nsga2/canonical": "c16d14023c8808b90d8860963e36ca4b69dea9bd368026c9951c4ff4ea6fe062",
+    "nsga2/ssc": "b5fa8021aefed0b6fa612051ee8594334f23382ba5fde614434850f4055a03dd",
+    "nsga2/scd": "49f17a903a62069a0b6dab5c655dbb281f85016b900af3d407f5c8e1d3ea6611",
+    "nsga2/sdo": "39ea6182f21dd05505292b2596646a9ba2e5b761d8fce64869b226dcc7ce0304",
+    "spea2/canonical": "14ea2fda8dba629cf733d8faa8cf32ef5cf98158cc503e50234b4cb4c9623a10",
+    "spea2/ssc": "9e1795c4ed654768c1ff2dd078ec5e8dcc14f3fcf76b6799f0f38a190845b1be",
+    "spea2/scd": "84adb77102628c17d6069e7a909c909d8812c7e85f7aad621b88eb3bdc5014a1",
+    "spea2/sdo": "665d237b61eb6e9077c06481cd876df2a07d54621d62d1980c011bf565873b94",
+    "moead/canonical": "d7fe3dbfb9720fd13a73f990de739fcf9e515b1511edb38d7c35fb77554ae6d1",
+    "moead/ssc": "de20cfc0a105216fdd89c52130e522a0089e57b3999a1e901ee78e456a5b5cd5",
+    "moead/sdo": "f96c1d9db59262cdd9ecb4a9139c5a2f45c9892623332a4c79dcb9ea3285f0e1",
 }
 
 

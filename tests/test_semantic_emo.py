@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 from semogp import gp_core, semantic_emo
 from semogp.emo import (
     BaseObjectives,
-    EngineParams,
     MoeadEngine,
     Nsga2Engine,
     Spea2Engine,
@@ -574,5 +573,4 @@ class TestRunVariant:
         rebuilt = ExperimentConfig(dataset="d.csv", **settings)
         assert rebuilt.semantic_config() == cfg
         assert rebuilt.gp_params() == self.GP
-        assert rebuilt.engine_params() == EngineParams()
         assert rebuilt.threshold == 0.25
