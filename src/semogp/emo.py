@@ -503,10 +503,7 @@ class MoeadEngine(_Engine):
                 pool = neigh
             else:
                 pool = self._all_subproblems
-            if len(pool) >= 2:
-                a, b = self.rng.sample(pool, 2)
-            else:
-                a = b = pool[0]
+            a, b = self.rng.sample(pool, 2)
             tree = self.variation.breed_one(self.population[a], self.population[b], self.rng)
             child = self.evaluator.evaluate_tree(tree)
             child_sel = np.asarray(self.space.vector(child), dtype=np.float64)

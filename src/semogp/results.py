@@ -16,7 +16,7 @@ import os
 import tempfile
 import typing
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .metrics import GenerationStats
@@ -81,14 +81,17 @@ def _atomic_write(path: Path, text: str):
 # type; the wall time is kept in memory only; the rest goes to the JSON.
 _COLUMNS = typing.get_type_hints(GenerationStats)
 _JSON_KEYS = {f.name for f in fields(RunResult)} - {"generations", "wall_time_s"}
+_MEMBER_KEYS = {f.name for f in fields(FrontMember)}
+_REQUIRED_MEMBER_KEYS = {f.name for f in fields(FrontMember) if f.default is MISSING}
 
 
 def save_run(result: RunResult, directory) -> tuple[Path, Path]:
     """Write the JSON and CSV files for one run; returns their paths.
 
     Files of the same configuration and seed are replaced. A file name
-    already used by a run of another configuration raises ValueError: the
-    name covers only the engine, approach, bounds, rule and seed.
+    already used by a run of another configuration, or by a file that holds
+    no run result, raises ValueError: the name covers only the engine,
+    approach, bounds, rule and seed.
     """
     result.validate()
     directory = Path(directory)
@@ -97,9 +100,14 @@ def save_run(result: RunResult, directory) -> tuple[Path, Path]:
     json_path = directory / f"{stem}.json"
     csv_path = directory / f"{stem}.csv"
     if json_path.exists():
-        existing = json.loads(json_path.read_text()).get("config")
+        try:
+            existing = json.loads(json_path.read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            existing = None
+        if not isinstance(existing, dict) or "config" not in existing:
+            raise ValueError(f"{json_path} holds no run result; use another output directory")
         # Compared as JSON text, so the loaded copy and the one in memory agree.
-        if json.dumps(existing, sort_keys=True) != json.dumps(result.config, sort_keys=True):
+        if json.dumps(existing["config"], sort_keys=True) != json.dumps(result.config, sort_keys=True):
             raise ValueError(f"{json_path} holds a run of another configuration; use another output directory")
 
     payload = {key: value for key, value in asdict(result).items() if key in _JSON_KEYS}
@@ -143,6 +151,16 @@ def _load_generations(csv_path: Path) -> list[GenerationStats]:
     return generations
 
 
+def _front_member(json_path: Path, index: int, item) -> FrontMember:
+    """One entry of a run file's front; an entry that is no front member names its keys."""
+    keys = set(item) if isinstance(item, dict) else set()
+    missing, unknown = sorted(_REQUIRED_MEMBER_KEYS - keys), sorted(keys - _MEMBER_KEYS)
+    if missing or unknown:
+        message = f"{json_path} is not a run result: front entry {index} is not a front member"
+        raise ValueError(f"{message}: missing keys {missing}, unknown keys {unknown}")
+    return FrontMember(**{key: tuple(v) if isinstance(v, list) else v for key, v in item.items()})
+
+
 def load_run(json_path) -> RunResult:
     """Rebuild a RunResult from its JSON file and sibling CSV file."""
     json_path = Path(json_path)
@@ -151,9 +169,9 @@ def load_run(json_path) -> RunResult:
     if keys != _JSON_KEYS:
         missing, unknown = sorted(_JSON_KEYS - keys), sorted(keys - _JSON_KEYS)
         raise ValueError(f"{json_path} is not a run result: missing keys {missing}, unknown keys {unknown}")
-    front = [
-        FrontMember(**{key: tuple(v) if isinstance(v, list) else v for key, v in item.items()})
-        for item in payload.pop("front")
-    ]
+    front = payload.pop("front")
+    if not isinstance(front, list):
+        raise ValueError(f"{json_path} is not a run result: its front is a {type(front).__name__}, not a list")
+    front = [_front_member(json_path, index, item) for index, item in enumerate(front)]
     generations = _load_generations(json_path.with_suffix(".csv"))
     return RunResult(**payload, front=front, generations=generations)

@@ -5,10 +5,10 @@ untouched:
 
 * ssc  - crossover is retried until the exchanged subtrees' mean absolute
          semantic difference falls inside the similarity bounds.
-* scd  - the engine's diversity estimate (NSGA-II crowding, SPEA2 density,
-         MOEA/D archive ranking) is replaced by each member's case-count
-         distance to a pivot chosen from the sparsest region of the current
-         first front.
+* scd  - the engine's diversity estimate (NSGA-II crowding, SPEA2 density)
+         is replaced by each member's case-count distance to a pivot chosen
+         from the sparsest region of the current first front; MOEA/D has
+         no crowding for it to replace.
 * sdo  - that same pivot distance, negated and normalized, is appended as a
          third minimization objective and selection runs on three entries.
 
@@ -63,6 +63,9 @@ from .semantics import (
 
 APPROACHES = ("canonical", "ssc", "scd", "sdo")
 
+# Candidate point pairs ssc_crossover draws before it falls back.
+SSC_MAX_TRIALS = 4
+
 
 @dataclass(frozen=True)
 class SemanticConfig:
@@ -77,16 +80,12 @@ class SemanticConfig:
     approach: str = "canonical"
     bounds: SimilarityBounds = SimilarityBounds()
     distance_rule: str = RULE_BAND
-    ssc_max_trials: int = 4
-    allow_scd_moead: bool = False
 
     def __post_init__(self):
         if self.approach not in APPROACHES:
             raise ValueError(f"unknown approach {self.approach!r}")
         if self.distance_rule not in DISTANCE_RULES:
             raise ValueError(f"unknown distance rule {self.distance_rule!r}")
-        if self.ssc_max_trials < 1:
-            raise ValueError("ssc_max_trials must be at least 1")
 
 
 @dataclass
@@ -105,12 +104,12 @@ def ssc_crossover(
     rng: random.Random,
     max_depth: int,
     features: np.ndarray,
-    stats: SscCounters | None = None,  # bench/tracing.py reads stats as positional argument 6
-    memo: SemanticsMemo | None = None,
+    stats: SscCounters,  # bench/tracing.py reads stats as positional argument 6
+    memo: SemanticsMemo,
 ) -> tuple[Node, Node]:
     """Subtree crossover gated on the similarity of the exchanged subtrees.
 
-    Candidate point pairs are drawn up to cfg.ssc_max_trials times; a trial
+    Candidate point pairs are drawn up to SSC_MAX_TRIALS times; a trial
     is accepted when the mean absolute difference between the two selected
     subtrees' outputs lies in [lbss, ubss] and both offspring respect
     max_depth. If no trial qualifies, the final trial's offspring are
@@ -119,16 +118,12 @@ def ssc_crossover(
 
     Subtrees are scored through memo, which must have been built on
     features; run_variant passes its evaluator's, so subtrees of parents
-    it has just scored are looked up. Without one, the call builds its own.
+    it has just scored are looked up.
     """
-    if memo is None:
-        memo = SemanticsMemo(features)
-    if stats is not None:
-        stats.calls += 1
+    stats.calls += 1
     exchange = None
-    for _ in range(cfg.ssc_max_trials):
-        if stats is not None:
-            stats.trials += 1
+    for _ in range(SSC_MAX_TRIALS):
+        stats.trials += 1
         point1 = pick_crossover_point(p1.tree, rng)
         point2 = pick_crossover_point(p2.tree, rng)
         sub1 = subtree_at(p1.tree, point1)
@@ -142,8 +137,7 @@ def ssc_crossover(
         )
         exchange = (point1, point2) if fits else None
         if fits and cfg.bounds.lbss <= distance <= cfg.bounds.ubss:
-            if stats is not None:
-                stats.accepted += 1
+            stats.accepted += 1
             break
     return (p1.tree, p2.tree) if exchange is None else _exchange(p1.tree, p2.tree, *exchange)
 
@@ -284,24 +278,21 @@ def _generation_stats(generation: int, front: Population) -> GenerationStats:
     )
 
 
-# Each engine and the scd hook that replaces its diversity estimate.
+# Each engine and the scd hook that replaces its diversity estimate, if any.
 _ENGINES = {
     "nsga2": (Nsga2Engine, ScdCrowding),
     "spea2": (Spea2Engine, ScdDensity),
-    "moead": (MoeadEngine, ScdArchiveRank),
+    "moead": (MoeadEngine, None),
 }
 ENGINES = tuple(_ENGINES)
 
 
 def check_engine(engine: str, cfg: SemanticConfig):
-    """Reject an unknown engine, and scd on moead unless allow_scd_moead is set."""
+    """Reject an unknown engine, and scd on an engine with no scd hook."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    if cfg.approach == "scd" and engine == "moead" and not cfg.allow_scd_moead:
-        raise ValueError(
-            "scd replaces a crowding mechanism moead does not have; "
-            "set allow_scd_moead to study the combination anyway"
-        )
+    if cfg.approach == "scd" and _ENGINES[engine][1] is None:
+        raise ValueError(f"scd replaces a crowding mechanism {engine} does not have")
 
 
 def build_engine(

@@ -92,7 +92,11 @@ def count_distances(
     n_rows = len(semantics_rows)
     if n_rows == 1:
         # A lone row (SdoObjectives.vector): flat counts, no buffers to set up.
-        diff = np.abs(np.subtract(semantics_rows[0], pivot))
+        row = semantics_rows[0]
+        # subtract would broadcast a row of another length, so check it here.
+        if len(row) != pivot.size:
+            raise ValueError("every semantics row must have the pivot's length")
+        diff = np.abs(np.subtract(row, pivot))
         count = np.count_nonzero(diff > bounds.ubss)
         if rule == RULE_BAND:
             count = np.count_nonzero(diff >= bounds.lbss) - count

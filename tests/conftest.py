@@ -7,6 +7,11 @@ import pytest
 
 from semogp.dataset import Dataset, synthetic_blobs, write_synthetic_csv
 from semogp.gp_core import Call, Feature, Individual
+from semogp.semantic_emo import APPROACHES, ENGINES
+
+# The 11 engine x approach pairs the paper compares: scd replaces a
+# crowding mechanism that moead does not have.
+PAIRS = [(e, a) for e in ENGINES for a in APPROACHES if (e, a) != ("moead", "scd")]
 
 
 class ScriptedRandom(random.Random):

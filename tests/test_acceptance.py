@@ -36,11 +36,11 @@ from semogp.emo import (
     spea2_fitness,
     tchebycheff,
 )
-from semogp.gp_core import Constant, Feature, PrimitiveSet, Variation, node_count, to_prefix
+from semogp.gp_core import Constant, Feature, PrimitiveSet, SemanticsMemo, Variation, node_count, to_prefix
 from semogp.harness import ExperimentConfig
 from semogp.metrics import HV_REFERENCE, hypervolume_2d, unique_solutions
 from semogp.objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
-from semogp.semantic_emo import SscCounters, sdo_extend, ssc_crossover
+from semogp.semantic_emo import SSC_MAX_TRIALS, SscCounters, sdo_extend, ssc_crossover
 from semogp.semantics import RULE_ABOVE, RULE_BAND, Pivot, SimilarityBounds, count_distances
 
 from test_emo import peel_front_oracle
@@ -158,6 +158,7 @@ def test_criterion_04_distance_rules_partition_the_cases():
 
 def test_criterion_05_gated_crossover_trial_accounting():
     features = np.array([[0.0], [0.2]])
+    memo = SemanticsMemo(features)
     rng = random.Random(0)
 
     feature_parent = make_individual(tree=Feature(0))
@@ -166,7 +167,7 @@ def test_criterion_05_gated_crossover_trial_accounting():
     # Vacuous bounds accept the very first trial.
     cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.0, math.inf))
     stats = SscCounters()
-    ssc_crossover(feature_parent, constant_parent, cfg, rng, 8, features, stats)
+    ssc_crossover(feature_parent, constant_parent, cfg, rng, 8, features, stats, memo)
     assert (stats.calls, stats.trials, stats.accepted) == (1, 1, 1)
 
     # Single-node identical parents always exchange identical semantics, so a
@@ -174,21 +175,21 @@ def test_criterion_05_gated_crossover_trial_accounting():
     cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.1, 0.5))
     stats = SscCounters()
     c1, c2 = ssc_crossover(
-        feature_parent, make_individual(tree=Feature(0)), cfg, rng, 8, features, stats
+        feature_parent, make_individual(tree=Feature(0)), cfg, rng, 8, features, stats, memo
     )
-    assert (stats.calls, stats.trials, stats.accepted) == (1, cfg.ssc_max_trials, 0)
+    assert (stats.calls, stats.trials, stats.accepted) == (1, SSC_MAX_TRIALS, 0)
     assert to_prefix(c1) == "x0" and to_prefix(c2) == "x0"
 
     # A swap whose exchanged semantics land inside the band is accepted at
     # once: |0 - 0.1| and |0.2 - 0.1| average to 0.1.
     cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.05, 0.5))
     stats = SscCounters()
-    c1, c2 = ssc_crossover(feature_parent, constant_parent, cfg, rng, 8, features, stats)
+    c1, c2 = ssc_crossover(feature_parent, constant_parent, cfg, rng, 8, features, stats, memo)
     assert (stats.calls, stats.trials, stats.accepted) == (1, 1, 1)
     assert to_prefix(c1) == "0.1" and to_prefix(c2) == "x0"
     print(
         "criterion 05 PASS: gated crossover accepts vacuous bounds on trial 1, "
-        f"burns all {cfg.ssc_max_trials} trials on in-gate rejection, and swaps in-band subtrees"
+        f"burns all {SSC_MAX_TRIALS} trials on in-gate rejection, and swaps in-band subtrees"
     )
 
 

@@ -6,7 +6,9 @@ show in a traced benchmark run. This runs the probes and the tracer over
 tiny runs of each engine and checks that they record what the benchmark
 reads and that uninstalling them restores every patched name. It also
 builds every config bench/run.py runs and validates it, so that a config
-key the benchmark sets cannot be retired or renamed unnoticed.
+key the benchmark sets cannot be retired or renamed unnoticed, and runs
+bench/checks.py's output check, which reads the config echo and re-scores
+fronts by semogp names of its own.
 """
 
 import importlib
@@ -22,6 +24,7 @@ from conftest import left_comb, reference_shape
 
 BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 BENCH_RUN = BENCH_TRACING.with_name("run.py")
+BENCH_CHECKS = BENCH_TRACING.with_name("checks.py")
 
 
 def _load(name, path):
@@ -50,6 +53,27 @@ def test_benchmark_configs_validate(monkeypatch):
                 point.validate()
                 checked += 1
     assert checked == sum(len(w.pairs) for w in run.WORKLOADS.values())
+
+
+def test_output_check_passes_on_real_runs(blob_csv, tmp_path):
+    checks = _load("bench_checks", BENCH_CHECKS)
+    names = ("dataset", "gp_core", "harness", "metrics", "objectives", "results")
+    mods = {name: importlib.import_module(f"semogp.{name}") for name in names}
+    for engine, approach in (("nsga2", "ssc"), ("spea2", "scd"), ("moead", "sdo")):
+        out_dir = tmp_path / f"{engine}_{approach}"
+        cfg = mods["harness"].ExperimentConfig(
+            dataset=str(blob_csv),
+            engine=engine,
+            approach=approach,
+            pop_size=8,
+            generations=2,
+            init_min_depth=1,
+            init_max_depth=3,
+            seeds=[1],
+            output_dir=str(out_dir),
+        )
+        runs = mods["harness"].run_experiment(cfg)
+        assert checks.check_runs(mods, runs, blob_csv, 1, cfg.train_fraction, out_dir) == []
 
 
 def _snapshot(tracing, mods):

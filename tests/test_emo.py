@@ -641,6 +641,18 @@ class TestEngines:
             for b in engine.archive:
                 assert not dominates(a.objectives, b.objectives)
 
+    @pytest.mark.parametrize("sdo", [False, True])
+    def test_moead_mates_two_subproblems_at_the_smallest_population(self, sdo):
+        # step always samples two distinct mates: at pop_size 2 the lattice has
+        # 2 weights (3 for sdo's three objectives) and each neighbour list all of them.
+        kwargs = {"objective_space": SdoObjectives(SemanticConfig(approach="sdo"))} if sdo else {}
+        engine = make_engine(MoeadEngine, pop_size=2, **kwargs)
+        assert engine.n_subproblems == (3 if sdo else 2)
+        assert all(len(neigh) >= 2 for neigh in engine._neighbor_lists)
+        engine.initialize()
+        engine.step()
+        assert engine.front()
+
     def test_base_objective_space(self):
         space = BaseObjectives()
         assert space.n_objectives == 2

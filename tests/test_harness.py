@@ -210,6 +210,17 @@ class TestPersistence:
             save_run(other, tmp_path)
         assert json_path.read_bytes() == before
 
+    @pytest.mark.parametrize(
+        "body", [b"not json {", b"\xff\xfe", b"[1, 2]", b'{"front": []}'], ids=["not-json", "not-text", "list", "no-config"]
+    )
+    def test_file_that_holds_no_run_is_not_overwritten(self, tmp_path, body):
+        json_path, _ = save_run(make_result(), tmp_path)
+        json_path.write_bytes(body)
+        message = f"{json_path} holds no run result; use another output directory"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_run(make_result(), tmp_path)
+        assert json_path.read_bytes() == body
+
     @settings(max_examples=200, deadline=None)
     @given(run_results())
     def test_any_result_round_trips_to_the_same_bytes(self, result):
@@ -230,6 +241,42 @@ class TestPersistence:
         path.write_text("[1, 2]")
         with pytest.raises(ValueError, match=r"list.json is not a run result: missing keys \['approach'"):
             load_run(path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda front: front[0].update(extra=1),
+                "front entry 0 is not a front member: missing keys [], unknown keys ['extra']",
+            ),
+            (
+                lambda front: front[1].pop("nodes"),
+                "front entry 1 is not a front member: missing keys ['nodes'], unknown keys []",
+            ),
+            (
+                lambda front: front.__setitem__(1, ["x0", [0.25, 0.5], 1]),
+                "front entry 1 is not a front member: missing keys ['nodes', 'objectives', 'program'],"
+                " unknown keys []",
+            ),
+        ],
+        ids=["unknown-key", "missing-key", "entry-not-an-object"],
+    )
+    def test_malformed_front_entry_is_rejected(self, tmp_path, edit, message):
+        json_path, _ = save_run(make_result(), tmp_path)
+        payload = json.loads(json_path.read_text())
+        edit(payload["front"])
+        json_path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{json_path} is not a run result: {message}")):
+            load_run(json_path)
+
+    def test_front_that_is_not_a_list_is_rejected(self, tmp_path):
+        json_path, _ = save_run(make_result(), tmp_path)
+        payload = json.loads(json_path.read_text())
+        payload["front"] = payload["front"][0]
+        json_path.write_text(json.dumps(payload))
+        message = f"{json_path} is not a run result: its front is a dict, not a list"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_run(json_path)
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -281,12 +328,14 @@ class TestExperimentConfig:
         assert cfg.pop_size == 100
 
     def test_from_json_unknown_key(self, tmp_path):
-        # The retired ssc and engine keys fail loudly instead of being silently ignored.
+        # The retired ssc, engine and moead/scd keys fail loudly instead of being silently ignored.
         path = tmp_path / "cfg.json"
         for key in (
             "population",
             "ssc_subset_fraction",
             "ssc_parent_distance",
+            "ssc_max_trials",
+            "allow_scd_moead",
             "archive_size",
             "moead_neighbors",
             "moead_delta",
@@ -341,9 +390,8 @@ class TestExperimentConfig:
         for settings, message in (
             ({"n_workers": 0}, "n_workers"),
             ({"pop_size": 1}, "pop_size"),
-            ({"approach": "ssc", "ssc_max_trials": 0}, "ssc_max_trials"),
             ({"lbss": 0.6, "ubss": 0.5}, "lbss <= ubss"),
-            ({"engine": "moead", "approach": "scd"}, "allow_scd_moead"),
+            ({"engine": "moead", "approach": "scd"}, "scd replaces a crowding mechanism moead does not have"),
             ({"train_fraction": 1.5}, "train_fraction must lie strictly between 0 and 1"),
             ({"pop_size": "10"}, "pop_size must be of type int"),
             ({"seeds": 3}, "seeds must be of type list"),
@@ -719,6 +767,14 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_scd_on_moead_fails_before_any_run(self, blob_csv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset": str(blob_csv), "output_dir": str(tmp_path / "out")}))
+        code = main(["run", "--config", str(cfg_path), "--engine", "moead", "--approach", "scd"])
+        assert code == 1
+        assert "scd replaces a crowding mechanism moead does not have" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_override_fails(self, blob_csv, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"dataset": str(blob_csv)}))
@@ -740,6 +796,18 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: {stray} is not a run result: missing keys ['approach', 'config', 'front', 'seed'],"
             " unknown keys ['dataset', 'seeds']\n"
+        )
+
+    def test_summarize_names_a_malformed_front_entry_and_its_keys(self, tmp_path, capsys):
+        json_path, _ = save_run(make_result(), tmp_path)
+        payload = json.loads(json_path.read_text())
+        payload["front"][0]["extra"] = 1
+        json_path.write_text(json.dumps(payload))
+        code = main(["summarize", "--in", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {json_path} is not a run result: front entry 0 is not a front member:"
+            " missing keys [], unknown keys ['extra']\n"
         )
 
     def test_summarize_names_a_malformed_csv_and_its_columns(self, tmp_path, capsys):

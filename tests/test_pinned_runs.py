@@ -35,12 +35,9 @@ if __name__ == "__main__":
 
 from semogp.gp_core import GPParams
 from semogp.results import save_run
-from semogp.semantic_emo import APPROACHES, ENGINES, SemanticConfig, run_variant
+from semogp.semantic_emo import SemanticConfig, run_variant
 
-from conftest import blob_dataset
-
-# moead/scd is not one of the paper's pairs (check_engine rejects it).
-PAIRS = [(e, a) for e in ENGINES for a in APPROACHES if (e, a) != ("moead", "scd")]
+from conftest import PAIRS, blob_dataset
 
 PINNED = {
     "nsga2/canonical": "c76badfb205b26d5fa4115ab87f3e8b6198ec7563334da7e5162e2bac244c411",
@@ -57,17 +54,17 @@ PINNED = {
 }
 
 FILE_PINNED = {
-    "nsga2/canonical": "c16d14023c8808b90d8860963e36ca4b69dea9bd368026c9951c4ff4ea6fe062",
-    "nsga2/ssc": "b5fa8021aefed0b6fa612051ee8594334f23382ba5fde614434850f4055a03dd",
-    "nsga2/scd": "49f17a903a62069a0b6dab5c655dbb281f85016b900af3d407f5c8e1d3ea6611",
-    "nsga2/sdo": "39ea6182f21dd05505292b2596646a9ba2e5b761d8fce64869b226dcc7ce0304",
-    "spea2/canonical": "14ea2fda8dba629cf733d8faa8cf32ef5cf98158cc503e50234b4cb4c9623a10",
-    "spea2/ssc": "9e1795c4ed654768c1ff2dd078ec5e8dcc14f3fcf76b6799f0f38a190845b1be",
-    "spea2/scd": "84adb77102628c17d6069e7a909c909d8812c7e85f7aad621b88eb3bdc5014a1",
-    "spea2/sdo": "665d237b61eb6e9077c06481cd876df2a07d54621d62d1980c011bf565873b94",
-    "moead/canonical": "d7fe3dbfb9720fd13a73f990de739fcf9e515b1511edb38d7c35fb77554ae6d1",
-    "moead/ssc": "de20cfc0a105216fdd89c52130e522a0089e57b3999a1e901ee78e456a5b5cd5",
-    "moead/sdo": "f96c1d9db59262cdd9ecb4a9139c5a2f45c9892623332a4c79dcb9ea3285f0e1",
+    "nsga2/canonical": "e376a38d992e257cc71b1b4036986343558bc35137ea0057441af934622278f8",
+    "nsga2/ssc": "909314ba91697db8c97389fc2e73b44abefc99af8874fb30a31d7d0539c15bb3",
+    "nsga2/scd": "1101b01e6e7cb64ebedcdb98a2afd47ba0187117a76d0229ca03a4effee5e79d",
+    "nsga2/sdo": "06f8e808989aa8fc7571b4cf6805472232e6cbdb251baf3706bae4f027d1723a",
+    "spea2/canonical": "2e6c524e0db33f85f0e966a7465c26372ba03c6289eff3dce256d1e5b481de2a",
+    "spea2/ssc": "0a6b58a9c6be5bd0f2f3b374d79bcd8c547fe6b86ce9da40b046354bb937b360",
+    "spea2/scd": "5aed72b0dbe66fac5296673ce6f0a42d2d427c47092053affd1c06dca3c53389",
+    "spea2/sdo": "e7a24808c8e57610a0757e59c1b9c0011c153956937eff4f619b83470a4f2779",
+    "moead/canonical": "b50c8c3599ee750bbed999add2451c51c98d495bb4fcb2971b35ac8b051d22c8",
+    "moead/ssc": "384ccf40c204c66b8404cf55b869a15992e7f1f3f1ecc5982a450dfe7dabfea8",
+    "moead/sdo": "9aac38881c9fb633359f523bfddff01d34b31f38718d4a880cad168744298949",
 }
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from semogp import gp_core, semantic_emo
+from semogp import gp_core
 from semogp.emo import (
     BaseObjectives,
     MoeadEngine,
@@ -32,6 +32,7 @@ from semogp.semantics import RULE_ABOVE, RULE_BAND, Pivot, SimilarityBounds, ssc
 from semogp.semantic_emo import (
     APPROACHES,
     ENGINES,
+    SSC_MAX_TRIALS,
     ScdArchiveRank,
     ScdCrowding,
     ScdDensity,
@@ -46,8 +47,10 @@ from semogp.semantic_emo import (
     ssc_crossover,
 )
 
-from conftest import ScriptedRandom, blob_dataset, left_comb, make_individual
+from conftest import PAIRS, ScriptedRandom, blob_dataset, left_comb, make_individual
 
+# Parametrized ids read "approach-engine", e.g. "sdo-moead".
+PAIR_IDS = [f"{a}-{e}" for e, a in PAIRS]
 BAND_CFG = SemanticConfig(approach="scd", distance_rule=RULE_BAND)
 ABOVE_CFG = SemanticConfig(approach="scd", distance_rule=RULE_ABOVE)
 
@@ -58,15 +61,13 @@ class TestSemanticConfig:
         assert cfg.approach == "canonical"
         assert cfg.bounds == SimilarityBounds(0.01, 0.5)
         assert cfg.distance_rule == RULE_BAND
-        assert cfg.ssc_max_trials == 4
+        assert SSC_MAX_TRIALS == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SemanticConfig(approach="telepathy")
         with pytest.raises(ValueError):
             SemanticConfig(distance_rule="nearest")
-        with pytest.raises(ValueError):
-            SemanticConfig(ssc_max_trials=0)
 
     def test_known_names(self):
         assert ENGINES == ("nsga2", "spea2", "moead")
@@ -76,15 +77,18 @@ class TestSemanticConfig:
 class TestSscCrossover:
     FEATURES = np.array([[0.0], [0.2]])
 
+    def setup_method(self):
+        self.memo = gp_core.SemanticsMemo(self.FEATURES)
+
     def test_identical_parents_never_accepted(self):
         cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.1, 0.5))
         parent = make_individual(tree=Feature(0))
         stats = SscCounters()
         c1, c2 = ssc_crossover(
-            parent, parent, cfg, random.Random(0), 17, self.FEATURES, stats
+            parent, parent, cfg, random.Random(0), 17, self.FEATURES, stats, self.memo
         )
         assert stats.calls == 1
-        assert stats.trials == cfg.ssc_max_trials
+        assert stats.trials == SSC_MAX_TRIALS
         assert stats.accepted == 0
         assert c1 == parent.tree
         assert c2 == parent.tree
@@ -93,7 +97,7 @@ class TestSscCrossover:
         cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.0, float("inf")))
         parent = make_individual(tree=Feature(0))
         stats = SscCounters()
-        ssc_crossover(parent, parent, cfg, random.Random(0), 17, self.FEATURES, stats)
+        ssc_crossover(parent, parent, cfg, random.Random(0), 17, self.FEATURES, stats, self.memo)
         assert stats.trials == 1
         assert stats.accepted == 1
 
@@ -103,7 +107,7 @@ class TestSscCrossover:
         p1 = make_individual(tree=Feature(0))
         p2 = make_individual(tree=Constant(0.1))
         stats = SscCounters()
-        c1, c2 = ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES, stats)
+        c1, c2 = ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES, stats, self.memo)
         assert stats.accepted == 1
         assert (c1, c2) == (Constant(0.1), Feature(0))
 
@@ -111,9 +115,9 @@ class TestSscCrossover:
         cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.0, float("inf")))
         p1 = make_individual(tree=left_comb(17))
         p2 = make_individual(tree=left_comb(17))
-        script = [0.0, "last", 0.0, 0] * cfg.ssc_max_trials
+        script = [0.0, "last", 0.0, 0] * SSC_MAX_TRIALS
         rng = ScriptedRandom(script)
-        c1, c2 = ssc_crossover(p1, p2, cfg, rng, 17, self.FEATURES)
+        c1, c2 = ssc_crossover(p1, p2, cfg, rng, 17, self.FEATURES, SscCounters(), self.memo)
         assert not rng.script
         assert c1 is p1.tree
         assert c2 is p2.tree
@@ -127,30 +131,16 @@ class TestSscCrossover:
         for _ in range(100):
             p1 = make_individual(tree=grow_tree(ps, rng.randint(1, 5), rng))
             p2 = make_individual(tree=grow_tree(ps, rng.randint(1, 5), rng))
-            c1, c2 = ssc_crossover(p1, p2, cfg, rng, 6, self.FEATURES)
+            c1, c2 = ssc_crossover(p1, p2, cfg, rng, 6, self.FEATURES, SscCounters(), self.memo)
             assert tree_depth(c1) <= 6
             assert tree_depth(c2) <= 6
 
-    def test_memo_built_once_per_call_that_scores_subtrees(self, monkeypatch):
-        built = []
-
-        def counted(features):
-            built.append(features)
-            return gp_core.SemanticsMemo(features)
-
-        monkeypatch.setattr(semantic_emo, "SemanticsMemo", counted)
+    def test_memo_of_another_feature_matrix_rejected(self):
         p1 = make_individual(tree=Feature(0), semantics=(0.0, 0.2))
         p2 = make_individual(tree=Constant(0.0), semantics=(0.0, 0.0))
         cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.3, 0.4))
-        stats = SscCounters()
-        ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES, stats)
-        assert stats.trials == cfg.ssc_max_trials and len(built) == 1
-        assert built[0] is self.FEATURES
-        shared = gp_core.SemanticsMemo(self.FEATURES)
-        ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES, None, shared)
-        assert len(built) == 1
         with pytest.raises(ValueError, match="another feature matrix"):
-            ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES.copy(), None, shared)
+            ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES.copy(), SscCounters(), self.memo)
 
 
 def reference_ssc_crossover(p1, p2, cfg, rng, max_depth, features, stats):
@@ -158,7 +148,7 @@ def reference_ssc_crossover(p1, p2, cfg, rng, max_depth, features, stats):
     memo = gp_core.SemanticsMemo(features)
     stats.calls += 1
     final_pair = None
-    for _ in range(cfg.ssc_max_trials):
+    for _ in range(SSC_MAX_TRIALS):
         stats.trials += 1
         point1 = gp_core.pick_crossover_point(p1.tree, rng)
         point2 = gp_core.pick_crossover_point(p2.tree, rng)
@@ -196,7 +186,8 @@ def ssc_against_reference(p1, p2, bounds, seed, max_depth):
     cfg = SemanticConfig(approach="ssc", bounds=bounds)
     fast, slow = random.Random(seed), random.Random(seed)
     got_stats, want_stats = SscCounters(), SscCounters()
-    got = ssc_crossover(p1, p2, cfg, fast, max_depth, SSC_FEATURES, got_stats)
+    memo = gp_core.SemanticsMemo(SSC_FEATURES)
+    got = ssc_crossover(p1, p2, cfg, fast, max_depth, SSC_FEATURES, got_stats, memo)
     want = reference_ssc_crossover(p1, p2, cfg, slow, max_depth, SSC_FEATURES, want_stats)
     assert got == want
     assert (got[0] is p1.tree, got[1] is p2.tree) == (want[0] is p1.tree, want[1] is p2.tree)
@@ -440,15 +431,8 @@ class TestBuildEngine:
             self.make("hillclimb", SemanticConfig())
 
     def test_scd_moead_rejected_by_default(self):
-        with pytest.raises(ValueError, match="allow_scd_moead"):
+        with pytest.raises(ValueError, match="scd replaces a crowding mechanism moead does not have"):
             self.make("moead", SemanticConfig(approach="scd"))
-
-    def test_scd_moead_opt_in(self):
-        cfg = SemanticConfig(approach="scd", allow_scd_moead=True)
-        engine = self.make("moead", cfg)
-        engine.initialize()
-        engine.step()
-        assert engine.front()
 
     def test_sdo_uses_three_entry_space(self):
         engine = self.make("nsga2", SemanticConfig(approach="sdo"))
@@ -458,15 +442,13 @@ class TestBuildEngine:
         engine = self.make("spea2", SemanticConfig())
         assert engine.space.n_objectives == 2
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("approach", APPROACHES)
+    @pytest.mark.parametrize("engine,approach", PAIRS, ids=PAIR_IDS)
     def test_each_approach_installs_its_hook(self, engine, approach):
-        cfg = SemanticConfig(approach=approach, allow_scd_moead=True)
-        built = self.make(engine, cfg)
+        built = self.make(engine, SemanticConfig(approach=approach))
         engine_cls, scd_cls = {
             "nsga2": (Nsga2Engine, ScdCrowding),
             "spea2": (Spea2Engine, ScdDensity),
-            "moead": (MoeadEngine, ScdArchiveRank),
+            "moead": (MoeadEngine, None),
         }[engine]
         assert type(built) is engine_cls
         assert type(built.diversity) is (scd_cls if approach == "scd" else type(None))
@@ -481,11 +463,8 @@ def dataset():
 class TestRunVariant:
     GP = GPParams(pop_size=16, generations=4, init_min_depth=2, init_max_depth=4)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("approach", APPROACHES)
+    @pytest.mark.parametrize("engine,approach", PAIRS, ids=PAIR_IDS)
     def test_every_valid_combination_runs(self, dataset, engine, approach):
-        if engine == "moead" and approach == "scd":
-            pytest.skip("rejected combination tested separately")
         cfg = SemanticConfig(approach=approach)
         result = run_variant(engine, cfg, dataset, gp=self.GP, seed=1)
         assert result.engine == engine
@@ -522,12 +501,10 @@ class TestRunVariant:
         # that evicts on every store, and no memo give equal results.
         data = blob_dataset(n_cases=200, imbalance=9, seed=0)
         gp = GPParams(pop_size=30, generations=8)
-        pairs = [(e, a) for e in ENGINES for a in APPROACHES if (e, a) != ("moead", "scd")]
-        assert len(pairs) == 11
 
         def runs(capacity):
             assert ClassificationEvaluator(data).memo.capacity == capacity
-            return [run_variant(e, SemanticConfig(approach=a), data, gp=gp, seed=11) for e, a in pairs]
+            return [run_variant(e, SemanticConfig(approach=a), data, gp=gp, seed=11) for e, a in PAIRS]
 
         default = runs(gp_core.MEMO_ENTRIES)
         monkeypatch.setattr(gp_core, "MEMO_ENTRIES", 1)
@@ -560,13 +537,13 @@ class TestRunVariant:
         assert result.wall_time_s > 0
 
     def test_config_echo_defaults(self, dataset):
-        cfg = SemanticConfig(ssc_max_trials=7)
+        cfg = SemanticConfig(distance_rule=RULE_ABOVE)
         result = run_variant("nsga2", cfg, dataset, gp=self.GP, seed=9, threshold=0.25)
         assert result.config["engine"] == "nsga2"
         assert result.config["approach"] == "canonical"
         assert result.config["seed"] == 9
         assert result.config["pop_size"] == 16
-        assert result.config["ssc_max_trials"] == 7
+        assert result.config["distance_rule"] == RULE_ABOVE
         # The echo names every setting of the run as ExperimentConfig does,
         # so the run can be configured again from it.
         settings = {k: v for k, v in result.config.items() if k != "seed"}

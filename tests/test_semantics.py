@@ -200,6 +200,13 @@ class TestCountDistancesOracle:
         rows = [np.zeros(3), np.zeros(5)]
         with pytest.raises(ValueError, match="pivot's length"):
             count_distances(rows, np.zeros(4), BOUNDS, RULE_BAND)
+        # A lone row takes the flat path, where subtract would broadcast a
+        # 1-case row against the pivot or a 1-case pivot against the row.
+        for row, pivot in ((np.array([0.3]), np.zeros(5)), (np.zeros(5), np.array([0.3]))):
+            for rule in DISTANCE_RULES:
+                for rows in ([row], row[None]):
+                    with pytest.raises(ValueError, match="pivot's length"):
+                        count_distances(rows, pivot, BOUNDS, rule)
 
     def test_rows_need_not_be_contiguous(self):
         matrix = np.asfortranarray(np.random.default_rng(0).normal(size=(9, 7)))
