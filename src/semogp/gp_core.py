@@ -535,18 +535,20 @@ class GPParams:
 class Variation:
     """Crossover-plus-mutation policy used by the engines to breed offspring.
 
-    The crossover hook takes two evaluated individuals and a generator and
-    returns two offspring trees; None selects plain subtree crossover.
+    All offspring are built here. The crossover hook maps two evaluated parents and a generator
+    to the points to exchange at, or None to keep them; without one, subtree crossover's are drawn.
     """
 
     primitives: PrimitiveSet
     params: GPParams = field(default_factory=GPParams)
-    crossover: Callable[[Individual, Individual, random.Random], tuple[Node, Node]] | None = None
+    crossover: Callable[[Individual, Individual, random.Random], tuple[Path, Path] | None] | None = None
 
-    def _cross(self, a: Individual, b: Individual, rng: random.Random) -> tuple[Node, Node]:
+    def _points(self, a: Individual, b: Individual, rng: random.Random) -> tuple[Path, Path] | None:
+        if rng.random() >= self.params.crossover_rate:
+            return None
         if self.crossover is not None:
             return self.crossover(a, b, rng)
-        return subtree_crossover(a.tree, b.tree, rng, self.params.max_depth)
+        return _crossover_points(a.tree, b.tree, rng, self.params.max_depth)
 
     def _mutate(self, tree: Node, rng: random.Random) -> Node:
         if rng.random() < self.params.mutation_rate:
@@ -560,21 +562,13 @@ class Variation:
         return tree
 
     def breed_pair(self, a: Individual, b: Individual, rng: random.Random) -> tuple[Node, Node]:
-        if rng.random() < self.params.crossover_rate:
-            t1, t2 = self._cross(a, b, rng)
-        else:
-            t1, t2 = a.tree, b.tree
+        points = self._points(a, b, rng)
+        t1, t2 = (a.tree, b.tree) if points is None else _exchange(a.tree, b.tree, *points)
         return self._mutate(t1, rng), self._mutate(t2, rng)
 
     def breed_one(self, a: Individual, b: Individual, rng: random.Random) -> Node:
         """breed_pair's first offspring, drawing what breed_pair draws up to
-        its second mutation; plain crossover builds no second offspring."""
-        tree = a.tree
-        if rng.random() < self.params.crossover_rate:
-            if self.crossover is not None:
-                tree = self.crossover(a, b, rng)[0]
-            else:
-                points = _crossover_points(tree, b.tree, rng, self.params.max_depth)
-                if points is not None:
-                    tree = replace_subtree(tree, points[0], subtree_at(b.tree, points[1]))
+        its second mutation; the second offspring is never built."""
+        points = self._points(a, b, rng)
+        tree = a.tree if points is None else replace_subtree(a.tree, points[0], subtree_at(b.tree, points[1]))
         return self._mutate(tree, rng)

@@ -13,9 +13,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
-import numbers
 import statistics
-import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
@@ -25,7 +23,7 @@ from .dataset import Dataset, load_csv, minmax_apply, minmax_fit, stratified_spl
 from .gp_core import GPParams, parse_prefix
 from .metrics import HV_REFERENCE, hypervolume_2d
 from .objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
-from .results import RunResult, load_run, save_run
+from .results import RunResult, check_type, load_run, save_run
 from .semantic_emo import SemanticConfig, check_engine, run_variant
 from .semantics import SimilarityBounds
 
@@ -46,19 +44,6 @@ _Settings = make_dataclass(
 
 # lbss and ubss may also be grid lists, and strings that float() parses ("inf").
 _BOUND_HINT = float | str | list[float | str]
-
-
-def _matches(value, hint) -> bool:
-    """Whether value has the declared type; ints count as floats, bools as neither."""
-    if typing.get_origin(hint) is types.UnionType:
-        return any(_matches(value, arg) for arg in typing.get_args(hint))
-    if typing.get_origin(hint) is list:
-        (item,) = typing.get_args(hint)
-        return isinstance(value, (list, tuple)) and all(_matches(v, item) for v in value)
-    if hint in (int, float):
-        kind = numbers.Integral if hint is int else numbers.Real
-        return isinstance(value, kind) and not isinstance(value, bool)
-    return isinstance(value, hint)
 
 
 @dataclass(kw_only=True)
@@ -101,12 +86,7 @@ class ExperimentConfig(_Settings):
     def _check_types(self):
         """Check each value against the type its class declares for the key."""
         for name, hint in typing.get_type_hints(type(self)).items():
-            if name in ("lbss", "ubss"):
-                hint = _BOUND_HINT
-            value = getattr(self, name)
-            if not _matches(value, hint):
-                shown = hint.__name__ if isinstance(hint, type) else hint
-                raise ValueError(f"{name} must be of type {shown}, got {value!r}")
+            check_type(name, getattr(self, name), _BOUND_HINT if name in ("lbss", "ubss") else hint)
 
     def validate(self):
         """Check every setting of a single-valued configuration, reading no file."""

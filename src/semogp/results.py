@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 import tempfile
+import types
 import typing
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -53,6 +55,28 @@ class RunResult:
             row.validate()
 
 
+def _matches(value, hint) -> bool:
+    """Whether value has the declared type; ints count as floats, bools as neither, lists as tuples."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_matches(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, (list, tuple)) and all(_matches(v, args[0]) for v in value)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and len(value) == len(args) and all(map(_matches, value, args))
+    if hint in (int, float):
+        kind = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+def check_type(name: str, value, hint):
+    """Raise ValueError naming name unless value has the declared type (see _matches)."""
+    if not _matches(value, hint):
+        shown = hint.__name__ if isinstance(hint, type) else hint
+        raise ValueError(f"{name} must be of type {shown}, got {value!r}")
+
+
 def run_file_stem(result: RunResult) -> str:
     cfg = result.config
     return (
@@ -78,10 +102,12 @@ def _atomic_write(path: Path, text: str):
 
 
 # The generations go to the CSV, a column per field, cast to its declared
-# type; the wall time is kept in memory only; the rest goes to the JSON.
+# type; the wall time is kept in memory only; the rest goes to the JSON,
+# where the front is a list of objects, each checked as a front member.
 _COLUMNS = typing.get_type_hints(GenerationStats)
-_JSON_KEYS = {f.name for f in fields(RunResult)} - {"generations", "wall_time_s"}
-_MEMBER_KEYS = {f.name for f in fields(FrontMember)}
+_JSON_TYPES = typing.get_type_hints(RunResult) | {"front": list}
+del _JSON_TYPES["generations"], _JSON_TYPES["wall_time_s"]
+_MEMBER_TYPES = typing.get_type_hints(FrontMember)
 _REQUIRED_MEMBER_KEYS = {f.name for f in fields(FrontMember) if f.default is MISSING}
 
 
@@ -110,7 +136,7 @@ def save_run(result: RunResult, directory) -> tuple[Path, Path]:
         if json.dumps(existing["config"], sort_keys=True) != json.dumps(result.config, sort_keys=True):
             raise ValueError(f"{json_path} holds a run of another configuration; use another output directory")
 
-    payload = {key: value for key, value in asdict(result).items() if key in _JSON_KEYS}
+    payload = {key: value for key, value in asdict(result).items() if key in _JSON_TYPES}
     _atomic_write(json_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     # Cast before repr: repr(np.float64(x)) is not repr(float(x)) under numpy 2.
     lines = [",".join(_COLUMNS)] + [
@@ -151,27 +177,28 @@ def _load_generations(csv_path: Path) -> list[GenerationStats]:
     return generations
 
 
-def _front_member(json_path: Path, index: int, item) -> FrontMember:
-    """One entry of a run file's front; an entry that is no front member names its keys."""
+def _checked(json_path: Path, where: str, item, types: dict, required) -> dict:
+    """item, once it is a JSON object with every required key, no key that
+    types does not name and each value of its type; else a ValueError
+    naming the file, where in it and the key."""
     keys = set(item) if isinstance(item, dict) else set()
-    missing, unknown = sorted(_REQUIRED_MEMBER_KEYS - keys), sorted(keys - _MEMBER_KEYS)
+    missing, unknown = sorted(required - keys), sorted(keys - types.keys())
+    message = f"{json_path} is not a run result{where}"
     if missing or unknown:
-        message = f"{json_path} is not a run result: front entry {index} is not a front member"
         raise ValueError(f"{message}: missing keys {missing}, unknown keys {unknown}")
-    return FrontMember(**{key: tuple(v) if isinstance(v, list) else v for key, v in item.items()})
+    for key, value in item.items():
+        check_type(f"{message}: key {key}", value, types[key])
+    return item
 
 
 def load_run(json_path) -> RunResult:
     """Rebuild a RunResult from its JSON file and sibling CSV file."""
     json_path = Path(json_path)
-    payload = json.loads(json_path.read_text())
-    keys = set(payload) if isinstance(payload, dict) else set()
-    if keys != _JSON_KEYS:
-        missing, unknown = sorted(_JSON_KEYS - keys), sorted(keys - _JSON_KEYS)
-        raise ValueError(f"{json_path} is not a run result: missing keys {missing}, unknown keys {unknown}")
-    front = payload.pop("front")
-    if not isinstance(front, list):
-        raise ValueError(f"{json_path} is not a run result: its front is a {type(front).__name__}, not a list")
-    front = [_front_member(json_path, index, item) for index, item in enumerate(front)]
+    payload = _checked(json_path, "", json.loads(json_path.read_text()), _JSON_TYPES, _JSON_TYPES.keys())
+    front = []
+    for index, item in enumerate(payload.pop("front")):
+        where = f": front entry {index} is not a front member"
+        item = _checked(json_path, where, item, _MEMBER_TYPES, _REQUIRED_MEMBER_KEYS)
+        front.append(FrontMember(**{key: tuple(v) if isinstance(v, list) else v for key, v in item.items()}))
     generations = _load_generations(json_path.with_suffix(".csv"))
     return RunResult(**payload, front=front, generations=generations)

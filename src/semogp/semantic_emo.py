@@ -1,10 +1,10 @@
 """Semantic mechanisms wired into the engines.
 
-Three approaches modify one mechanism each, leaving the engine loops
-untouched:
+Three approaches modify one mechanism each; build_engine installs each
+as a hook, leaving the engine loops untouched:
 
-* ssc  - crossover is retried until the exchanged subtrees' mean absolute
-         semantic difference falls inside the similarity bounds.
+* ssc  - crossover points are redrawn until the exchanged subtrees' mean
+         absolute semantic difference falls inside the similarity bounds.
 * scd  - the engine's diversity estimate (NSGA-II crowding, SPEA2 density)
          is replaced by each member's case-count distance to a pivot chosen
          from the sparsest region of the current first front; MOEA/D has
@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -35,13 +35,12 @@ from .emo import (
 from .gp_core import (
     GPParams,
     Individual,
-    Node,
+    Path,
     Population,
     PrimitiveSet,
     SemanticsMemo,
     Variation,
     _depth_after_replace,
-    _exchange,
     evaluate_semantics,
     node_count,
     pick_crossover_point,
@@ -106,22 +105,21 @@ def ssc_crossover(
     features: np.ndarray,
     stats: SscCounters,  # bench/tracing.py reads stats as positional argument 6
     memo: SemanticsMemo,
-) -> tuple[Node, Node]:
-    """Subtree crossover gated on the similarity of the exchanged subtrees.
+) -> tuple[Path, Path] | None:
+    """Where two parents exchange subtrees, gated on the subtrees' similarity.
 
     Candidate point pairs are drawn up to SSC_MAX_TRIALS times; a trial
     is accepted when the mean absolute difference between the two selected
-    subtrees' outputs lies in [lbss, ubss] and both offspring respect
-    max_depth. If no trial qualifies, the final trial's offspring are
-    returned as-is (or the parents, if those offspring were too deep).
-    Only the returned offspring are built.
+    subtrees' outputs lies in [lbss, ubss] and both offspring would respect
+    max_depth. Its points are returned; if no trial qualifies, the final
+    trial's (or None, keeping the parents, if those offspring would be too
+    deep). It builds no offspring: as Variation's hook, it only decides.
 
     Subtrees are scored through memo, which must have been built on
-    features; run_variant passes its evaluator's, so subtrees of parents
+    features; build_engine passes its evaluator's, so subtrees of parents
     it has just scored are looked up.
     """
     stats.calls += 1
-    exchange = None
     for _ in range(SSC_MAX_TRIALS):
         stats.trials += 1
         point1 = pick_crossover_point(p1.tree, rng)
@@ -135,11 +133,10 @@ def ssc_crossover(
             _depth_after_replace(p1.tree, point1, sub2) <= max_depth
             and _depth_after_replace(p2.tree, point2, sub1) <= max_depth
         )
-        exchange = (point1, point2) if fits else None
         if fits and cfg.bounds.lbss <= distance <= cfg.bounds.ubss:
             stats.accepted += 1
-            break
-    return (p1.tree, p2.tree) if exchange is None else _exchange(p1.tree, p2.tree, *exchange)
+            return point1, point2
+    return (point1, point2) if fits else None
 
 
 def _require_semantics(members: Population):
@@ -302,11 +299,17 @@ def build_engine(
     variation: Variation,
     rng: random.Random,
 ):
-    """Assemble an engine with the approach's hooks installed."""
+    """Assemble an engine with the approach's hook installed (ssc's on a copy of variation)."""
     check_engine(engine, cfg)
     engine_cls, scd_cls = _ENGINES[engine]
     space = SdoObjectives(cfg) if cfg.approach == "sdo" else None
     diversity = scd_cls(cfg) if cfg.approach == "scd" else None
+    if cfg.approach == "ssc":
+        memo, max_depth, stats = evaluator.memo, variation.params.max_depth, SscCounters()
+        variation = replace(
+            variation,
+            crossover=lambda a, b, r: ssc_crossover(a, b, cfg, r, max_depth, memo.features, stats, memo),
+        )
     return engine_cls(evaluator, variation, rng, space, diversity)
 
 
@@ -330,11 +333,6 @@ def run_variant(
     rng = random.Random(seed)
     evaluator = ClassificationEvaluator(dataset, threshold)
     variation = Variation(PrimitiveSet(dataset.n_features), gp)
-    ssc_stats = SscCounters()
-    if cfg.approach == "ssc":
-        variation.crossover = lambda a, b, r: ssc_crossover(
-            a, b, cfg, r, gp.max_depth, dataset.features, ssc_stats, evaluator.memo
-        )
     eng = build_engine(engine, cfg, evaluator, variation, rng)
 
     start = time.perf_counter()

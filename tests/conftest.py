@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semogp.dataset import Dataset, synthetic_blobs, write_synthetic_csv
-from semogp.gp_core import Call, Feature, Individual
+from semogp.gp_core import Call, Feature, Individual, _exchange
 from semogp.semantic_emo import APPROACHES, ENGINES
 
 # The 11 engine x approach pairs the paper compares: scd replaces a
@@ -68,6 +68,11 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
         a.view(np.int64), b.view(np.int64)
     )
+
+
+def exchanged(p1, p2, points):
+    """The offspring a crossover hook's points give; None keeps the parents' trees."""
+    return (p1.tree, p2.tree) if points is None else _exchange(p1.tree, p2.tree, *points)
 
 
 def make_individual(semantics=None, objectives=None, tree=None):

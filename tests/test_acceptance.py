@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import blob_dataset, make_individual
+from conftest import blob_dataset, exchanged, make_individual
 
 from semogp import (
     Dataset,
@@ -174,9 +174,9 @@ def test_criterion_05_gated_crossover_trial_accounting():
     # positive lower bound rejects every trial and the parents come back.
     cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.1, 0.5))
     stats = SscCounters()
-    c1, c2 = ssc_crossover(
-        feature_parent, make_individual(tree=Feature(0)), cfg, rng, 8, features, stats, memo
-    )
+    other_parent = make_individual(tree=Feature(0))
+    points = ssc_crossover(feature_parent, other_parent, cfg, rng, 8, features, stats, memo)
+    c1, c2 = exchanged(feature_parent, other_parent, points)
     assert (stats.calls, stats.trials, stats.accepted) == (1, SSC_MAX_TRIALS, 0)
     assert to_prefix(c1) == "x0" and to_prefix(c2) == "x0"
 
@@ -184,7 +184,8 @@ def test_criterion_05_gated_crossover_trial_accounting():
     # once: |0 - 0.1| and |0.2 - 0.1| average to 0.1.
     cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.05, 0.5))
     stats = SscCounters()
-    c1, c2 = ssc_crossover(feature_parent, constant_parent, cfg, rng, 8, features, stats, memo)
+    points = ssc_crossover(feature_parent, constant_parent, cfg, rng, 8, features, stats, memo)
+    c1, c2 = exchanged(feature_parent, constant_parent, points)
     assert (stats.calls, stats.trials, stats.accepted) == (1, 1, 1)
     assert to_prefix(c1) == "0.1" and to_prefix(c2) == "x0"
     print(

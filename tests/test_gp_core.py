@@ -43,7 +43,7 @@ from semogp.gp_core import (
     tree_depth,
 )
 
-from conftest import ScriptedRandom, left_comb, reference_shape, same_bits
+from conftest import ScriptedRandom, exchanged, left_comb, reference_shape, same_bits
 
 
 PS = PrimitiveSet(n_features=2)
@@ -646,7 +646,7 @@ def reference_breed_one(variation, a, b, rng):
     """Variation.breed_one as it was: the first of two built offspring."""
     if rng.random() < variation.params.crossover_rate:
         if variation.crossover is not None:
-            tree = variation.crossover(a, b, rng)[0]
+            tree = exchanged(a, b, variation.crossover(a, b, rng))[0]
         else:
             tree = reference_subtree_crossover(a.tree, b.tree, rng, variation.params.max_depth)[0]
     else:
@@ -655,8 +655,9 @@ def reference_breed_one(variation, a, b, rng):
 
 
 def swapped_crossover(a, b, rng):
-    """A crossover hook: plain crossover with the parents' roles swapped."""
-    return subtree_crossover(b.tree, a.tree, rng, 9)
+    """A crossover hook: plain crossover's points, drawn with the parents' roles swapped."""
+    points = gp_core._crossover_points(b.tree, a.tree, rng, 9)
+    return None if points is None else points[::-1]
 
 
 class TestOffspringOracles:
@@ -879,7 +880,7 @@ class TestVariation:
 
         def hook(a, b, rng):
             calls.append((a, b))
-            return b.tree, a.tree
+            return (), ()
 
         variation = Variation(PS, GPParams(crossover_rate=1.0, mutation_rate=0.0), crossover=hook)
         a = Individual(tree=Feature(0))

@@ -258,8 +258,34 @@ class TestPersistence:
                 "front entry 1 is not a front member: missing keys ['nodes', 'objectives', 'program'],"
                 " unknown keys []",
             ),
+            (
+                lambda front: front[0].update(test_objectives="ab"),
+                "front entry 0 is not a front member: key test_objectives must be of type"
+                " tuple[float, float] | None, got 'ab'",
+            ),
+            (
+                lambda front: front[1].update(objectives=[0.25, 0.5, 0.75]),
+                "front entry 1 is not a front member: key objectives must be of type"
+                " tuple[float, float], got [0.25, 0.5, 0.75]",
+            ),
+            (
+                lambda front: front[0].update(nodes=True),
+                "front entry 0 is not a front member: key nodes must be of type int, got True",
+            ),
+            (
+                lambda front: front[0].update(program=None),
+                "front entry 0 is not a front member: key program must be of type str, got None",
+            ),
         ],
-        ids=["unknown-key", "missing-key", "entry-not-an-object"],
+        ids=[
+            "unknown-key",
+            "missing-key",
+            "entry-not-an-object",
+            "string-pair",
+            "three-objectives",
+            "bool-nodes",
+            "null-program",
+        ],
     )
     def test_malformed_front_entry_is_rejected(self, tmp_path, edit, message):
         json_path, _ = save_run(make_result(), tmp_path)
@@ -274,7 +300,26 @@ class TestPersistence:
         payload = json.loads(json_path.read_text())
         payload["front"] = payload["front"][0]
         json_path.write_text(json.dumps(payload))
-        message = f"{json_path} is not a run result: its front is a dict, not a list"
+        message = f"{json_path} is not a run result: key front must be of type list, got {{'nodes': 1,"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_run(json_path)
+
+    @pytest.mark.parametrize(
+        "key,value,kind",
+        [
+            ("engine", 1, "str"),
+            ("approach", None, "str"),
+            ("seed", "0", "int"),
+            ("seed", False, "int"),
+            ("config", [], "dict"),
+        ],
+    )
+    def test_wrongly_typed_run_value_is_rejected(self, tmp_path, key, value, kind):
+        json_path, _ = save_run(make_result(), tmp_path)
+        payload = json.loads(json_path.read_text())
+        payload[key] = value
+        json_path.write_text(json.dumps(payload))
+        message = f"{json_path} is not a run result: key {key} must be of type {kind}, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_run(json_path)
 
@@ -808,6 +853,18 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: {json_path} is not a run result: front entry 0 is not a front member:"
             " missing keys [], unknown keys ['extra']\n"
+        )
+
+    def test_summarize_names_a_wrongly_typed_front_value(self, tmp_path, capsys):
+        json_path, _ = save_run(make_result(), tmp_path)
+        payload = json.loads(json_path.read_text())
+        payload["front"][0]["test_objectives"] = "ab"
+        json_path.write_text(json.dumps(payload))
+        code = main(["summarize", "--in", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {json_path} is not a run result: front entry 0 is not a front member:"
+            " key test_objectives must be of type tuple[float, float] | None, got 'ab'\n"
         )
 
     def test_summarize_names_a_malformed_csv_and_its_columns(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Gated crossover, semantic crowding, the third objective, run orchestration."""
 
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from semogp import gp_core
+from semogp import gp_core, semantic_emo
 from semogp.emo import (
     BaseObjectives,
     MoeadEngine,
@@ -47,7 +49,8 @@ from semogp.semantic_emo import (
     ssc_crossover,
 )
 
-from conftest import PAIRS, ScriptedRandom, blob_dataset, left_comb, make_individual
+from conftest import PAIRS, ScriptedRandom, blob_dataset, exchanged, left_comb, make_individual
+from test_gp_core import reference_breed_one
 
 # Parametrized ids read "approach-engine", e.g. "sdo-moead".
 PAIR_IDS = [f"{a}-{e}" for e, a in PAIRS]
@@ -84,9 +87,8 @@ class TestSscCrossover:
         cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.1, 0.5))
         parent = make_individual(tree=Feature(0))
         stats = SscCounters()
-        c1, c2 = ssc_crossover(
-            parent, parent, cfg, random.Random(0), 17, self.FEATURES, stats, self.memo
-        )
+        points = ssc_crossover(parent, parent, cfg, random.Random(0), 17, self.FEATURES, stats, self.memo)
+        c1, c2 = exchanged(parent, parent, points)
         assert stats.calls == 1
         assert stats.trials == SSC_MAX_TRIALS
         assert stats.accepted == 0
@@ -107,7 +109,8 @@ class TestSscCrossover:
         p1 = make_individual(tree=Feature(0))
         p2 = make_individual(tree=Constant(0.1))
         stats = SscCounters()
-        c1, c2 = ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES, stats, self.memo)
+        points = ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES, stats, self.memo)
+        c1, c2 = exchanged(p1, p2, points)
         assert stats.accepted == 1
         assert (c1, c2) == (Constant(0.1), Feature(0))
 
@@ -117,7 +120,8 @@ class TestSscCrossover:
         p2 = make_individual(tree=left_comb(17))
         script = [0.0, "last", 0.0, 0] * SSC_MAX_TRIALS
         rng = ScriptedRandom(script)
-        c1, c2 = ssc_crossover(p1, p2, cfg, rng, 17, self.FEATURES, SscCounters(), self.memo)
+        points = ssc_crossover(p1, p2, cfg, rng, 17, self.FEATURES, SscCounters(), self.memo)
+        c1, c2 = exchanged(p1, p2, points)
         assert not rng.script
         assert c1 is p1.tree
         assert c2 is p2.tree
@@ -131,7 +135,8 @@ class TestSscCrossover:
         for _ in range(100):
             p1 = make_individual(tree=grow_tree(ps, rng.randint(1, 5), rng))
             p2 = make_individual(tree=grow_tree(ps, rng.randint(1, 5), rng))
-            c1, c2 = ssc_crossover(p1, p2, cfg, rng, 6, self.FEATURES, SscCounters(), self.memo)
+            points = ssc_crossover(p1, p2, cfg, rng, 6, self.FEATURES, SscCounters(), self.memo)
+            c1, c2 = exchanged(p1, p2, points)
             assert tree_depth(c1) <= 6
             assert tree_depth(c2) <= 6
 
@@ -187,7 +192,7 @@ def ssc_against_reference(p1, p2, bounds, seed, max_depth):
     fast, slow = random.Random(seed), random.Random(seed)
     got_stats, want_stats = SscCounters(), SscCounters()
     memo = gp_core.SemanticsMemo(SSC_FEATURES)
-    got = ssc_crossover(p1, p2, cfg, fast, max_depth, SSC_FEATURES, got_stats, memo)
+    got = exchanged(p1, p2, ssc_crossover(p1, p2, cfg, fast, max_depth, SSC_FEATURES, got_stats, memo))
     want = reference_ssc_crossover(p1, p2, cfg, slow, max_depth, SSC_FEATURES, want_stats)
     assert got == want
     assert (got[0] is p1.tree, got[1] is p2.tree) == (want[0] is p1.tree, want[1] is p2.tree)
@@ -197,7 +202,7 @@ def ssc_against_reference(p1, p2, bounds, seed, max_depth):
 
 
 class TestSscOracle:
-    """Offspring built only for the returned pair, against the build-every-trial form."""
+    """Offspring built from the returned points, against the build-every-trial form."""
 
     @settings(max_examples=300, deadline=None)
     @given(ssc_trees, ssc_trees, st.sampled_from(SSC_BOUNDS), st.integers(0, 2**32 - 1), st.integers(3, 17))
@@ -220,6 +225,26 @@ class TestSscOracle:
             else:
                 outcomes.add("last trial kept")
         assert outcomes == {"accept", "fallback to parents", "last trial kept"}
+
+    def test_breed_one_builds_only_the_offspring_it_keeps(self, monkeypatch):
+        # The reference builds both offspring through conftest's own _exchange.
+        def build_pair(*args):
+            raise AssertionError("breed_one built both offspring")
+
+        monkeypatch.setattr(gp_core, "_exchange", build_pair)
+        cfg, memo, stats = SemanticConfig(approach="ssc"), gp_core.SemanticsMemo(SSC_FEATURES), SscCounters()
+        hook = lambda a, b, r: ssc_crossover(a, b, cfg, r, 8, SSC_FEATURES, stats, memo)
+        variation = gp_core.Variation(SSC_PS, GPParams(max_depth=8), crossover=hook)
+        rng = random.Random(23)
+        for _ in range(200):
+            a = make_individual(tree=gp_core.grow_tree(SSC_PS, rng.randint(1, 6), rng))
+            b = make_individual(tree=gp_core.grow_tree(SSC_PS, rng.randint(1, 6), rng))
+            seed = rng.getrandbits(32)
+            fast, slow = random.Random(seed), random.Random(seed)
+            got = variation.breed_one(a, b, fast)
+            assert got == reference_breed_one(variation, a, b, slow)
+            assert fast.getstate() == slow.getstate()
+        assert stats.accepted > 0
 
 
 class ScdFixture:
@@ -410,21 +435,16 @@ class TestScdGenerationTrace:
 
 
 class TestBuildEngine:
+    PARAMS = GPParams(pop_size=8, generations=2, init_min_depth=2, init_max_depth=3)
+
     def setup_method(self):
         self.ds = blob_dataset(n_cases=40, imbalance=3, seed=0)
 
     def make(self, engine, cfg):
-        from semogp.gp_core import PrimitiveSet, Variation
         from semogp.objectives import ClassificationEvaluator
 
-        params = GPParams(pop_size=8, generations=2, init_min_depth=2, init_max_depth=3)
-        return build_engine(
-            engine,
-            cfg,
-            ClassificationEvaluator(self.ds),
-            Variation(PrimitiveSet(self.ds.n_features), params),
-            random.Random(0),
-        )
+        self.variation = gp_core.Variation(gp_core.PrimitiveSet(self.ds.n_features), self.PARAMS)
+        return build_engine(engine, cfg, ClassificationEvaluator(self.ds), self.variation, random.Random(0))
 
     def test_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -443,8 +463,10 @@ class TestBuildEngine:
         assert engine.space.n_objectives == 2
 
     @pytest.mark.parametrize("engine,approach", PAIRS, ids=PAIR_IDS)
-    def test_each_approach_installs_its_hook(self, engine, approach):
+    def test_each_approach_installs_its_hook(self, engine, approach, monkeypatch):
         built = self.make(engine, SemanticConfig(approach=approach))
+        assert self.variation == gp_core.Variation(gp_core.PrimitiveSet(self.ds.n_features), self.PARAMS)
+        assert (built.variation.crossover is not None) == (approach == "ssc")
         engine_cls, scd_cls = {
             "nsga2": (Nsga2Engine, ScdCrowding),
             "spea2": (Spea2Engine, ScdDensity),
@@ -453,6 +475,22 @@ class TestBuildEngine:
         assert type(built) is engine_cls
         assert type(built.diversity) is (scd_cls if approach == "scd" else type(None))
         assert type(built.space) is (SdoObjectives if approach == "sdo" else BaseObjectives)
+        # The benchmark's tracer keeps ssc_crossover's positional argument 6
+        # as the run's tally; it must be the one object the hook fills.
+        tallies = []
+
+        def spy(*args):
+            tallies.append(args[6])
+            return ssc_crossover(*args)
+
+        monkeypatch.setattr(semantic_emo, "ssc_crossover", spy)
+        built.initialize()
+        built.step()
+        assert bool(tallies) == (approach == "ssc")
+        if tallies:
+            assert all(tally is tallies[0] for tally in tallies)
+            assert type(tallies[0]) is SscCounters
+            assert tallies[0].calls == len(tallies) and tallies[0].trials >= len(tallies)
 
 
 @pytest.fixture(scope="module")
@@ -462,6 +500,13 @@ def dataset():
 
 class TestRunVariant:
     GP = GPParams(pop_size=16, generations=4, init_min_depth=2, init_max_depth=4)
+
+    def test_readme_library_example_runs_as_written(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"^## Library\n+```python\n(.*?)^```$", readme, re.M | re.S)
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["result"].front
 
     @pytest.mark.parametrize("engine,approach", PAIRS, ids=PAIR_IDS)
     def test_every_valid_combination_runs(self, dataset, engine, approach):
