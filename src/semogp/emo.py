@@ -3,9 +3,9 @@
 All selection machinery works on minimization objective vectors of any
 shared length, so the same engines run unchanged on two or three
 objectives. Engines breed genetic-programming individuals through an
-injected variation policy and evaluator. Every engine takes the same two
-hooks, an objective space and a diversity estimate, so semantic variants
-can replace single mechanisms without touching the loops.
+injected variation policy and evaluator. Every engine takes an objective
+space hook, and NSGA-II and SPEA2 a diversity estimate hook too, so
+semantic variants can replace single mechanisms without touching the loops.
 """
 
 from __future__ import annotations
@@ -296,18 +296,14 @@ def canonical_crowding(members: Population, fronts, objs: np.ndarray, rng: rando
     return crowds
 
 
-def _base_front(members: Population) -> Population:
-    objs = np.stack([ind.objectives for ind in members])
-    fronts = fast_nondominated_sort(objs)
-    return [members[i] for i in fronts[0]]
-
-
 class _Engine:
     """State and loops shared by the engines.
 
     Holds the evaluator, variation policy, run parameters, generator and
-    the two hooks, builds and scores the initial population, and breeds
-    pop_size offspring from pairs picked by the subclass's _tournament.
+    the two hooks, and builds and scores the initial population. NSGA-II's
+    and SPEA2's selection leaves the members kept for the next generation
+    in kept and their tournament keys (smaller wins) in _keys; from these
+    the base breeds pop_size offspring and reports the front.
 
     objective_space is the selection space (None: the plain objective
     vectors). diversity replaces the engine's own diversity estimate and is
@@ -339,78 +335,79 @@ class _Engine:
         )
         return self.evaluator.evaluate_all(trees)
 
-    def _breed(self, mates: Population) -> Population:
+    def _tournament(self) -> int:
+        """Binary tournament on _keys: the second draw wins only with a smaller key."""
+        n = len(self.kept)
+        i = self.rng.randrange(n)
+        j = self.rng.randrange(n)
+        return j if self._keys[j] < self._keys[i] else i
+
+    def _breed(self) -> Population:
         n = self.params.pop_size
         trees = []
         while len(trees) < n:
-            a = mates[self._tournament()]
-            b = mates[self._tournament()]
+            a = self.kept[self._tournament()]
+            b = self.kept[self._tournament()]
             trees.extend(self.variation.breed_pair(a, b, self.rng))
         del trees[n:]
         return self.evaluator.evaluate_all(trees)
 
+    def front(self) -> Population:
+        """First front of the kept members in the plain two-objective space."""
+        objs = np.stack([ind.objectives for ind in self.kept])
+        return [self.kept[i] for i in fast_nondominated_sort(objs)[0]]
+
 
 class Nsga2Engine(_Engine):
-    """Generational NSGA-II: merge parents and offspring, fill by fronts.
+    """Generational NSGA-II: merge kept members and offspring, fill by fronts.
 
-    The diversity hook, called as canonical_crowding is, supplies the values
-    used in both the truncation of the last partial front and the binary
-    tournament.
+    The tournament key is (front rank, -crowding): a lower rank wins, and
+    within a rank the larger crowding value. The diversity hook, called as
+    canonical_crowding is, supplies the crowding values, used both there
+    and in the truncation of the last partial front.
     """
 
-    def _sort(self, members: Population) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
-        """Fronts, per-member front ranks and crowding values of a pool."""
+    def _sort(self, members: Population) -> tuple[list[list[int]], np.ndarray, list]:
+        """Fronts, crowding values and tournament keys of a pool."""
         objs = self.space.refresh(members, self.rng)
         fronts = fast_nondominated_sort(objs)
         crowds = (self.diversity or canonical_crowding)(members, fronts, objs, self.rng)
         ranks = np.zeros(len(members), dtype=np.int64)
         for rank, front in enumerate(fronts):
             ranks[front] = rank
-        return fronts, ranks, crowds
+        return fronts, crowds, list(zip(ranks.tolist(), (-crowds).tolist()))
 
     def initialize(self):
-        self.parents = self._initial_population(self.params.pop_size)
-        _, self._ranks, self._crowds = self._sort(self.parents)
-
-    def _tournament(self) -> int:
-        n = len(self.parents)
-        i = self.rng.randrange(n)
-        j = self.rng.randrange(n)
-        if self._ranks[j] < self._ranks[i]:
-            return j
-        if self._ranks[i] == self._ranks[j] and self._crowds[j] > self._crowds[i]:
-            return j
-        return i
+        self.kept = self._initial_population(self.params.pop_size)
+        _, _, self._keys = self._sort(self.kept)
 
     def step(self):
-        merged = self.parents + self._breed(self.parents)
-        fronts, ranks, crowds = self._sort(merged)
+        merged = self.kept + self._breed()
+        fronts, crowds, keys = self._sort(merged)
         keep = nsga2_survivors(fronts, crowds, self.params.pop_size)
-        self.parents = [merged[i] for i in keep]
-        self._ranks = ranks[keep]
-        self._crowds = crowds[keep]
-
-    def front(self) -> Population:
-        """Current first front in the plain two-objective space."""
-        return _base_front(self.parents)
+        self.kept = [merged[i] for i in keep]
+        self._keys = [keys[i] for i in keep]
 
 
 class Spea2Engine(_Engine):
-    """SPEA2 with an archive of pop_size members and tournament mating from it.
+    """SPEA2: kept is the archive of pop_size members, and mates are drawn from it.
 
-    The diversity hook, when given, is called with (union, objs, raw
-    fitness, rng) and replaces the density component of the fitness (raw
-    dominance fitness is kept); archive truncation keeps its canonical
-    nearest-neighbour rule.
+    The tournament key is the SPEA2 fitness. The diversity hook, when
+    given, is called with (union, objs, raw fitness, rng) and replaces the
+    density component of the fitness (raw dominance fitness is kept);
+    archive truncation keeps its canonical nearest-neighbour rule.
     """
 
     def initialize(self):
-        self.population = self._initial_population(self.params.pop_size)
-        self.archive = []
-        self._environmental_selection()
+        self.kept = []
+        self._environmental_selection(self._initial_population(self.params.pop_size))
 
-    def _environmental_selection(self):
-        union = self.population + self.archive
+    def step(self):
+        self._environmental_selection(self._breed())
+
+    def _environmental_selection(self, offspring: Population):
+        """Fill the archive from the offspring and the current archive."""
+        union = offspring + self.kept
         objs = self.space.refresh(union, self.rng)
         parts = spea2_fitness(objs)
         if self.diversity is not None:
@@ -420,30 +417,16 @@ class Spea2Engine(_Engine):
         nondominated = [i for i in range(len(union)) if parts.raw[i] == 0]
         size = self.params.pop_size
         if len(nondominated) > size:
-            kept = spea2_truncate(objs[nondominated], size)
-            keep = [nondominated[i] for i in kept]
+            truncated = spea2_truncate(objs[nondominated], size)
+            keep = [nondominated[i] for i in truncated]
         else:
             dominated = sorted(
                 (i for i in range(len(union)) if parts.raw[i] > 0),
                 key=lambda i: (fitness[i], i),
             )
             keep = nondominated + dominated[: size - len(nondominated)]
-        self.archive = [union[i] for i in keep]
-        self._archive_fitness = fitness[keep]
-
-    def _tournament(self) -> int:
-        n = len(self.archive)
-        i = self.rng.randrange(n)
-        j = self.rng.randrange(n)
-        return j if self._archive_fitness[j] < self._archive_fitness[i] else i
-
-    def step(self):
-        self.population = self._breed(self.archive)
-        self._environmental_selection()
-
-    def front(self) -> Population:
-        """Current first front of the archive in the two-objective space."""
-        return _base_front(self.archive)
+        self.kept = [union[i] for i in keep]
+        self._keys = fitness[keep].tolist()
 
 
 def canonical_archive_rank(members: Population, objs: np.ndarray, rng: random.Random) -> np.ndarray:
@@ -458,18 +441,20 @@ class MoeadEngine(_Engine):
     within a subproblem's MOEAD_NEIGHBORS nearest with probability
     MOEAD_DELTA, a child replaces at most MOEAD_MAX_REPLACEMENTS of them,
     and an external archive of distinct non-dominated solutions (capped at
-    the subproblem count) feeds reporting. The diversity hook, called as
-    canonical_archive_rank is, orders an overfull archive (larger values
-    kept).
+    the subproblem count) feeds reporting. An overfull archive keeps the
+    members with the largest canonical_archive_rank, their crowding
+    distances. MOEA/D has no diversity estimate for a hook to replace, so
+    it takes none.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        if self.diversity is not None:
+            raise ValueError("MOEA/D takes no diversity hook")
         self.weights = simplex_lattice_weights(self.space.n_objectives, self.params.pop_size)
         self.n_subproblems = len(self.weights)
         self._neighbor_lists = neighborhoods(self.weights, MOEAD_NEIGHBORS).tolist()
         self._all_subproblems = list(range(self.n_subproblems))
-        self.archive_rank = self.diversity or canonical_archive_rank
         self.archive_cap = self.n_subproblems
 
     def initialize(self):
@@ -539,7 +524,7 @@ class MoeadEngine(_Engine):
         self.archive.append(ind)
         objs = np.concatenate((objs[~beaten], f[None]))
         if len(self.archive) > self.archive_cap:
-            rank = self.archive_rank(self.archive, objs, self.rng)
+            rank = canonical_archive_rank(self.archive, objs, self.rng)
             order = sorted(range(len(self.archive)), key=lambda idx: (-rank[idx], idx))
             keep = sorted(order[: self.archive_cap])
             self.archive = [self.archive[idx] for idx in keep]

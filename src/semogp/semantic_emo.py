@@ -255,7 +255,8 @@ class ScdDensity:
 
 @dataclass
 class ScdArchiveRank:
-    """MOEA/D archive ordering by pivot distance counts (larger kept)."""
+    """MOEA/D archive ordering by pivot distance counts (larger kept); unused,
+    as MoeadEngine takes no diversity hook, but bench/tracing.py names it."""
 
     cfg: SemanticConfig
 

@@ -84,6 +84,20 @@ def _snapshot(tracing, mods):
     return {id(owner): (owner, dict(vars(owner))) for owner in owners}
 
 
+def test_engines_define_initialize_and_step_in_their_own_class_bodies():
+    # The probes and the tracer read cls.__dict__[method], so a method an
+    # engine inherited from its base would fail inside Tracer.install.
+    tracing = _load_tracing()
+    emo = importlib.import_module("semogp.emo")
+    for cls_name in tracing.ENGINES:
+        own = vars(getattr(emo, cls_name))
+        for method in ("initialize", "step"):
+            assert method in own, (
+                f"{cls_name}.{method} must be defined in {cls_name}'s own class body: "
+                f"bench/tracing.py wraps {cls_name}.__dict__[{method!r}] to time and trace each engine"
+            )
+
+
 def test_probes_and_tracer_patch_and_restore(blob_csv, tmp_path):
     tracing = _load_tracing()
     mods = {name: importlib.import_module(f"semogp.{name}") for name in tracing.MODULES}

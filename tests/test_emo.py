@@ -15,7 +15,6 @@ from semogp.emo import (
     MoeadEngine,
     Nsga2Engine,
     Spea2Engine,
-    canonical_archive_rank,
     canonical_crowding,
     chebyshev_values,
     crowding_distance,
@@ -139,7 +138,7 @@ def reference_archive_add(self, ind):
     self.archive.append(ind)
     if len(self.archive) > self.archive_cap:
         objs = np.stack([member.objectives for member in self.archive])
-        rank = self.archive_rank(self.archive, objs, self.rng)
+        rank = emo.canonical_archive_rank(self.archive, objs, self.rng)
         order = sorted(range(len(self.archive)), key=lambda idx: (-rank[idx], idx))
         keep = sorted(order[: self.archive_cap])
         self.archive = [self.archive[idx] for idx in keep]
@@ -228,7 +227,6 @@ class TestKernelOracles:
             engine.archive = list(members)
             engine._archive_objs = F[1:]
             engine.archive_cap = cap
-            engine.archive_rank = canonical_archive_rank
             engine.rng = random.Random(0)
             add(engine, child)
             engines.append(engine)
@@ -600,17 +598,18 @@ class TestEngines:
     def test_nsga2_population_size_is_stable(self):
         engine = make_engine(Nsga2Engine)
         engine.initialize()
-        assert len(engine.parents) == 12
+        assert len(engine.kept) == len(engine._keys) == 12
         engine.step()
-        assert len(engine.parents) == 12
+        assert len(engine.kept) == len(engine._keys) == 12
 
     def test_spea2_archive_defaults_to_pop_size(self):
         engine = make_engine(Spea2Engine)
         engine.initialize()
+        assert len(engine.kept) == len(engine._keys) == 12
         for _ in range(3):
+            assert len(engine._breed()) == 12
             engine.step()
-        assert len(engine.archive) <= 12
-        assert len(engine.population) == 12
+            assert len(engine.kept) == len(engine._keys) == 12
 
     def test_moead_subproblem_count_covers_pop_size(self):
         engine = make_engine(MoeadEngine)
@@ -618,6 +617,10 @@ class TestEngines:
         assert engine.n_subproblems >= 12
         assert len(engine.population) == engine.n_subproblems
         assert len(engine.weights) == engine.n_subproblems
+
+    def test_moead_rejects_a_diversity_hook(self):
+        with pytest.raises(ValueError, match="MOEA/D takes no diversity hook"):
+            make_engine(MoeadEngine, diversity=canonical_crowding)
 
     def test_moead_ideal_never_rises(self):
         engine = make_engine(MoeadEngine, seed=3)
@@ -690,15 +693,15 @@ class TestEngines:
         kwargs = {}
         if sdo:
             kwargs["objective_space"] = SdoObjectives(SemanticConfig(approach="sdo"))
-        engine = make_engine(MoeadEngine, seed=3, pop_size=pop_size, **kwargs)
-        rank = engine.archive_rank
+        rank = emo.canonical_archive_rank
         ranked = []
 
         def counted_rank(*args):
             ranked.append(1)
             return rank(*args)
 
-        engine.archive_rank = counted_rank
+        monkeypatch.setattr(emo, "canonical_archive_rank", counted_rank)
+        engine = make_engine(MoeadEngine, seed=3, pop_size=pop_size, **kwargs)
         engine.initialize()
         for _ in range(5):
             engine.step()
@@ -754,8 +757,47 @@ class TestEngines:
         assert sum(full) > steps
 
 
+NSGA2_SORT = Nsga2Engine._sort
+
+
+def sort_noting_ranks_and_crowding(self, members):
+    """Nsga2Engine._sort that also notes each member's front rank and crowding value."""
+    fronts, crowds, keys = NSGA2_SORT(self, members)
+    ranks = {}
+    for rank, front in enumerate(fronts):
+        for k in front:
+            ranks[id(members[k])] = rank
+    self.noted = {id(m): (ranks[id(m)], crowds[k]) for k, m in enumerate(members)}
+    return fronts, crowds, keys
+
+
+def reference_tournament(self):
+    """The per-engine binary tournaments the shared one replaced.
+
+    NSGA-II: the second draw wins on a lower front rank, or on the same
+    rank with a larger crowding value, both read from what
+    sort_noting_ranks_and_crowding noted. SPEA2: it wins on a lower fitness.
+    """
+    n = len(self.kept)
+    i = self.rng.randrange(n)
+    j = self.rng.randrange(n)
+    if isinstance(self, Nsga2Engine):
+        (rank_i, crowd_i), (rank_j, crowd_j) = (self.noted[id(self.kept[k])] for k in (i, j))
+        if rank_j < rank_i:
+            return j
+        if rank_i == rank_j and crowd_j > crowd_i:
+            return j
+        return i
+    fitness = np.array(self._keys)
+    return j if fitness[j] < fitness[i] else i
+
+
 def check_reference_kernels(cls, sdo, monkeypatch, seed, pop_size, steps=5):
-    """A run with the reference kernels swapped in steps as the plain run does."""
+    """A run with the reference kernels swapped in steps as the plain run does.
+
+    Both runs record every tournament winner and the last offspring bred,
+    and end with the same members, offspring, winners and generator state.
+    """
     calls = []
 
     def counted(reference):
@@ -766,20 +808,36 @@ def check_reference_kernels(cls, sdo, monkeypatch, seed, pop_size, steps=5):
         return wrapper
 
     def run():
+        winners, offspring = [], []
+        tournament, breed = emo._Engine._tournament, emo._Engine._breed
+
+        def recorded_tournament(engine):
+            winners.append(tournament(engine))
+            return winners[-1]
+
+        def recorded_breed(engine):
+            offspring[:] = bred = breed(engine)
+            return bred
+
         kwargs = {}
         if sdo:
             kwargs["objective_space"] = SdoObjectives(SemanticConfig(approach="sdo"))
         engine = make_engine(cls, seed=seed, pop_size=pop_size, **kwargs)
-        engine.initialize()
-        for _ in range(steps):
-            engine.step()
-        if cls is Nsga2Engine:
-            members = engine.parents
-        else:
+        with monkeypatch.context() as patched:
+            patched.setattr(emo._Engine, "_tournament", recorded_tournament)
+            patched.setattr(emo._Engine, "_breed", recorded_breed)
+            engine.initialize()
+            for _ in range(steps):
+                engine.step()
+        if cls is MoeadEngine:
             members = engine.population + engine.archive
+        else:
+            assert len(offspring) == pop_size
+            members = offspring + engine.kept
         return (
             [to_prefix(ind.tree) for ind in members],
             [ind.objectives.tobytes() for ind in members],
+            winners,
             engine.rng.getstate(),
         )
 
@@ -790,13 +848,16 @@ def check_reference_kernels(cls, sdo, monkeypatch, seed, pop_size, steps=5):
     monkeypatch.setattr(emo, "moead_replacements", counted(reference_moead_scan))
     monkeypatch.setattr(emo, "spea2_truncate", counted(reference_spea2_truncate))
     monkeypatch.setattr(MoeadEngine, "_archive_add", counted(reference_archive_add))
+    monkeypatch.setattr(emo._Engine, "_tournament", counted(reference_tournament))
+    monkeypatch.setattr(Nsga2Engine, "_sort", sort_noting_ranks_and_crowding)
     assert run() == plain
     expected = {
-        Nsga2Engine: {"reference_dominance_matrix"},
+        Nsga2Engine: {"reference_dominance_matrix", "reference_tournament"},
         Spea2Engine: {
             "reference_dominance_matrix",
             "reference_pairwise_distances",
             "reference_spea2_truncate",
+            "reference_tournament",
         },
         MoeadEngine: {
             "reference_pairwise_distances",

@@ -557,6 +557,24 @@ class TestRunVariant:
         monkeypatch.setattr(gp_core, "MEMO_BYTES", 0)
         assert default == one_entry == runs(0)
 
+    def test_ssc_acceptance_rate_at_the_desk_protocol(self, monkeypatch):
+        # NSGA-II ssc on all 200 cases of the 1:9 blobs, the defaults, GP
+        # seed 0. Most trials fall above the default upper bound, so only
+        # 142 of 1310 calls (11%) accept a trial; the rest fall back after
+        # SSC_MAX_TRIALS. A change to the gate, the bounds or the trial
+        # budget shows here as a moved count.
+        tallies = []
+
+        def spy(*args):
+            tallies.append(args[6])
+            return ssc_crossover(*args)
+
+        monkeypatch.setattr(semantic_emo, "ssc_crossover", spy)
+        data = blob_dataset(n_cases=200, imbalance=9, seed=0)
+        run_variant("nsga2", SemanticConfig(approach="ssc"), data, GPParams(), seed=0)
+        assert all(tally is tallies[0] for tally in tallies)
+        assert tallies[0] == SscCounters(calls=1310, trials=4999, accepted=142)
+
     def test_seed_changes_the_run(self, dataset):
         a = run_variant("nsga2", SemanticConfig(), dataset, gp=self.GP, seed=4)
         b = run_variant("nsga2", SemanticConfig(), dataset, gp=self.GP, seed=5)
