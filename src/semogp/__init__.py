@@ -11,6 +11,7 @@ from .gp_core import GPParams
 from .harness import ExperimentConfig, run_experiment
 from .metrics import GenerationStats
 from .results import RunResult
-from .semantic_emo import SemanticConfig, run_variant
+from .semantic_emo import run_variant
+from .semantics import SemanticConfig
 
 __version__ = "0.1.0"

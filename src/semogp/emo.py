@@ -459,8 +459,7 @@ class MoeadEngine(_Engine):
 
     def initialize(self):
         self.population = self._initial_population(self.n_subproblems)
-        self._selection_objs = self.space.refresh(self.population, self.rng)
-        self.ideal = self._selection_objs.min(axis=0).copy()
+        self.ideal = self.space.refresh(self.population, self.rng).min(axis=0)
         self.archive = []
         self._archive_objs = np.empty((0, self.population[0].objectives.size))
         for ind in self.population:
@@ -479,7 +478,7 @@ class MoeadEngine(_Engine):
         """
         # Pivot-dependent spaces shift per generation, so re-derive the
         # selection objectives; the ideal point only ever min-updates.
-        sel = self._selection_objs = self.space.refresh(self.population, self.rng)
+        sel = self.space.refresh(self.population, self.rng)
         self.ideal = np.minimum(self.ideal, sel.min(axis=0))
         own = chebyshev_values(sel, self.weights, self.ideal)
         for i in range(self.n_subproblems):

@@ -17,6 +17,7 @@ import statistics
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
+from itertools import permutations
 from pathlib import Path
 
 from .dataset import Dataset, load_csv, minmax_apply, minmax_fit, stratified_split
@@ -24,20 +25,14 @@ from .gp_core import GPParams, parse_prefix
 from .metrics import HV_REFERENCE, hypervolume_2d
 from .objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
 from .results import RunResult, check_type, load_run, save_run
-from .semantic_emo import SemanticConfig, check_engine, run_variant
-from .semantics import SimilarityBounds
+from .semantic_emo import check_engine, run_variant
+from .semantics import SemanticConfig
 
 
-# Every GP and semantic setting, flat: named, typed and defaulted by
-# its param class, with SemanticConfig.bounds as lbss and ubss.
+# Every GP and semantic setting, flat: named, typed and defaulted by its param class.
 _Settings = make_dataclass(
     "_Settings",
-    [
-        (f.name, f.type, field(default=f.default))
-        for cls in (SemanticConfig, SimilarityBounds, GPParams)
-        for f in fields(cls)
-        if f.name != "bounds"
-    ],
+    [(f.name, f.type, field(default=f.default)) for cls in (SemanticConfig, GPParams) for f in fields(cls)],
     kw_only=True,
 )
 
@@ -104,9 +99,6 @@ class ExperimentConfig(_Settings):
         self.gp_params()
         check_engine(self.engine, self.semantic_config())
 
-    def bounds(self) -> SimilarityBounds:
-        return SimilarityBounds(lbss=_bound("lbss", self.lbss), ubss=_bound("ubss", self.ubss))
-
     def _params(self, cls, **given):
         values = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}
         return cls(**values, **given)
@@ -115,22 +107,19 @@ class ExperimentConfig(_Settings):
         return self._params(GPParams)
 
     def semantic_config(self) -> SemanticConfig:
-        return self._params(SemanticConfig, bounds=self.bounds())
+        return self._params(SemanticConfig, lbss=_bound("lbss", self.lbss), ubss=_bound("ubss", self.ubss))
 
     def echo(self, seed: int) -> dict:
         """Config record stored with each run, sufficient to re-run it.
 
-        Operational knobs that cannot change the computed results
-        (output_dir, n_workers) are excluded so files for the same
-        configuration and seed stay byte-identical wherever and however
-        they were produced.
+        Every field, with lbss and ubss as the floats semantic_config()
+        parsed and seeds as [seed]. Operational knobs that cannot change
+        the computed results (output_dir, n_workers) are excluded so files
+        for the same configuration and seed stay byte-identical wherever
+        and however they were produced.
         """
-        payload = asdict(self)
-        payload.update(asdict(self.bounds()))
-        payload["seeds"] = [seed]
-        del payload["output_dir"]
-        del payload["n_workers"]
-        return payload
+        payload = asdict(self) | asdict(self.semantic_config()) | {"seeds": [seed]}
+        return {k: v for k, v in payload.items() if k not in ("output_dir", "n_workers")}
 
 
 def _bound(name: str, value) -> float:
@@ -150,7 +139,7 @@ def expand_grid(cfg: ExperimentConfig) -> list[ExperimentConfig]:
         value = getattr(cfg, name)
         entries = value if isinstance(value, (list, tuple)) else [value]
         if not entries:
-            raise ValueError("lbss/ubss lists must be non-empty")
+            raise ValueError(f"{name} must be a non-empty list")
         values[name] = [_bound(name, entry) for entry in entries]
     return [replace(cfg, lbss=lb, ubss=ub) for lb in values["lbss"] for ub in values["ubss"]]
 
@@ -284,7 +273,8 @@ def summarize(results) -> Summary:
     but the seed; otherwise a ValueError names the keys they differ in.
 
     Also builds the pairwise table of median unique-solution counts between
-    approaches, engine by engine: each row reports median(a) / median(b).
+    approaches, compared only within one (engine, lbss, ubss, distance_rule)
+    cell: each row names its cell and reports median(a) / median(b).
     """
     results = list(results)
     if not results:
@@ -320,26 +310,26 @@ def summarize(results) -> Summary:
             }
         configs.append(ConfigSummary(key=key, n_runs=len(groups[key]), metrics=metrics))
 
-    by_engine_approach: dict[tuple[str, str], list[float]] = {}
-    for result in results:
-        pair = (result.engine, result.approach)
-        by_engine_approach.setdefault(pair, []).append(
-            float(result.generations[-1].unique_count)
-        )
-    medians = {pair: statistics.median(vals) for pair, vals in by_engine_approach.items()}
+    # One cell per (engine, lbss, ubss, distance_rule): median unique counts by approach.
+    cells: dict[tuple, dict[str, float]] = {}
+    for cs in configs:
+        key = cs.key
+        cell = cells.setdefault((key.engine, key.lbss, key.ubss, key.distance_rule), {})
+        cell[key.approach] = cs.metrics["unique_count"]["median"]
     ratios = []
-    engines = sorted({pair[0] for pair in medians})
-    for engine in engines:
-        approaches = sorted(pair[1] for pair in medians if pair[0] == engine)
-        for a in approaches:
-            for b in approaches:
-                if a == b:
-                    continue
-                denom = medians[(engine, b)]
-                ratio = math.inf if denom == 0 else medians[(engine, a)] / denom
-                ratios.append(
-                    {"engine": engine, "approach_a": a, "approach_b": b, "ratio": ratio}
-                )
+    for (engine, lbss, ubss, rule), medians in sorted(cells.items()):
+        for a, b in permutations(medians, 2):
+            ratios.append(
+                {
+                    "engine": engine,
+                    "lbss": lbss,
+                    "ubss": ubss,
+                    "distance_rule": rule,
+                    "approach_a": a,
+                    "approach_b": b,
+                    "ratio": math.inf if medians[b] == 0 else medians[a] / medians[b],
+                }
+            )
     return Summary(configs=configs, unique_ratios=ratios)
 
 
@@ -369,7 +359,7 @@ def format_summary(summary: Summary) -> str:
         lines.append("median unique-solution ratios (approach A / approach B):")
         for row in summary.unique_ratios:
             lines.append(
-                f"  {row['engine']}: {row['approach_a']} / {row['approach_b']}"
-                f" = {row['ratio']:.2f}"
+                f"  {row['engine']} lbss={row['lbss']:g} ubss={row['ubss']:g} {row['distance_rule']}:"
+                f" {row['approach_a']} / {row['approach_b']} = {row['ratio']:.2f}"
             )
     return "\n".join(lines)

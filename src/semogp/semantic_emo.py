@@ -50,41 +50,10 @@ from .gp_core import (
 from .metrics import HV_REFERENCE, GenerationStats, hypervolume_2d, unique_solutions
 from .objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
 from .results import FrontMember, RunResult
-from .semantics import (
-    DISTANCE_RULES,
-    RULE_BAND,
-    Pivot,
-    SimilarityBounds,
-    count_distances,
-    select_pivot,
-    ssc_distance,
-)
-
-APPROACHES = ("canonical", "ssc", "scd", "sdo")
+from .semantics import Pivot, SemanticConfig, count_distances, select_pivot, ssc_distance
 
 # Candidate point pairs ssc_crossover draws before it falls back.
 SSC_MAX_TRIALS = 4
-
-
-@dataclass(frozen=True)
-class SemanticConfig:
-    """Which semantic approach runs and how distances are measured.
-
-    distance_rule selects the case-count distance: "above" counts cases
-    whose output difference exceeds the upper bound, "band" counts cases
-    whose difference lies inside [lower, upper]. The similarity bounds are
-    shared by the crossover gate and the case-count distances.
-    """
-
-    approach: str = "canonical"
-    bounds: SimilarityBounds = SimilarityBounds()
-    distance_rule: str = RULE_BAND
-
-    def __post_init__(self):
-        if self.approach not in APPROACHES:
-            raise ValueError(f"unknown approach {self.approach!r}")
-        if self.distance_rule not in DISTANCE_RULES:
-            raise ValueError(f"unknown distance rule {self.distance_rule!r}")
 
 
 @dataclass
@@ -133,7 +102,7 @@ def ssc_crossover(
             _depth_after_replace(p1.tree, point1, sub2) <= max_depth
             and _depth_after_replace(p2.tree, point2, sub1) <= max_depth
         )
-        if fits and cfg.bounds.lbss <= distance <= cfg.bounds.ubss:
+        if fits and cfg.lbss <= distance <= cfg.ubss:
             stats.accepted += 1
             return point1, point2
     return (point1, point2) if fits else None
@@ -157,7 +126,7 @@ def scd_assign(members: Population, pivot: Pivot, cfg: SemanticConfig) -> np.nda
         raise ValueError("members must be non-empty")
     _require_semantics(members)
     rows = [ind.semantics for ind in members]
-    return count_distances(rows, pivot.semantics, cfg.bounds, cfg.distance_rule)
+    return count_distances(rows, pivot.semantics, cfg)
 
 
 def sdo_extend(members: Population, pivot: Pivot, cfg: SemanticConfig) -> np.ndarray:
@@ -221,9 +190,8 @@ class SdoObjectives:
     def vector(self, ind: Individual) -> np.ndarray:
         if self.pivot is None:
             raise ValueError("refresh must run before extending single members")
-        pivot, cfg = self.pivot, self.cfg
-        counts = count_distances([ind.semantics], pivot.semantics, cfg.bounds, cfg.distance_rule)
-        third = -float(counts[0]) / pivot.semantics.size
+        counts = count_distances([ind.semantics], self.pivot.semantics, self.cfg)
+        third = -float(counts[0]) / self.pivot.semantics.size
         return np.append(ind.objectives, third)
 
 
@@ -375,7 +343,4 @@ def run_variant(
 
 def _default_echo(engine: str, cfg: SemanticConfig, gp: GPParams, seed: int, threshold: float) -> dict:
     """Every setting that shaped a library run, named as in ExperimentConfig, plus its seed."""
-    echo = {"engine": engine, **asdict(cfg), **asdict(gp)}
-    echo.update(echo.pop("bounds"))
-    echo.update(threshold=threshold, seed=seed)
-    return echo
+    return {"engine": engine, **asdict(cfg), **asdict(gp), "threshold": threshold, "seed": seed}

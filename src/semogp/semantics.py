@@ -1,4 +1,7 @@
-"""Semantic distances between program behaviours, and pivot selection.
+"""Semantic settings, distances between program behaviours, and pivot selection.
+
+SemanticConfig names the approach and holds the similarity band and the
+distance rule that every semantic mechanism reads.
 
 A program's semantics is its output vector over the fitness cases. Two
 case-count distances compare a program against a reference program: the
@@ -19,19 +22,25 @@ import numpy as np
 RULE_ABOVE = "above"
 RULE_BAND = "band"
 DISTANCE_RULES = (RULE_ABOVE, RULE_BAND)
+APPROACHES = ("canonical", "ssc", "scd", "sdo")
 
 
 @dataclass(frozen=True)
-class SimilarityBounds:
-    """Lower and upper bounds on per-case semantic similarity.
+class SemanticConfig:
+    """Which semantic approach runs and how distances are measured.
 
-    lbss is the lower bound and ubss the upper bound on the absolute
-    difference between two programs' outputs on one case; ubss may be
-    math.inf to make every difference fall at or below it.
+    The similarity band [lbss, ubss] bounds an absolute output difference:
+    per case for the case-count distances, averaged over the cases for the
+    ssc crossover gate. ubss may be math.inf to make every difference fall
+    at or below it. distance_rule selects the case-count distance: "above"
+    counts cases whose output difference exceeds ubss, "band" counts cases
+    whose difference lies inside [lbss, ubss].
     """
 
+    approach: str = "canonical"
     lbss: float = 0.01
     ubss: float = 0.5
+    distance_rule: str = RULE_BAND
 
     def __post_init__(self):
         if math.isnan(self.lbss) or math.isnan(self.ubss):
@@ -40,6 +49,10 @@ class SimilarityBounds:
             raise ValueError("lbss must be non-negative")
         if self.ubss < self.lbss:
             raise ValueError("need lbss <= ubss")
+        if self.approach not in APPROACHES:
+            raise ValueError(f"unknown approach {self.approach!r}")
+        if self.distance_rule not in DISTANCE_RULES:
+            raise ValueError(f"unknown distance rule {self.distance_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -74,20 +87,18 @@ def block_rows(n_cases: int) -> int:
     return max(1, BLOCK_BYTES // (8 * max(n_cases, 1)))
 
 
-def count_distances(
-    semantics_rows, pivot_semantics: np.ndarray, bounds: SimilarityBounds, rule: str
-) -> np.ndarray:
+def count_distances(semantics_rows, pivot_semantics: np.ndarray, cfg: SemanticConfig) -> np.ndarray:
     """Case-count distance of each row to the pivot, as a float64 vector.
 
+    The count follows cfg.distance_rule over the band [cfg.lbss, cfg.ubss].
     semantics_rows is a 2-D array or a sequence of equal-length rows. The
     rows are concatenated block_rows at a time into one reused difference
     buffer, then subtracted, made absolute and compared in place into one
     reused mask and counted per row, so no temporary of the whole input is
     built. The band count is the cases at or above lbss less those above
-    ubss, which lbss <= ubss makes exact.
+    ubss, which SemanticConfig's lbss <= ubss check makes exact.
     """
-    if rule not in DISTANCE_RULES:
-        raise ValueError(f"unknown distance rule {rule!r}")
+    lbss, ubss, band = cfg.lbss, cfg.ubss, cfg.distance_rule == RULE_BAND
     pivot = np.asarray(pivot_semantics, dtype=np.float64)
     n_rows = len(semantics_rows)
     if n_rows == 1:
@@ -97,9 +108,9 @@ def count_distances(
         if len(row) != pivot.size:
             raise ValueError("every semantics row must have the pivot's length")
         diff = np.abs(np.subtract(row, pivot))
-        count = np.count_nonzero(diff > bounds.ubss)
-        if rule == RULE_BAND:
-            count = np.count_nonzero(diff >= bounds.lbss) - count
+        count = np.count_nonzero(diff > ubss)
+        if band:
+            count = np.count_nonzero(diff >= lbss) - count
         return np.array([count], dtype=np.float64)
     block = block_rows(pivot.size)
     counts = np.empty(n_rows, dtype=np.float64)
@@ -115,13 +126,13 @@ def count_distances(
         np.concatenate(rows, out=d.reshape(-1))
         np.subtract(d, pivot, out=d)
         np.abs(d, out=d)
-        np.greater(d, bounds.ubss, out=m)
+        np.greater(d, ubss, out=m)
         above = np.add.reduce(m, axis=1, dtype=np.intp)
-        if rule == RULE_ABOVE:
-            counts[start:stop] = above
-        else:
-            np.greater_equal(d, bounds.lbss, out=m)
+        if band:
+            np.greater_equal(d, lbss, out=m)
             counts[start:stop] = np.add.reduce(m, axis=1, dtype=np.intp) - above
+        else:
+            counts[start:stop] = above
     return counts
 
 

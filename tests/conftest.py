@@ -7,7 +7,8 @@ import pytest
 
 from semogp.dataset import Dataset, synthetic_blobs, write_synthetic_csv
 from semogp.gp_core import Call, Feature, Individual, _exchange
-from semogp.semantic_emo import APPROACHES, ENGINES
+from semogp.semantic_emo import ENGINES
+from semogp.semantics import APPROACHES
 
 # The 11 engine x approach pairs the paper compares: scd replaces a
 # crowding mechanism that moead does not have.

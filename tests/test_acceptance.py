@@ -41,7 +41,7 @@ from semogp.harness import ExperimentConfig
 from semogp.metrics import HV_REFERENCE, hypervolume_2d, unique_solutions
 from semogp.objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
 from semogp.semantic_emo import SSC_MAX_TRIALS, SscCounters, sdo_extend, ssc_crossover
-from semogp.semantics import RULE_ABOVE, RULE_BAND, Pivot, SimilarityBounds, count_distances
+from semogp.semantics import RULE_ABOVE, RULE_BAND, Pivot, SemanticConfig, count_distances
 
 from test_emo import peel_front_oracle
 
@@ -142,9 +142,10 @@ def test_criterion_04_distance_rules_partition_the_cases():
         v = np.array([rng.uniform(-2.0, 2.0) for _ in range(length)])
         lbss = rng.uniform(0.0, 1.0)
         ubss = lbss if case % 10 == 0 else lbss + rng.uniform(0.0, 1.0)
-        bounds = SimilarityBounds(lbss, ubss)
-        above = count_distances(p[None, :], v, bounds, RULE_ABOVE)[0]
-        band = count_distances(p[None, :], v, bounds, RULE_BAND)[0]
+        above, band = (
+            count_distances(p[None, :], v, SemanticConfig(lbss=lbss, ubss=ubss, distance_rule=rule))[0]
+            for rule in (RULE_ABOVE, RULE_BAND)
+        )
         below = int((np.abs(p - v) < lbss).sum())
         assert above + band + below == length, (
             f"case {case}: above={above} band={band} below={below} length={length} "
@@ -165,14 +166,14 @@ def test_criterion_05_gated_crossover_trial_accounting():
     constant_parent = make_individual(tree=Constant(0.1))
 
     # Vacuous bounds accept the very first trial.
-    cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.0, math.inf))
+    cfg = SemanticConfig(approach="ssc", lbss=0.0, ubss=math.inf)
     stats = SscCounters()
     ssc_crossover(feature_parent, constant_parent, cfg, rng, 8, features, stats, memo)
     assert (stats.calls, stats.trials, stats.accepted) == (1, 1, 1)
 
     # Single-node identical parents always exchange identical semantics, so a
     # positive lower bound rejects every trial and the parents come back.
-    cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.1, 0.5))
+    cfg = SemanticConfig(approach="ssc", lbss=0.1, ubss=0.5)
     stats = SscCounters()
     other_parent = make_individual(tree=Feature(0))
     points = ssc_crossover(feature_parent, other_parent, cfg, rng, 8, features, stats, memo)
@@ -182,7 +183,7 @@ def test_criterion_05_gated_crossover_trial_accounting():
 
     # A swap whose exchanged semantics land inside the band is accepted at
     # once: |0 - 0.1| and |0.2 - 0.1| average to 0.1.
-    cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.05, 0.5))
+    cfg = SemanticConfig(approach="ssc", lbss=0.05, ubss=0.5)
     stats = SscCounters()
     points = ssc_crossover(feature_parent, constant_parent, cfg, rng, 8, features, stats, memo)
     c1, c2 = exchanged(feature_parent, constant_parent, points)

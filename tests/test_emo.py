@@ -713,10 +713,13 @@ class TestEngines:
     def test_moead_held_chebyshev_values_follow_incumbents(self, sdo, pop_size, monkeypatch):
         # Each child's replacements are followed by its _archive_add, so the
         # values are checked as the scan reads them and after its writes.
+        # step's selection matrix is the one its full computations score;
+        # step writes replacements into it in place.
         held = []
+        selection = []
 
         def expected(engine):
-            sel, W, z = engine._selection_objs, engine.weights, engine.ideal
+            sel, W, z = selection[0], engine.weights, engine.ideal
             return np.array([tchebycheff(sel[j], W[j], z) for j in range(len(W))])
 
         def scan(own, new, order, cap):
@@ -728,6 +731,8 @@ class TestEngines:
 
         def values(objs, weights, ideal):
             full.append(np.ndim(objs) == 2)
+            if full[-1]:
+                selection[:] = [objs]
             return chebyshev_values(objs, weights, ideal)
 
         add = MoeadEngine._archive_add

@@ -27,7 +27,8 @@ from semogp.harness import (
 from semogp.metrics import GenerationStats
 from semogp.objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
 from semogp.results import FrontMember, RunResult, load_run, run_file_stem, save_run
-from semogp.semantic_emo import APPROACHES, ENGINES, SemanticConfig, run_variant
+from semogp.semantic_emo import ENGINES, run_variant
+from semogp.semantics import APPROACHES, SemanticConfig
 
 from conftest import grid_cell_hypervolume
 
@@ -470,6 +471,8 @@ class TestExperimentConfig:
             cfg._check_types()
             with pytest.raises(ValueError, match=f"{name} must be a number.*'abc'"):
                 expand_grid(cfg)
+            with pytest.raises(ValueError, match=f"^{name} must be a non-empty list$"):
+                expand_grid(ExperimentConfig(dataset="d.csv", **{name: []}))
 
     def test_single_values_are_not_a_grid(self):
         cfg = ExperimentConfig(dataset="d.csv")
@@ -477,7 +480,7 @@ class TestExperimentConfig:
 
     def test_string_bounds_parse(self):
         cfg = ExperimentConfig(dataset="d.csv", lbss=0.0, ubss="inf")
-        assert math.isinf(cfg.bounds().ubss)
+        assert math.isinf(cfg.semantic_config().ubss)
 
     def test_echo_excludes_operational_knobs(self):
         cfg = ExperimentConfig(dataset="d.csv", seeds=[3, 4], output_dir="/tmp/x", n_workers=8)
@@ -628,6 +631,36 @@ class TestSummarize:
         }
         assert ratios[("nsga2", "sdo", "canonical")] == pytest.approx(2.5)
         assert ratios[("nsga2", "canonical", "sdo")] == pytest.approx(0.4)
+
+    def test_ratios_compare_approaches_within_one_grid_cell(self):
+        # Pooled over the two lbss values, ssc's median would be 12 and
+        # canonical / ssc 0.83; each cell has its own ratio.
+        results = [
+            make_result(approach=approach, lbss=lbss, unique=unique)
+            for approach, lbss, unique in (
+                ("canonical", 0.01, 10),
+                ("canonical", 0.1, 10),
+                ("ssc", 0.01, 4),
+                ("ssc", 0.1, 20),
+            )
+        ]
+        summary = summarize(results)
+        row_keys = ("engine", "lbss", "ubss", "distance_rule", "approach_a", "approach_b")
+        ratios = {tuple(r[k] for k in row_keys): r["ratio"] for r in summary.unique_ratios}
+        assert ratios == {
+            ("nsga2", 0.01, 0.5, "band", "canonical", "ssc"): 2.5,
+            ("nsga2", 0.01, 0.5, "band", "ssc", "canonical"): 0.4,
+            ("nsga2", 0.1, 0.5, "band", "canonical", "ssc"): 0.5,
+            ("nsga2", 0.1, 0.5, "band", "ssc", "canonical"): 2.0,
+        }
+        text = format_summary(summary)
+        assert "nsga2 lbss=0.01 ubss=0.5 band: canonical / ssc = 2.50" in text
+        assert "nsga2 lbss=0.1 ubss=0.5 band: canonical / ssc = 0.50" in text
+        assert "0.83" not in text
+
+    def test_approach_alone_in_its_cell_has_no_ratio(self):
+        results = [make_result(approach="canonical", lbss=0.01), make_result(approach="ssc", lbss=0.1)]
+        assert summarize(results).unique_ratios == []
 
     def test_zero_median_gives_infinite_ratio(self):
         results = [
@@ -798,6 +831,12 @@ class TestCli:
         assert code == 1
         assert "lbss must be a number" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
+        cfg_path.write_text(json.dumps({"dataset": str(blob_csv), "output_dir": str(out_dir)}))
+        for name in ("lbss", "ubss"):
+            code = main(["run", "--config", str(cfg_path), f"--{name}", ","])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {name} must be a non-empty list\n"
+            assert list(out_dir.iterdir()) == []
 
     def test_unparsable_bound_override_names_its_key(self, blob_csv, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

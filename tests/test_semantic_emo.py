@@ -30,16 +30,14 @@ from semogp.gp_core import (
 from semogp.harness import ExperimentConfig
 from semogp.metrics import GenerationStats
 from semogp.objectives import ClassificationEvaluator
-from semogp.semantics import RULE_ABOVE, RULE_BAND, Pivot, SimilarityBounds, ssc_distance
+from semogp.semantics import APPROACHES, RULE_ABOVE, RULE_BAND, Pivot, SemanticConfig, ssc_distance
 from semogp.semantic_emo import (
-    APPROACHES,
     ENGINES,
     SSC_MAX_TRIALS,
     ScdArchiveRank,
     ScdCrowding,
     ScdDensity,
     SdoObjectives,
-    SemanticConfig,
     SscCounters,
     build_engine,
     run_variant,
@@ -62,7 +60,7 @@ class TestSemanticConfig:
     def test_defaults(self):
         cfg = SemanticConfig()
         assert cfg.approach == "canonical"
-        assert cfg.bounds == SimilarityBounds(0.01, 0.5)
+        assert (cfg.lbss, cfg.ubss) == (0.01, 0.5)
         assert cfg.distance_rule == RULE_BAND
         assert SSC_MAX_TRIALS == 4
 
@@ -84,7 +82,7 @@ class TestSscCrossover:
         self.memo = gp_core.SemanticsMemo(self.FEATURES)
 
     def test_identical_parents_never_accepted(self):
-        cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.1, 0.5))
+        cfg = SemanticConfig(approach="ssc", lbss=0.1, ubss=0.5)
         parent = make_individual(tree=Feature(0))
         stats = SscCounters()
         points = ssc_crossover(parent, parent, cfg, random.Random(0), 17, self.FEATURES, stats, self.memo)
@@ -96,7 +94,7 @@ class TestSscCrossover:
         assert c2 == parent.tree
 
     def test_vacuous_bounds_accept_first_trial(self):
-        cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.0, float("inf")))
+        cfg = SemanticConfig(approach="ssc", lbss=0.0, ubss=float("inf"))
         parent = make_individual(tree=Feature(0))
         stats = SscCounters()
         ssc_crossover(parent, parent, cfg, random.Random(0), 17, self.FEATURES, stats, self.memo)
@@ -115,7 +113,7 @@ class TestSscCrossover:
         assert (c1, c2) == (Constant(0.1), Feature(0))
 
     def test_depth_violations_fall_back_to_parents(self):
-        cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.0, float("inf")))
+        cfg = SemanticConfig(approach="ssc", lbss=0.0, ubss=float("inf"))
         p1 = make_individual(tree=left_comb(17))
         p2 = make_individual(tree=left_comb(17))
         script = [0.0, "last", 0.0, 0] * SSC_MAX_TRIALS
@@ -127,7 +125,7 @@ class TestSscCrossover:
         assert c2 is p2.tree
 
     def test_offspring_respect_max_depth(self):
-        cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.0, float("inf")))
+        cfg = SemanticConfig(approach="ssc", lbss=0.0, ubss=float("inf"))
         rng = random.Random(6)
         from semogp.gp_core import PrimitiveSet, grow_tree, tree_depth
 
@@ -143,7 +141,7 @@ class TestSscCrossover:
     def test_memo_of_another_feature_matrix_rejected(self):
         p1 = make_individual(tree=Feature(0), semantics=(0.0, 0.2))
         p2 = make_individual(tree=Constant(0.0), semantics=(0.0, 0.0))
-        cfg = SemanticConfig(approach="ssc", bounds=SimilarityBounds(0.3, 0.4))
+        cfg = SemanticConfig(approach="ssc", lbss=0.3, ubss=0.4)
         with pytest.raises(ValueError, match="another feature matrix"):
             ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES.copy(), SscCounters(), self.memo)
 
@@ -165,7 +163,7 @@ def reference_ssc_crossover(p1, p2, cfg, rng, max_depth, features, stats):
         child1 = gp_core.replace_subtree(p1.tree, point1, sub2)
         child2 = gp_core.replace_subtree(p2.tree, point2, sub1)
         depth_ok = gp_core.tree_depth(child1) <= max_depth and gp_core.tree_depth(child2) <= max_depth
-        if depth_ok and cfg.bounds.lbss <= distance <= cfg.bounds.ubss:
+        if depth_ok and cfg.lbss <= distance <= cfg.ubss:
             stats.accepted += 1
             return child1, child2
         final_pair = (child1, child2) if depth_ok else None
@@ -177,7 +175,11 @@ def reference_ssc_crossover(p1, p2, cfg, rng, max_depth, features, stats):
 SSC_PS = gp_core.PrimitiveSet(n_features=2)
 SSC_FEATURES = np.array([[0.0, 1.0], [0.2, -0.5], [0.7, 0.1]])
 # Vacuous bounds accept every trial that fits; the other two reject some trials.
-SSC_BOUNDS = [SimilarityBounds(0.0, float("inf")), SimilarityBounds(0.1, 0.5), SimilarityBounds(0.3, 0.4)]
+SSC_BOUNDS = [
+    SemanticConfig(approach="ssc", lbss=0.0, ubss=float("inf")),
+    SemanticConfig(approach="ssc", lbss=0.1, ubss=0.5),
+    SemanticConfig(approach="ssc", lbss=0.3, ubss=0.4),
+]
 ssc_trees = st.builds(
     lambda method, depth, seed: make_individual(tree=method(SSC_PS, depth, random.Random(seed))),
     st.sampled_from([gp_core.grow_tree, gp_core.full_tree]),
@@ -186,9 +188,8 @@ ssc_trees = st.builds(
 )
 
 
-def ssc_against_reference(p1, p2, bounds, seed, max_depth):
+def ssc_against_reference(p1, p2, cfg, seed, max_depth):
     """Run ssc_crossover and the reference from one seed; assert they agree."""
-    cfg = SemanticConfig(approach="ssc", bounds=bounds)
     fast, slow = random.Random(seed), random.Random(seed)
     got_stats, want_stats = SscCounters(), SscCounters()
     memo = gp_core.SemanticsMemo(SSC_FEATURES)
@@ -206,8 +207,8 @@ class TestSscOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(ssc_trees, ssc_trees, st.sampled_from(SSC_BOUNDS), st.integers(0, 2**32 - 1), st.integers(3, 17))
-    def test_matches_reference(self, p1, p2, bounds, seed, max_depth):
-        ssc_against_reference(p1, p2, bounds, seed, max_depth)
+    def test_matches_reference(self, p1, p2, cfg, seed, max_depth):
+        ssc_against_reference(p1, p2, cfg, seed, max_depth)
 
     def test_accept_reject_and_depth_fallback_occur(self):
         # The hypothesis draws above reach all three; this pins that they do.
@@ -216,8 +217,8 @@ class TestSscOracle:
         for _ in range(400):
             p1 = make_individual(tree=gp_core.grow_tree(SSC_PS, rng.randint(1, 8), rng))
             p2 = make_individual(tree=gp_core.grow_tree(SSC_PS, rng.randint(1, 8), rng))
-            bounds = rng.choice(SSC_BOUNDS)
-            (c1, _), stats = ssc_against_reference(p1, p2, bounds, rng.getrandbits(32), rng.randint(3, 17))
+            cfg = rng.choice(SSC_BOUNDS)
+            (c1, _), stats = ssc_against_reference(p1, p2, cfg, rng.getrandbits(32), rng.randint(3, 17))
             if stats.accepted:
                 outcomes.add("accept")
             elif c1 is p1.tree:
@@ -574,6 +575,28 @@ class TestRunVariant:
         run_variant("nsga2", SemanticConfig(approach="ssc"), data, GPParams(), seed=0)
         assert all(tally is tallies[0] for tally in tallies)
         assert tallies[0] == SscCounters(calls=1310, trials=4999, accepted=142)
+
+    @pytest.mark.parametrize("rule, share", [(RULE_BAND, 0.21), (RULE_ABOVE, 1.0)])
+    def test_scd_pivot_counts_at_the_desk_protocol(self, rule, share, monkeypatch):
+        # NSGA-II scd on all 200 cases of the 1:9 blobs, the defaults, GP
+        # seed 0. Outputs differ from the pivot's by far more than the
+        # default ubss, so under "above" the counts saturate: in the last
+        # generation the median member counts all 200 cases. Under "band"
+        # it counts 42 (21%). A change to the bounds, the rules or the
+        # pivot shows here as a moved share.
+        counts = []
+
+        def spy(*args):
+            counts.append(scd_assign(*args))
+            return counts[-1]
+
+        monkeypatch.setattr(semantic_emo, "scd_assign", spy)
+        data = blob_dataset(n_cases=200, imbalance=9, seed=0)
+        gp = GPParams()
+        run_variant("nsga2", SemanticConfig(approach="scd", distance_rule=rule), data, gp, seed=0)
+        # One call per generation, the initial population's included.
+        assert len(counts) == gp.generations
+        assert np.median(counts[-1]) / data.n_cases == share
 
     def test_seed_changes_the_run(self, dataset):
         a = run_variant("nsga2", SemanticConfig(), dataset, gp=self.GP, seed=4)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from semogp.semantics import (
     RULE_ABOVE,
     RULE_BAND,
     Pivot,
-    SimilarityBounds,
+    SemanticConfig,
     block_rows,
     count_distances,
     select_pivot,
@@ -34,25 +35,29 @@ def distance_in_band(p, v, bounds):
 
 P = np.array([0.9, 0.2, 0.5])
 V = np.array([0.1, 0.25, 0.5])
-BOUNDS = SimilarityBounds(lbss=0.01, ubss=0.5)
+# The default bounds under each rule; BOUNDS is the default (band) config.
+CFGS = {rule: SemanticConfig(lbss=0.01, ubss=0.5, distance_rule=rule) for rule in DISTANCE_RULES}
+BOUNDS = CFGS[RULE_BAND]
 
 
 class TestBounds:
     def test_defaults(self):
-        bounds = SimilarityBounds()
-        assert (bounds.lbss, bounds.ubss) == (0.01, 0.5)
+        cfg = SemanticConfig()
+        assert (cfg.lbss, cfg.ubss) == (0.01, 0.5)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SimilarityBounds(lbss=-0.1, ubss=0.5)
-        with pytest.raises(ValueError):
-            SimilarityBounds(lbss=0.6, ubss=0.5)
-        with pytest.raises(ValueError):
-            SimilarityBounds(lbss=float("nan"), ubss=0.5)
+        with pytest.raises(ValueError, match="lbss must be non-negative"):
+            SemanticConfig(lbss=-0.1, ubss=0.5)
+        with pytest.raises(ValueError, match="need lbss <= ubss"):
+            SemanticConfig(lbss=0.6, ubss=0.5)
+        with pytest.raises(ValueError, match="similarity bounds must not be NaN"):
+            SemanticConfig(lbss=float("nan"), ubss=0.5)
+        with pytest.raises(ValueError, match="similarity bounds must not be NaN"):
+            SemanticConfig(lbss=0.0, ubss=float("nan"))
 
     def test_infinite_upper_bound_allowed(self):
-        bounds = SimilarityBounds(lbss=0.0, ubss=float("inf"))
-        assert math.isinf(bounds.ubss)
+        cfg = SemanticConfig(lbss=0.0, ubss=float("inf"))
+        assert math.isinf(cfg.ubss)
 
 
 class TestSscDistance:
@@ -76,7 +81,7 @@ class TestSscDistance:
 
 
 def count_one(p, v, bounds, rule):
-    return count_distances(p[None, :], v, bounds, rule)[0]
+    return count_distances(p[None, :], v, replace(bounds, distance_rule=rule))[0]
 
 
 class TestCaseCountRules:
@@ -92,13 +97,13 @@ class TestCaseCountRules:
         assert count_one(V, V, BOUNDS, RULE_ABOVE) == 0
 
     def test_band_endpoints_are_inclusive(self):
-        bounds = SimilarityBounds(lbss=0.1, ubss=0.5)
+        bounds = SemanticConfig(lbss=0.1, ubss=0.5)
         p = np.array([0.1, 0.5, 0.0999999, 0.5000001])
         v = np.zeros(4)
         assert count_one(p, v, bounds, RULE_BAND) == 2
 
     def test_above_is_strict(self):
-        bounds = SimilarityBounds(lbss=0.0, ubss=0.5)
+        bounds = SemanticConfig(lbss=0.0, ubss=0.5)
         p = np.array([0.5, 0.5000001])
         v = np.zeros(2)
         assert count_one(p, v, bounds, RULE_ABOVE) == 1
@@ -111,14 +116,14 @@ class TestCaseCountRules:
             p = np.array([rng.uniform(-2, 2) for _ in range(length)])
             v = np.array([rng.uniform(-2, 2) for _ in range(length)])
             lbss = rng.uniform(0, 1)
-            bounds = SimilarityBounds(lbss=lbss, ubss=lbss + rng.uniform(0, 1))
+            bounds = SemanticConfig(lbss=lbss, ubss=lbss + rng.uniform(0, 1))
             above = count_one(p, v, bounds, RULE_ABOVE)
             band = count_one(p, v, bounds, RULE_BAND)
             below = int((np.abs(p - v) < bounds.lbss).sum())
             assert above + band + below == length
 
     def test_infinite_ubss_means_nothing_above(self):
-        bounds = SimilarityBounds(lbss=0.0, ubss=float("inf"))
+        bounds = SemanticConfig(lbss=0.0, ubss=float("inf"))
         p = np.array([1e9, -1e9])
         assert count_one(p, np.zeros(2), bounds, RULE_ABOVE) == 0
         assert count_one(p, np.zeros(2), bounds, RULE_BAND) == 2
@@ -128,31 +133,33 @@ class TestCaseCountRules:
         matrix = np.array([[rng.uniform(-1, 1) for _ in range(6)] for _ in range(10)])
         pivot = np.array([rng.uniform(-1, 1) for _ in range(6)])
         for rule, scalar in ((RULE_ABOVE, distance_above_ubss), (RULE_BAND, distance_in_band)):
-            counts = count_distances(matrix, pivot, BOUNDS, rule)
+            counts = count_distances(matrix, pivot, CFGS[rule])
             assert counts.tolist() == [scalar(row, pivot, BOUNDS) for row in matrix]
 
     def test_count_distances_unknown_rule(self):
         with pytest.raises(ValueError, match="unknown distance rule"):
-            count_distances(np.zeros((2, 2)), np.zeros(2), BOUNDS, "nearest")
+            count_distances(np.zeros((2, 2)), np.zeros(2), replace(BOUNDS, distance_rule="nearest"))
 
     def test_rule_names(self):
         assert DISTANCE_RULES == ("above", "band")
 
 
-def reference_count_distances(rows, pivot, bounds, rule):
+def reference_count_distances(rows, pivot, cfg):
     """count_distances as it was: one broadcast over the stacked rows."""
     matrix = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(pivot))
     diff = np.abs(matrix - np.asarray(pivot, dtype=np.float64))
-    if rule == RULE_ABOVE:
-        return (diff > bounds.ubss).sum(axis=1).astype(np.float64)
-    return ((diff >= bounds.lbss) & (diff <= bounds.ubss)).sum(axis=1).astype(np.float64)
+    if cfg.distance_rule == RULE_ABOVE:
+        return (diff > cfg.ubss).sum(axis=1).astype(np.float64)
+    return ((diff >= cfg.lbss) & (diff <= cfg.ubss)).sum(axis=1).astype(np.float64)
 
 
 # Bounds and values on a quarter grid, so that differences land exactly on
 # lbss and ubss; 1e10 is the evaluator's clamp.
 GRID_BOUNDS = st.tuples(
-    st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, math.inf])
-).filter(lambda b: b[0] <= b[1]).map(lambda b: SimilarityBounds(*b))
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, math.inf]),
+    st.sampled_from(DISTANCE_RULES),
+).filter(lambda b: b[0] <= b[1]).map(lambda b: SemanticConfig(lbss=b[0], ubss=b[1], distance_rule=b[2]))
 ROW_COUNTS = ("0", "1", "block-1", "block", "block+1")
 
 
@@ -167,17 +174,16 @@ class TestCountDistancesOracle:
         st.sampled_from(ROW_COUNTS),
         st.integers(0, 2**32 - 1),
         GRID_BOUNDS,
-        st.sampled_from(DISTANCE_RULES),
         st.booleans(),
     )
-    def test_matches_the_broadcast_expression(self, n_cases, rows, seed, bounds, rule, as_list):
+    def test_matches_the_broadcast_expression(self, n_cases, rows, seed, cfg, as_list):
         n_rows = row_count(rows, block_rows(n_cases))
         rng = np.random.default_rng(seed)
         grid = np.array([-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 1e10, -1e10])
         matrix = rng.choice(grid, size=(n_rows, n_cases)) + rng.choice([0.0, 0.5], size=(n_rows, 1))
         pivot = rng.choice(grid, size=n_cases)
-        out = count_distances(list(matrix) if as_list else matrix, pivot, bounds, rule)
-        expected = reference_count_distances(matrix, pivot, bounds, rule)
+        out = count_distances(list(matrix) if as_list else matrix, pivot, cfg)
+        expected = reference_count_distances(matrix, pivot, cfg)
         assert out.dtype == np.float64 and out.shape == (n_rows,)
         assert np.array_equal(out, expected)
 
@@ -190,31 +196,31 @@ class TestCountDistancesOracle:
         rng = np.random.default_rng(n_cases + offset)
         matrix = rng.normal(size=(n_rows, n_cases))
         pivot = rng.normal(size=n_cases)
-        for rule in DISTANCE_RULES:
-            expected = reference_count_distances(matrix, pivot, BOUNDS, rule)
-            assert np.array_equal(count_distances(matrix, pivot, BOUNDS, rule), expected)
-            assert np.array_equal(count_distances(list(matrix), pivot, BOUNDS, rule), expected)
+        for cfg in CFGS.values():
+            expected = reference_count_distances(matrix, pivot, cfg)
+            assert np.array_equal(count_distances(matrix, pivot, cfg), expected)
+            assert np.array_equal(count_distances(list(matrix), pivot, cfg), expected)
 
     def test_rows_of_another_length_rejected(self):
         # Lengths 3 and 5 fill two 4-case rows exactly; they must not be counted.
         rows = [np.zeros(3), np.zeros(5)]
         with pytest.raises(ValueError, match="pivot's length"):
-            count_distances(rows, np.zeros(4), BOUNDS, RULE_BAND)
+            count_distances(rows, np.zeros(4), BOUNDS)
         # A lone row takes the flat path, where subtract would broadcast a
         # 1-case row against the pivot or a 1-case pivot against the row.
         for row, pivot in ((np.array([0.3]), np.zeros(5)), (np.zeros(5), np.array([0.3]))):
-            for rule in DISTANCE_RULES:
+            for cfg in CFGS.values():
                 for rows in ([row], row[None]):
                     with pytest.raises(ValueError, match="pivot's length"):
-                        count_distances(rows, pivot, BOUNDS, rule)
+                        count_distances(rows, pivot, cfg)
 
     def test_rows_need_not_be_contiguous(self):
         matrix = np.asfortranarray(np.random.default_rng(0).normal(size=(9, 7)))
         pivot = np.zeros(7)
-        for rule in DISTANCE_RULES:
-            expected = reference_count_distances(matrix, pivot, BOUNDS, rule)
-            assert np.array_equal(count_distances(matrix, pivot, BOUNDS, rule), expected)
-            assert np.array_equal(count_distances(list(matrix), pivot, BOUNDS, rule), expected)
+        for cfg in CFGS.values():
+            expected = reference_count_distances(matrix, pivot, cfg)
+            assert np.array_equal(count_distances(matrix, pivot, cfg), expected)
+            assert np.array_equal(count_distances(list(matrix), pivot, cfg), expected)
 
 
 class TestSelectPivot:
