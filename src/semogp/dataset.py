@@ -8,6 +8,8 @@ feature matrix plus a boolean label vector, where True marks the positive
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import math
 import random
 
@@ -43,8 +45,12 @@ class Dataset:
             raise DatasetError("a class with zero rows: both classes must be present")
         feats.setflags(write=False)
         labs.setflags(write=False)
-        self.features = feats
-        self.labels = labs
+        # load_csv hands one instance to every caller, so no attribute may be rebound.
+        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "labels", labs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Dataset is immutable: cannot set {name!r}")
 
     @property
     def n_cases(self) -> int:
@@ -79,12 +85,23 @@ def _parse_feature(cell: str, row_no: int, col_no: int) -> float:
     return value
 
 
+# The last parse, as its only entry: (path, label_column, positive_label,
+# SHA-256 of the file's bytes) -> Dataset.
+_last_parse: dict[tuple, Dataset] = {}
+
+
 def load_csv(path, label_column: int = -1, positive_label: str | None = None) -> Dataset:
     """Load a CSV file of feature columns plus one label column.
 
     The first row is treated as a header when any cell outside the label
     column fails to parse as a number. The positive class defaults to the
     rarer label token, with the lexicographically smaller token winning ties.
+
+    A file is parsed once while its bytes are unchanged: the last Dataset
+    parsed is kept under the path, label_column, positive_label and the
+    SHA-256 of the bytes read, and a call that matches all four returns
+    that same (immutable) Dataset. Any change of content parses again; a
+    failed parse is not kept.
 
     Args:
         path: CSV file path.
@@ -94,14 +111,32 @@ def load_csv(path, label_column: int = -1, positive_label: str | None = None) ->
             file when given.
 
     Raises:
-        DatasetError: missing file, ragged rows, non-numeric feature cells,
-            label cardinality other than two, or an absent positive label.
+        DatasetError: missing file, bytes that do not decode, ragged rows,
+            non-numeric feature cells, label cardinality other than two, or
+            an absent positive label.
     """
     try:
-        with open(path, newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row]
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise DatasetError(f"missing file: {path}") from exc
+    key = (path, label_column, positive_label, hashlib.sha256(data).digest())
+    dataset = _last_parse.get(key)
+    if dataset is None:
+        dataset = _parse_csv(data, path, label_column, positive_label)
+        _last_parse.clear()
+        _last_parse[key] = dataset
+    return dataset
+
+
+def _parse_csv(data: bytes, path, label_column: int, positive_label: str | None) -> Dataset:
+    """load_csv's parse of a file's bytes; path only names the file in errors."""
+    # Decoded as open(path, newline="") decodes the file.
+    text = io.TextIOWrapper(io.BytesIO(data), newline="")
+    try:
+        rows = [row for row in csv.reader(text) if row]
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"cannot decode {path}: {exc}") from None
     if not rows:
         raise DatasetError(f"empty dataset file: {path}")
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gp_core import Individual, Population, Variation, ramped_half_and_half
+from .gp_core import Individual, Node, Population, Variation, ramped_half_and_half
 from .objectives import ClassificationEvaluator
 
 
@@ -303,7 +303,9 @@ class _Engine:
     the two hooks, and builds and scores the initial population. NSGA-II's
     and SPEA2's selection leaves the members kept for the next generation
     in kept and their tournament keys (smaller wins) in _keys; from these
-    the base breeds pop_size offspring and reports the front.
+    the base breeds pop_size offspring and reports the front. Every engine
+    scores its offspring with _score: an offspring whose tree is one of
+    its parents' trees takes that parent's semantics and objectives.
 
     objective_space is the selection space (None: the plain objective
     vectors). diversity replaces the engine's own diversity estimate and is
@@ -342,15 +344,26 @@ class _Engine:
         j = self.rng.randrange(n)
         return j if self._keys[j] < self._keys[i] else i
 
+    def _score(self, tree: Node, a: Individual, b: Individual) -> Individual:
+        """Score a tree bred from a and b; a tree that is a parent's takes that parent's scores.
+
+        Evaluation is a pure function of the tree, so the reused scores are
+        exactly what evaluate_tree would give. The offspring is a new
+        Individual, never the parent itself.
+        """
+        for parent in (a, b):
+            if tree is parent.tree:
+                return Individual(tree, parent.semantics, parent.objectives)
+        return self.evaluator.evaluate_tree(tree)
+
     def _breed(self) -> Population:
         n = self.params.pop_size
-        trees = []
-        while len(trees) < n:
+        bred = []
+        while len(bred) < n:
             a = self.kept[self._tournament()]
             b = self.kept[self._tournament()]
-            trees.extend(self.variation.breed_pair(a, b, self.rng))
-        del trees[n:]
-        return self.evaluator.evaluate_all(trees)
+            bred.extend((tree, a, b) for tree in self.variation.breed_pair(a, b, self.rng))
+        return [self._score(*entry) for entry in bred[:n]]
 
     def front(self) -> Population:
         """First front of the kept members in the plain two-objective space."""
@@ -487,9 +500,8 @@ class MoeadEngine(_Engine):
                 pool = neigh
             else:
                 pool = self._all_subproblems
-            a, b = self.rng.sample(pool, 2)
-            tree = self.variation.breed_one(self.population[a], self.population[b], self.rng)
-            child = self.evaluator.evaluate_tree(tree)
+            a, b = (self.population[k] for k in self.rng.sample(pool, 2))
+            child = self._score(self.variation.breed_one(a, b, self.rng), a, b)
             child_sel = np.asarray(self.space.vector(child), dtype=np.float64)
             if (child_sel < self.ideal).any():
                 self.ideal = np.minimum(self.ideal, child_sel)

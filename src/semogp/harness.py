@@ -145,11 +145,15 @@ def expand_grid(cfg: ExperimentConfig) -> list[ExperimentConfig]:
 
 
 def _attach_test_metrics(result: RunResult, test_ds, threshold: float):
-    # Programs round-trip exactly through their prefix text.
+    # Programs round-trip exactly through their prefix text, so each
+    # distinct text is scored once and its repeats share the objectives.
     evaluator = ClassificationEvaluator(test_ds, threshold)
+    scores: dict[str, tuple[float, ...]] = {}
     for member in result.front:
-        scored = evaluator.evaluate_tree(parse_prefix(member.program))
-        member.test_objectives = tuple(float(x) for x in scored.objectives)
+        if member.program not in scores:
+            scored = evaluator.evaluate_tree(parse_prefix(member.program))
+            scores[member.program] = tuple(float(x) for x in scored.objectives)
+        member.test_objectives = scores[member.program]
 
 
 def _run_seed(cfg: ExperimentConfig, full: Dataset, seed: int) -> RunResult:

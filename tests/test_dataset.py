@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 import pickle
 import random
 
@@ -122,16 +123,75 @@ class TestLoadCsv:
             load_csv(path, positive_label="sideways")
 
     def test_reload_is_identical(self, blob_csv):
-        a = load_csv(blob_csv)
-        b = load_csv(blob_csv)
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.labels, b.labels)
+        # Unchanged bytes are parsed once: the second load returns the same Dataset.
+        assert load_csv(blob_csv) is load_csv(blob_csv)
+
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        # 0xff starts no character in UTF-8, the default text encoding.
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"x0,x1,label\n1.0,2.0,\xffpos\n3.0,4.0,neg\n")
+        with pytest.raises(DatasetError) as info:
+            load_csv(path)
+        assert str(info.value) == (
+            f"cannot decode {path}: 'utf-8' codec can't decode byte 0xff in position 20: invalid start byte"
+        )
+
+
+class TestParseMemo:
+    """A file is parsed once while its bytes and the label settings are unchanged."""
+
+    def test_same_length_rewrite_with_restored_mtime_loads_new_values(self, tmp_path):
+        path = write(tmp_path / "d.csv", "1.0,2.0,pos\n3.0,4.0,neg\n")
+        before = path.stat()
+        first = load_csv(path)
+        write(path, "5.0,6.0,pos\n7.0,8.0,neg\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        second = load_csv(path)
+        assert second is not first
+        assert second.features.tolist() == [[5.0, 6.0], [7.0, 8.0]]
+
+    def test_a_failed_parse_is_not_kept(self, tmp_path):
+        path = write(tmp_path / "d.csv", "1.0,2.0,pos\n3.0,4.0,neg\n")
+        load_csv(path)
+        write(path, "1.0,2.0,pos\n3.0,abc,neg\n")
+        for _ in range(2):
+            with pytest.raises(DatasetError, match="non-numeric feature cell at row 2, column 1: 'abc'"):
+                load_csv(path)
+        write(path, "1.0,2.0,pos\n3.0,9.0,neg\n")
+        assert load_csv(path).features.tolist() == [[1.0, 2.0], [3.0, 9.0]]
+
+    def test_other_label_settings_parse_again(self, tmp_path):
+        path = write(tmp_path / "d.csv", "0,5,1.5\n1,6,2.5\n1,5,3.5\n")
+        by_first = load_csv(path, label_column=0)
+        assert by_first.features.tolist() == [[5.0, 1.5], [6.0, 2.5], [5.0, 3.5]]
+        assert by_first.labels.tolist() == [True, False, False]
+        by_second = load_csv(path, label_column=1)
+        assert by_second is not by_first
+        assert by_second.features.tolist() == [[0.0, 1.5], [1.0, 2.5], [1.0, 3.5]]
+        assert by_second.labels.tolist() == [False, True, False]
+        flipped = load_csv(path, label_column=1, positive_label="5")
+        assert flipped is not by_second
+        assert flipped.labels.tolist() == [True, False, True]
+        assert load_csv(path, label_column=1, positive_label="5") is flipped
+
+    def test_returned_arrays_stay_read_only(self, blob_csv):
+        first = load_csv(blob_csv)
+        again = load_csv(blob_csv)
+        assert again is first
+        for array in (again.features, again.labels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[1]
 
 
 class TestDataset:
     def test_features_are_read_only(self, small_dataset):
         with pytest.raises(ValueError):
             small_dataset.features[0, 0] = 99.0
+        with pytest.raises(AttributeError, match="a Dataset is immutable: cannot set 'features'"):
+            small_dataset.features = np.zeros_like(small_dataset.features)
         # Copies sent to worker processes stay read-only too.
         copy = pickle.loads(pickle.dumps(small_dataset))
         assert np.array_equal(copy.features, small_dataset.features)

@@ -559,9 +559,9 @@ class TestMoeadReplacements:
         assert self.replacements([0], [0.5, 0.5], n=1) == []
 
 
-def make_engine(cls, seed=0, pop_size=12, **kwargs):
+def make_engine(cls, seed=0, pop_size=12, rates=None, **kwargs):
     ds = blob_dataset(n_cases=40, imbalance=3, seed=0)
-    params = GPParams(pop_size=pop_size, generations=5, init_min_depth=2, init_max_depth=4)
+    params = GPParams(pop_size=pop_size, generations=5, init_min_depth=2, init_max_depth=4, **(rates or {}))
     variation = Variation(PrimitiveSet(n_features=ds.n_features), params)
     evaluator = ClassificationEvaluator(ds)
     return cls(evaluator, variation, random.Random(seed), **kwargs)
@@ -760,6 +760,57 @@ class TestEngines:
         # One full computation per step after the refresh; the rest came
         # from children that lowered the ideal point.
         assert sum(full) > steps
+
+
+class TestOffspringReuse:
+    """An offspring whose tree is a parent's takes that parent's scores."""
+
+    @staticmethod
+    def record_scoring(monkeypatch):
+        """Note each bred offspring as (tree, parents, result) and each evaluate_tree call."""
+        bred, evaluated = [], []
+        score, evaluate = emo._Engine._score, ClassificationEvaluator.evaluate_tree
+
+        def recorded_score(engine, tree, a, b):
+            bred.append((tree, (a, b), score(engine, tree, a, b)))
+            return bred[-1][2]
+
+        def counted_evaluate(evaluator, tree):
+            evaluated.append(tree)
+            return evaluate(evaluator, tree)
+
+        monkeypatch.setattr(emo._Engine, "_score", recorded_score)
+        monkeypatch.setattr(ClassificationEvaluator, "evaluate_tree", counted_evaluate)
+        return bred, evaluated
+
+    @pytest.mark.parametrize("cls", [Nsga2Engine, Spea2Engine, MoeadEngine])
+    def test_without_variation_no_offspring_is_evaluated(self, cls, monkeypatch):
+        engine = make_engine(cls, rates={"crossover_rate": 0.0, "mutation_rate": 0.0})
+        engine.initialize()
+        bred, evaluated = self.record_scoring(monkeypatch)
+        engine.step()
+        assert len(bred) == (engine.n_subproblems if cls is MoeadEngine else engine.params.pop_size)
+        assert evaluated == []
+        for tree, parents, child in bred:
+            assert any(tree is p.tree for p in parents)
+            assert child.tree is tree and all(child is not p for p in parents)
+
+    @pytest.mark.parametrize("cls", [Nsga2Engine, Spea2Engine, MoeadEngine])
+    def test_reused_scores_equal_a_fresh_evaluation(self, cls, monkeypatch):
+        engine = make_engine(cls, seed=5)
+        engine.initialize()
+        bred, evaluated = self.record_scoring(monkeypatch)
+        for _ in range(4):
+            engine.step()
+        reused = [child for tree, parents, child in bred if any(tree is p.tree for p in parents)]
+        assert reused
+        # Every other offspring, and only those, went through evaluate_tree.
+        assert len(evaluated) == len(bred) - len(reused)
+        fresh = ClassificationEvaluator(engine.evaluator.dataset)
+        for child in reused:
+            want = fresh.evaluate_tree(child.tree)
+            assert same_bits(child.semantics, want.semantics)
+            assert same_bits(child.objectives, want.objectives)
 
 
 NSGA2_SORT = Nsga2Engine._sort

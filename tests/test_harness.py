@@ -601,6 +601,25 @@ class TestRunExperiment:
             scored = evaluator.evaluate_tree(parse_prefix(member.program)).objectives
             assert member.test_objectives == tuple(scored.tolist())
 
+    def test_test_metrics_score_each_program_text_once(self, blob_csv, monkeypatch):
+        ds = load_csv(blob_csv)
+        members = make_result().front
+        result = replace(make_result(), front=[replace(members[i], test_objectives=None) for i in (0, 1, 0, 0, 1)])
+        evaluate = ClassificationEvaluator.evaluate_tree
+        scored = []
+
+        def counted(evaluator, tree):
+            scored.append(tree)
+            return evaluate(evaluator, tree)
+
+        monkeypatch.setattr(ClassificationEvaluator, "evaluate_tree", counted)
+        semogp.harness._attach_test_metrics(result, ds, CLASSIFICATION_THRESHOLD)
+        assert len(scored) == 2
+        fresh = ClassificationEvaluator(ds, CLASSIFICATION_THRESHOLD)
+        for member in result.front:
+            objectives = evaluate(fresh, parse_prefix(member.program)).objectives
+            assert member.test_objectives == tuple(objectives.tolist())
+
     def test_results_loadable_and_equal(self, tiny_config):
         results = run_experiment(tiny_config)
         loaded = load_results(tiny_config.output_dir)
