@@ -89,6 +89,10 @@ def _parse_feature(cell: str, row_no: int, col_no: int) -> float:
 # SHA-256 of the file's bytes) -> Dataset.
 _last_parse: dict[tuple, Dataset] = {}
 
+# The last split, as its only entry: (train_fraction, seed) -> (the Dataset
+# split, (train, test)); the Dataset is matched by identity.
+_last_split: dict[tuple, tuple[Dataset, tuple[Dataset, Dataset]]] = {}
+
 
 def load_csv(path, label_column: int = -1, positive_label: str | None = None) -> Dataset:
     """Load a CSV file of feature columns plus one label column.
@@ -201,9 +205,17 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     Per class, the train share is round-half-up of fraction * class size,
     clamped so both splits keep at least one case of each class. Row order
     within each split follows the original dataset. Deterministic per seed.
+
+    The last split is kept: a call with the same Dataset object, fraction
+    and seed returns the same (immutable) train and test Datasets, so runs
+    on the same data and seed share them. A failed split is not kept.
     """
     if not 0.0 < train_fraction < 1.0:
         raise DatasetError("train_fraction must lie strictly between 0 and 1")
+    key = (train_fraction, seed)
+    entry = _last_split.get(key)
+    if entry is not None and entry[0] is ds:
+        return entry[1]
     rng = random.Random(seed)
     train_idx: list[int] = []
     test_idx: list[int] = []
@@ -216,7 +228,10 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
         n_train = min(max(n_train, 1), len(members) - 1)
         train_idx.extend(members[:n_train])
         test_idx.extend(members[n_train:])
-    return ds.subset(sorted(train_idx)), ds.subset(sorted(test_idx))
+    split = ds.subset(sorted(train_idx)), ds.subset(sorted(test_idx))
+    _last_split.clear()
+    _last_split[key] = (ds, split)
+    return split
 
 
 def minmax_fit(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,11 @@ MOEAD_NEIGHBORS = 20
 MOEAD_DELTA = 0.9
 MOEAD_MAX_REPLACEMENTS = 2
 
+# The last initial population built, as its only entry: (generator state,
+# size, primitives, init_min_depth, init_max_depth, threshold) -> (training
+# Dataset, matched by identity; the scored members; generator state after).
+_last_population: dict[tuple, tuple] = {}
+
 
 def dominates(a, b) -> bool:
     """True when vector a Pareto-dominates b under minimization."""
@@ -306,6 +311,8 @@ class _Engine:
     the base breeds pop_size offspring and reports the front. Every engine
     scores its offspring with _score: an offspring whose tree is one of
     its parents' trees takes that parent's semantics and objectives.
+    Engines on the same training Dataset and seed start from the same
+    initial members, whose read-only arrays they may share.
 
     objective_space is the selection space (None: the plain objective
     vectors). diversity replaces the engine's own diversity estimate and is
@@ -328,14 +335,44 @@ class _Engine:
         self.diversity = diversity
 
     def _initial_population(self, size: int) -> Population:
+        """Ramped half-and-half members, scored; built once per data and generator state.
+
+        Tree building depends only on the generator state and the init
+        settings, and scoring only on the tree and the dataset. So the last
+        population built is kept with the generator state after it, and a
+        call that matches it (same state, size, primitives, init depths and
+        threshold, and the same training Dataset object) skips to that
+        state and returns new Individuals over the same trees and read-only
+        arrays. Only a plain random.Random and ClassificationEvaluator are
+        matched, since a subclass may draw or score otherwise.
+        """
+        evaluator, params = self.evaluator, self.params
+        key = None
+        if type(self.rng) is random.Random and type(evaluator) is ClassificationEvaluator:
+            key = (
+                self.rng.getstate(),
+                size,
+                self.variation.primitives,
+                params.init_min_depth,
+                params.init_max_depth,
+                evaluator.threshold,
+            )
+            entry = _last_population.get(key)
+            if entry is not None and entry[0] is evaluator.dataset:
+                self.rng.setstate(entry[2])
+                return [Individual(ind.tree, ind.semantics, ind.objectives) for ind in entry[1]]
+            _last_population.clear()
         trees = ramped_half_and_half(
-            size,
-            self.variation.primitives,
-            self.rng,
-            self.params.init_min_depth,
-            self.params.init_max_depth,
+            size, self.variation.primitives, self.rng, params.init_min_depth, params.init_max_depth
         )
-        return self.evaluator.evaluate_all(trees)
+        members = evaluator.evaluate_all(trees)
+        if key is None:
+            return members
+        for ind in members:
+            ind.semantics.flags.writeable = False
+            ind.objectives.flags.writeable = False
+        _last_population[key] = (evaluator.dataset, members, self.rng.getstate())
+        return [Individual(ind.tree, ind.semantics, ind.objectives) for ind in members]
 
     def _tournament(self) -> int:
         """Binary tournament on _keys: the second draw wins only with a smaller key."""

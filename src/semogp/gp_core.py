@@ -90,7 +90,9 @@ class Individual:
     The caches are either None or consistent with the tree and the dataset
     the evaluator was built on; evaluated individuals are never mutated.
     semantics may be a read-only array that a SemanticsMemo, and so other
-    individuals sharing the tree's root node, hold too.
+    individuals sharing the tree's root node, hold too. An initial
+    member's tree and read-only arrays may be shared with the initial
+    members of other runs on the same training data and seed.
     """
 
     tree: Node

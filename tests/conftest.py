@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from semogp import dataset, emo
 from semogp.dataset import Dataset, synthetic_blobs, write_synthetic_csv
 from semogp.gp_core import Call, Feature, Individual, _exchange
 from semogp.semantic_emo import ENGINES
@@ -103,6 +104,16 @@ def blob_dataset(n_cases=60, imbalance=3, seed=0) -> Dataset:
     features = np.array([[x0, x1] for x0, x1, _ in rows])
     labels = np.array([label == "pos" for _, _, label in rows])
     return Dataset(features, labels)
+
+
+@pytest.fixture(autouse=True)
+def clear_reuse_memos():
+    """Start every test with empty parse, split and initial-population memos.
+
+    Cleared in place: the modules' dicts keep their identity.
+    """
+    for memo in (dataset._last_parse, dataset._last_split, emo._last_population):
+        memo.clear()
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from semogp import dataset
 from semogp.dataset import (
     Dataset,
     DatasetError,
@@ -328,6 +329,55 @@ class TestStratifiedSplit:
             np.flatnonzero((ds.features == row).all(axis=1))[0] for row in train.features
         ]
         assert positions == sorted(positions)
+
+
+class TestSplitMemo:
+    """The last split is kept for the same Dataset object, fraction and seed."""
+
+    def test_a_repeat_call_returns_the_same_datasets(self, small_dataset):
+        train, test = stratified_split(small_dataset, 0.7, seed=3)
+        again = stratified_split(small_dataset, 0.7, seed=3)
+        assert again[0] is train and again[1] is test
+
+    def test_another_seed_fraction_or_dataset_splits_again(self, small_dataset):
+        twin = blob_dataset()
+        assert np.array_equal(twin.features, small_dataset.features)
+        for ds, fraction, seed in ((small_dataset, 0.7, 4), (small_dataset, 0.6, 3), (twin, 0.7, 3)):
+            kept = stratified_split(small_dataset, 0.7, seed=3)
+            train, test = stratified_split(ds, fraction, seed)
+            assert train is not kept[0] and test is not kept[1]
+            train_idx, test_idx = reference_split(ds, fraction, seed)
+            assert np.array_equal(train.features, ds.features[train_idx])
+            assert np.array_equal(test.features, ds.features[test_idx])
+            assert stratified_split(ds, fraction, seed)[0] is train
+        # The twin's split holds the same rows but is its own object.
+        assert np.array_equal(train.features, kept[0].features)
+
+    def test_an_invalid_fraction_raises_and_is_not_kept(self, small_dataset):
+        train, _ = stratified_split(small_dataset, 0.7, seed=3)
+        for _ in range(2):
+            with pytest.raises(DatasetError, match="strictly between"):
+                stratified_split(small_dataset, 1.5, seed=3)
+        assert list(dataset._last_split) == [(0.7, 3)]
+        assert stratified_split(small_dataset, 0.7, seed=3)[0] is train
+
+    def test_a_failed_split_is_not_kept(self):
+        ds = Dataset([[1.0], [2.0], [3.0]], [True, False, False])
+        for _ in range(2):
+            with pytest.raises(DatasetError, match="at least two cases to split"):
+                stratified_split(ds, 0.5, seed=0)
+        assert dataset._last_split == {}
+
+    def test_a_kept_split_equals_a_fresh_one(self, small_dataset):
+        kept = stratified_split(small_dataset, 0.7, seed=5)
+        assert stratified_split(small_dataset, 0.7, seed=5) is kept
+        dataset._last_split.clear()
+        fresh = stratified_split(small_dataset, 0.7, seed=5)
+        assert fresh[0] is not kept[0]
+        for a, b in zip(kept, fresh):
+            assert np.array_equal(a.features, b.features)
+            assert np.array_equal(a.labels, b.labels)
+            assert not a.features.flags.writeable and not a.labels.flags.writeable
 
 
 class TestMinMax:

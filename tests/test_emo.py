@@ -31,9 +31,9 @@ from semogp.emo import (
 )
 from semogp.gp_core import GPParams, PrimitiveSet, Variation, to_prefix
 from semogp.objectives import ClassificationEvaluator
-from semogp.semantic_emo import SdoObjectives, SemanticConfig
+from semogp.semantic_emo import SdoObjectives, SemanticConfig, run_variant
 
-from conftest import blob_dataset, make_individual, same_bits
+from conftest import PAIRS, ScriptedRandom, blob_dataset, make_individual, same_bits
 
 INF = float("inf")
 
@@ -811,6 +811,138 @@ class TestOffspringReuse:
             want = fresh.evaluate_tree(child.tree)
             assert same_bits(child.semantics, want.semantics)
             assert same_bits(child.objectives, want.objectives)
+
+
+def engine_on(ds, cls=Nsga2Engine, seed=0, size=12, depths=(2, 4), threshold=0.0, rng=None, scorer=None):
+    """An engine on ds whose initial population has the given settings."""
+    params = GPParams(pop_size=size, generations=5, init_min_depth=depths[0], init_max_depth=depths[1])
+    evaluator = (scorer or ClassificationEvaluator)(ds, threshold)
+    return cls(evaluator, Variation(PrimitiveSet(ds.n_features), params), rng or random.Random(seed))
+
+
+class SubclassedEvaluator(ClassificationEvaluator):
+    pass
+
+
+class TestInitialPopulationReuse:
+    """Engines on the same training Dataset and seed share one scored initial population."""
+
+    @staticmethod
+    def count_scoring(monkeypatch):
+        evaluated = []
+        evaluate = ClassificationEvaluator.evaluate_tree
+
+        def counted_evaluate(evaluator, tree):
+            evaluated.append(tree)
+            return evaluate(evaluator, tree)
+
+        monkeypatch.setattr(ClassificationEvaluator, "evaluate_tree", counted_evaluate)
+        return evaluated
+
+    def test_same_seed_and_dataset_give_the_same_members_and_generator(self, monkeypatch):
+        ds = blob_dataset()
+        fresh = engine_on(ds, Spea2Engine, seed=7)
+        built = fresh._initial_population(12)
+        evaluated = self.count_scoring(monkeypatch)
+        again = engine_on(ds, MoeadEngine, seed=7)
+        reused = again._initial_population(12)
+        assert evaluated == []
+        emo._last_population.clear()
+        cold = engine_on(ds, Nsga2Engine, seed=7)
+        rebuilt = cold._initial_population(12)
+        assert len(evaluated) == 12
+        for a, b, c in zip(built, reused, rebuilt):
+            assert a.tree == b.tree == c.tree and b.tree is a.tree
+            for name in ("semantics", "objectives"):
+                assert same_bits(getattr(a, name), getattr(b, name))
+                assert same_bits(getattr(a, name), getattr(c, name))
+        draws = [[engine.rng.random() for _ in range(10)] for engine in (fresh, again, cold)]
+        assert draws[0] == draws[1] == draws[2]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda: {"seed": 1},
+            lambda: {"size": 10},
+            lambda: {"depths": (2, 5)},
+            lambda: {"depths": (1, 4)},
+            lambda: {"threshold": 0.5},
+            lambda: {"ds": blob_dataset()},
+            lambda: {"rng": ScriptedRandom(seed=0)},
+            lambda: {"scorer": SubclassedEvaluator},
+        ],
+        ids=["seed", "size", "max-depth", "min-depth", "threshold", "equal-dataset", "scripted-rng", "subclass"],
+    )
+    def test_any_other_setting_builds_and_scores_again(self, change, monkeypatch):
+        ds = blob_dataset()
+        # An equal-content Dataset and a ScriptedRandom would match on value.
+        assert np.array_equal(blob_dataset().features, ds.features)
+        assert ScriptedRandom(seed=0).getstate() == random.Random(0).getstate()
+        engine_on(ds)._initial_population(12)
+        evaluated = self.count_scoring(monkeypatch)
+        guarded = change().keys() & {"rng", "scorer"}
+        for _ in range(2 if guarded else 1):
+            settings = {"ds": ds, "size": 12, **change()}
+            evaluated.clear()
+            engine_on(**settings)._initial_population(settings["size"])
+            assert len(evaluated) == settings["size"]
+        evaluated.clear()
+        engine_on(ds)._initial_population(12)
+        # A generator or evaluator of another class neither reads nor replaces the kept entry.
+        assert len(evaluated) == (0 if guarded else 12)
+
+    def test_every_call_returns_new_members_over_the_kept_arrays(self):
+        ds = blob_dataset()
+        first = engine_on(ds)._initial_population(12)
+        second = engine_on(ds)._initial_population(12)
+        (kept_ds, kept, _), = emo._last_population.values()
+        assert kept_ds is ds
+        assert second is not first and first is not kept
+        for a, b, k in zip(first, second, kept):
+            assert len({id(a), id(b), id(k)}) == 3
+            assert a.tree is b.tree is k.tree
+            assert a.semantics is b.semantics is k.semantics
+            assert a.objectives is b.objectives is k.objectives
+
+    def test_kept_arrays_are_read_only(self):
+        # Above 256 cases no SemanticsMemo entry makes an output read-only first.
+        for ind in engine_on(blob_dataset(n_cases=300))._initial_population(12):
+            for array in (ind.semantics, ind.objectives):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+
+    def test_moead_replacements_leave_the_kept_members_alone(self):
+        ds = blob_dataset()
+        engine = engine_on(ds, MoeadEngine, seed=3)
+        engine.initialize()
+        (_, kept, _), = emo._last_population.values()
+        members = list(kept)
+        signature = lambda: [(to_prefix(m.tree), m.semantics.tobytes(), m.objectives.tobytes()) for m in kept]
+        before = signature()
+        start = list(engine.population)
+        for _ in range(3):
+            engine.step()
+        assert any(now is not then for now, then in zip(engine.population, start))
+        (_, kept_after, _), = emo._last_population.values()
+        assert kept_after is kept and len(kept) == len(members)
+        assert all(a is b for a, b in zip(kept, members))
+        assert signature() == before
+
+    @pytest.mark.parametrize("engine,approach", PAIRS, ids=[f"{e}/{a}" for e, a in PAIRS])
+    def test_runs_are_equal_with_the_memo_cold_and_warm(self, engine, approach, monkeypatch):
+        # At pop 15 MOEA/D's three-objective lattice has 15 weights too, so
+        # every pair builds the same initial population.
+        ds = blob_dataset(n_cases=60, imbalance=3, seed=4)
+        gp = GPParams(pop_size=15, generations=3, init_min_depth=2, init_max_depth=4)
+        run = lambda e, a: run_variant(e, SemanticConfig(approach=a), ds, gp, seed=11)
+        cold = run(engine, approach)
+        emo._last_population.clear()
+        other = PAIRS[(PAIRS.index((engine, approach)) + 1) % len(PAIRS)]
+        run(*other)
+        # The warm run builds no tree: it can only take the kept population.
+        monkeypatch.setattr(emo, "ramped_half_and_half", None)
+        assert run(engine, approach) == cold
 
 
 NSGA2_SORT = Nsga2Engine._sort
