@@ -89,9 +89,10 @@ def _parse_feature(cell: str, row_no: int, col_no: int) -> float:
 # SHA-256 of the file's bytes) -> Dataset.
 _last_parse: dict[tuple, Dataset] = {}
 
-# The last split, as its only entry: (train_fraction, seed) -> (the Dataset
-# split, (train, test)); the Dataset is matched by identity.
-_last_split: dict[tuple, tuple[Dataset, tuple[Dataset, Dataset]]] = {}
+# The last split, as its only entry: (train_fraction, seed) -> [the Dataset
+# split, matched by identity; (train, test); that pair min-max scaled by
+# minmax_pair, or None until it is asked for].
+_last_split: dict[tuple, list] = {}
 
 
 def load_csv(path, label_column: int = -1, positive_label: str | None = None) -> Dataset:
@@ -230,7 +231,7 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
         test_idx.extend(members[n_train:])
     split = ds.subset(sorted(train_idx)), ds.subset(sorted(test_idx))
     _last_split.clear()
-    _last_split[key] = (ds, split)
+    _last_split[key] = [ds, split, None]
     return split
 
 
@@ -246,6 +247,25 @@ def minmax_apply(ds: Dataset, mins: np.ndarray, maxs: np.ndarray) -> Dataset:
     scaled = (ds.features - mins) / safe
     scaled = np.where(span > 0.0, scaled, 0.0)
     return Dataset(scaled, ds.labels)
+
+
+def minmax_pair(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
+    """train and test min-max scaled by train's per-feature ranges.
+
+    The pair stratified_split keeps is scaled once: called on that split's
+    own train and test Datasets, this keeps the scaled pair with the split
+    and returns the same (immutable) scaled Datasets again, so runs on one
+    scaled split share one training Dataset.
+    """
+    entry = next(iter(_last_split.values()), None)
+    kept = entry is not None and entry[1][0] is train and entry[1][1] is test
+    if kept and entry[2] is not None:
+        return entry[2]
+    mins, maxs = minmax_fit(train)
+    scaled = minmax_apply(train, mins, maxs), minmax_apply(test, mins, maxs)
+    if kept:
+        entry[2] = scaled
+    return scaled
 
 
 def synthetic_blobs(n_cases: int, imbalance: int, seed: int) -> list[tuple[float, float, str]]:

@@ -310,7 +310,10 @@ class _Engine:
     in kept and their tournament keys (smaller wins) in _keys; from these
     the base breeds pop_size offspring and reports the front. Every engine
     scores its offspring with _score: an offspring whose tree is one of
-    its parents' trees takes that parent's semantics and objectives.
+    its parents' trees takes that parent's semantics and objectives. The
+    base scores a generation's other offspring inside one
+    SemanticsMemo.planned batch, so each function node they share is
+    computed once.
     Engines on the same training Dataset and seed start from the same
     initial members, whose read-only arrays they may share.
 
@@ -400,7 +403,10 @@ class _Engine:
             a = self.kept[self._tournament()]
             b = self.kept[self._tournament()]
             bred.extend((tree, a, b) for tree in self.variation.breed_pair(a, b, self.rng))
-        return [self._score(*entry) for entry in bred[:n]]
+        del bred[n:]
+        fresh = [tree for tree, a, b in bred if tree is not a.tree and tree is not b.tree]
+        with self.evaluator.memo.planned(fresh):
+            return [self._score(*entry) for entry in bred]
 
     def front(self) -> Population:
         """First front of the kept members in the plain two-objective space."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 import weakref
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Union
 
@@ -26,12 +27,15 @@ FUNCTIONS = ("+", "-", "*", "/")
 DIV_EPSILON = 1e-9
 # Magnitude clamp on every function node's output (evaluate_semantics skips
 # it where it cannot change a value). Without it, repeated multiplication
-# overflows float64 well inside the depth limit.
+# overflows float64 well inside the depth limit. So it also bounds every
+# non-NaN element of any function node's output, which is the walk bound a
+# scored parent's output is read with.
 VALUE_CLAMP = 1e10
 FUNCTION_POINT_BIAS = 0.9
 CROSSOVER_DEPTH_RETRIES = 5
-# SemanticsMemo keeps up to MEMO_ENTRIES function-node outputs when that
-# many float64 outputs fit in MEMO_BYTES; otherwise it keeps none.
+# SemanticsMemo keeps up to MEMO_ENTRIES recently used function-node
+# outputs when that many float64 outputs fit in MEMO_BYTES; otherwise it
+# keeps none of those, and only holds the outputs a planned batch shares.
 MEMO_ENTRIES = 256
 MEMO_BYTES = 1 << 19
 
@@ -197,8 +201,18 @@ class SemanticsMemo:
     reused id misses, and the memo never keeps a tree alive. The capacity
     most recently used entries are kept: MEMO_ENTRIES where that many
     outputs fit in MEMO_BYTES (at most 256 cases by default), else 0, so
-    that no node is kept. On larger matrices a memo saves time only while
-    it holds megabytes of outputs.
+    that no node is kept. On larger matrices such entries save time only
+    while they hold megabytes of outputs; planned batches reuse nodes
+    there instead.
+
+    At any size it also holds, in held, outputs that are certain to be
+    read again: id(node) -> (output, walk bound). Within planned(trees),
+    each function node the walks over a batch will request twice or more
+    is held from its first computation to its last request, and requests
+    counts the requests left. Within scored(members), the root of each
+    member with semantics maps to them. Both are emptied when their block
+    ends, however it ends, and the ids are those of nodes the caller keeps
+    alive for the whole block, so no id can be reused inside it.
     """
 
     def __init__(self, features: np.ndarray):
@@ -207,6 +221,62 @@ class SemanticsMemo:
         n_cases = np.shape(features)[0]
         self.capacity = MEMO_ENTRIES if MEMO_ENTRIES * 8 * n_cases <= MEMO_BYTES else 0
         self.entries: OrderedDict[int, tuple[weakref.ref, np.ndarray | float, float]] = OrderedDict()
+        self.held: dict[int, tuple[np.ndarray | float, float]] = {}
+        self.requests: dict[int, int] = {}
+
+    @contextmanager
+    def planned(self, trees):
+        """Within the block, scoring each of trees once computes each of their function nodes once.
+
+        A node's requests are one per tree rooted at it plus one per side
+        of each distinct function node it is a child of, as every node
+        requested is computed once and its children requested then. Each
+        tree's root counts, so a tree scored twice in the batch is
+        computed once. The caller keeps every tree alive until the block
+        ends and scores no other tree through this memo inside it.
+
+        A memo with a capacity plans nothing: its entries already keep
+        recent nodes, and nodes held for the plan instead would be missing
+        from them for the later batches and ssc trials that hit them.
+        """
+        counts: dict[int, int] = {}
+        stack = [] if self.capacity else [tree for tree in trees if type(tree) is Call]
+        push = stack.append
+        while stack:
+            node = stack.pop()
+            key = id(node)
+            if key in counts:
+                counts[key] += 1
+                continue
+            counts[key] = 1
+            if type(node.left) is Call:
+                push(node.left)
+            if type(node.right) is Call:
+                push(node.right)
+        self.requests.update((key, count) for key, count in counts.items() if count > 1)
+        try:
+            yield
+        finally:
+            self.held.clear()
+            self.requests.clear()
+
+    @contextmanager
+    def scored(self, members):
+        """Read each member's semantics for its function-node root while the block runs.
+
+        A member's semantics, when not None, must be
+        evaluate_semantics(member.tree, features), and the caller keeps
+        every member's tree alive until the block ends. A walk that reaches
+        such a root, as the whole tree or inside another, returns the
+        semantics with VALUE_CLAMP as their bound.
+        """
+        for member in members:
+            if type(member.tree) is Call and member.semantics is not None:
+                self.held[id(member.tree)] = (member.semantics, VALUE_CLAMP)
+        try:
+            yield
+        finally:
+            self.held.clear()
 
 
 def _apply(op: str, a, a_bound: float, b, b_bound: float):
@@ -214,7 +284,12 @@ def _apply(op: str, a, a_bound: float, b, b_bound: float):
 
     The output is clamped to +-VALUE_CLAMP only where its bound can exceed
     the clamp (a NaN or inf bound included), and is then a fresh array or a
-    Python float.
+    Python float. An array divisor's least magnitude is taken in one
+    reduction: when it is at least DIV_EPSILON (an empty divisor's is
+    inf), no element is protected and a_bound / least bounds the quotient;
+    otherwise, a NaN least included, the protected quotient is bounded by
+    a_bound / DIV_EPSILON or 1. Bounds are Python floats, so a bound that
+    overflows is inf, never a numpy warning.
     """
     if op == "+":
         out, bound = a + b, a_bound + b_bound
@@ -227,13 +302,14 @@ def _apply(op: str, a, a_bound: float, b, b_bound: float):
             return 1.0, 1.0
         out, bound = a / b, a_bound / abs(b)
     else:
-        small = np.abs(b) < DIV_EPSILON
-        if np.count_nonzero(small):
-            out = np.where(small, 1.0, np.divide(a, np.where(small, 1.0, b)))
+        magnitude = np.abs(b)
+        least = float(np.minimum.reduce(magnitude, initial=np.inf))
+        if least >= DIV_EPSILON:
+            out, bound = a / b, a_bound / least
         else:
-            # Without near-zero divisors both where() calls are the identity.
-            out = a / b
-        bound = max(a_bound / DIV_EPSILON, 1.0)
+            small = magnitude < DIV_EPSILON
+            out = np.where(small, 1.0, np.divide(a, np.where(small, 1.0, b)))
+            bound = max(a_bound / DIV_EPSILON, 1.0)
     if bound <= VALUE_CLAMP:
         return out, bound
     if type(out) is np.ndarray:
@@ -256,8 +332,10 @@ def evaluate_semantics(tree: Node, features: np.ndarray, memo: SemanticsMemo | N
 
     The clamp is skipped only where it is the identity. The walk carries a
     bound >= |value| for every non-NaN element, built from max |feature| and
-    |constant| with the node's own operation; round-to-nearest is monotone,
-    so the computed value never exceeds the computed bound. A node whose
+    |constant| with the node's own operation (a division's from the least
+    |divisor| the node sees, see _apply); round-to-nearest is monotone, so
+    the computed value never exceeds the computed bound. Any such bound
+    gives the same bits, as the clamp is the identity below it. A node whose
     bound is above the clamp, inf or NaN is clamped. Constants stay Python
     floats and broadcast; constant-only subtrees compute the same IEEE
     doubles in Python.
@@ -273,20 +351,24 @@ def evaluate_semantics(tree: Node, features: np.ndarray, memo: SemanticsMemo | N
     constant, and the NaN is a NaN either way.
 
     memo, when given, must have been built on this very features object
-    (ValueError otherwise); its bound is used and, when its capacity is
-    above 0, every function node is looked up in it before being walked and
-    stored in it after. The outputs are the same bits either way, but with
-    a memo a function-node root's result is the memo's read-only array and
-    may be shared with other callers; without one it is a fresh array.
-    Feature columns are read as features[:, i], which is contiguous for the
-    Fortran-ordered matrices a Dataset holds.
+    (ValueError otherwise); its bound is used, a function node it holds
+    (see SemanticsMemo.planned and SemanticsMemo.scored) is read, not
+    walked, and when its capacity is above 0 every other function node is
+    looked up in its entries before being walked and stored in them after.
+    The outputs are the same bits either way, but with a memo a
+    function-node root's result may be a read-only array the memo holds,
+    or a scored member's own semantics, and shared with other callers;
+    without one it is a fresh array. Feature columns are read as
+    features[:, i], which is contiguous for the Fortran-ordered matrices a
+    Dataset holds.
     """
     if memo is None:
-        column_bound, capacity = feature_bound(features), 0
+        column_bound, capacity, held, requests = feature_bound(features), 0, {}, {}
     elif memo.features is not features:
         raise ValueError("memo was built on another feature matrix")
     else:
         column_bound, capacity, entries = memo.bound, memo.capacity, memo.entries
+        held, requests = memo.held, memo.requests
     features = np.asarray(features, dtype=np.float64)
 
     def walk(node: Node):
@@ -295,9 +377,22 @@ def evaluate_semantics(tree: Node, features: np.ndarray, memo: SemanticsMemo | N
             return features[:, node.index], column_bound
         if kind is Constant:
             return node.value, abs(node.value)
+        key = id(node)
+        left = requests.get(key)
+        entry = held.get(key)
+        if entry is None and left:
+            # The first of a planned node's requests: hold it for the rest.
+            entry = held[key] = _apply(node.op, *walk(node.left), *walk(node.right))
+            if type(entry[0]) is np.ndarray:
+                entry[0].flags.writeable = False
+        if entry is not None:
+            if left == 1:
+                del held[key], requests[key]
+            elif left:
+                requests[key] = left - 1
+            return entry
         if not capacity:
             return _apply(node.op, *walk(node.left), *walk(node.right))
-        key = id(node)
         entry = entries.pop(key, None)
         if entry is not None and entry[0]() is node:
             # Re-inserting moves the hit to the most recently used end.

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, make_dataclass, replac
 from itertools import permutations
 from pathlib import Path
 
-from .dataset import Dataset, load_csv, minmax_apply, minmax_fit, stratified_split
+from .dataset import Dataset, load_csv, minmax_pair, stratified_split
 from .gp_core import GPParams, parse_prefix
 from .metrics import HV_REFERENCE, hypervolume_2d
 from .objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
@@ -160,9 +160,7 @@ def _run_seed(cfg: ExperimentConfig, full: Dataset, seed: int) -> RunResult:
     """Split, evolve and score on the held-out split: one seed's whole run."""
     train, test = stratified_split(full, cfg.train_fraction, seed)
     if cfg.scale_features:
-        mins, maxs = minmax_fit(train)
-        train = minmax_apply(train, mins, maxs)
-        test = minmax_apply(test, mins, maxs)
+        train, test = minmax_pair(train, test)
     result = run_variant(
         cfg.engine,
         cfg.semantic_config(),
@@ -185,30 +183,44 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
     computed on the training split; each front member also carries its
     objectives on the held-out split.
 
-    With n_workers > 1, the (point, seed) runs share one pool of at most
-    that many worker processes; files are still written here, point by
-    point and seed by seed, byte-identical to a sequential run's.
+    The runs go seed by seed, each seed's grid points one after another,
+    so that they share the seed's split and initial population (see
+    stratified_split and emo._Engine). Results are saved and returned
+    point by point and seed by seed, each saved as soon as every result
+    before it in that order is. With n_workers > 1, the runs share one pool
+    of at most that many worker processes; files are still written here,
+    byte-identical to a sequential run's.
     """
     points = expand_grid(cfg)
     for point in points:
         point.validate()
     full = load_csv(cfg.dataset, cfg.label_column, cfg.positive_label)
-    jobs = [(point, full, seed) for point in points for seed in point.seeds]
+    seeds = cfg.seeds
+    jobs = [(point, full, seed) for seed in seeds for point in points]
+    # Job i's place in the point-major order.
+    positions = [p * len(seeds) + s for s in range(len(seeds)) for p in range(len(points))]
     n_workers = min(cfg.n_workers, len(jobs))
     columns = zip(*jobs)
     if n_workers == 1:
-        return _save_each(map(_run_seed, *columns), cfg.output_dir)
+        return _save_in_order(map(_run_seed, *columns), positions, cfg.output_dir)
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=n_workers, mp_context=context) as pool:
-        return _save_each(pool.map(_run_seed, *columns), cfg.output_dir)
+        return _save_in_order(pool.map(_run_seed, *columns), positions, cfg.output_dir)
 
 
-def _save_each(runs, output_dir) -> list[RunResult]:
-    """Save each result as it arrives, in arrival order."""
-    results = []
-    for result in runs:
-        save_run(result, output_dir)
-        results.append(result)
+def _save_in_order(runs, positions, output_dir) -> list[RunResult]:
+    """Place each arriving result at its position and save the results in position order.
+
+    A result is saved once every result before it is in place, so each
+    file is written as early as that order allows.
+    """
+    results = [None] * len(positions)
+    saved = 0
+    for position, result in zip(positions, runs):
+        results[position] = result
+        while saved < len(results) and results[saved] is not None:
+            save_run(results[saved], output_dir)
+            saved += 1
     return results
 
 

@@ -70,7 +70,7 @@ class ClassificationEvaluator:
     rows, the class sizes and one SemanticsMemo of the features, which every
     evaluate_tree call passes to evaluate_semantics (so a function node
     shared with an earlier tree is looked up, on matrices small enough for
-    the memo to keep entries). evaluate_tree then counts true and false
+    the memo to keep entries, or held within a planned batch). evaluate_tree then counts true and false
     positives directly and gives the same objectives, bit for bit, as
     objective_vector(confusion(classify(semantics, threshold), labels)).
     The semantics it caches may be read-only arrays shared with the memo.

@@ -86,25 +86,29 @@ def ssc_crossover(
 
     Subtrees are scored through memo, which must have been built on
     features; build_engine passes its evaluator's, so subtrees of parents
-    it has just scored are looked up.
+    it has just scored are looked up. A parent's semantics, when not None,
+    must be evaluate_semantics(parent.tree, features): a pick that is a
+    parent's whole tree, or holds a parent's root, reads them (see
+    SemanticsMemo.scored) instead of walking that tree again.
     """
     stats.calls += 1
-    for _ in range(SSC_MAX_TRIALS):
-        stats.trials += 1
-        point1 = pick_crossover_point(p1.tree, rng)
-        point2 = pick_crossover_point(p2.tree, rng)
-        sub1 = subtree_at(p1.tree, point1)
-        sub2 = subtree_at(p2.tree, point2)
-        distance = ssc_distance(
-            evaluate_semantics(sub1, features, memo), evaluate_semantics(sub2, features, memo)
-        )
-        fits = (
-            _depth_after_replace(p1.tree, point1, sub2) <= max_depth
-            and _depth_after_replace(p2.tree, point2, sub1) <= max_depth
-        )
-        if fits and cfg.lbss <= distance <= cfg.ubss:
-            stats.accepted += 1
-            return point1, point2
+    with memo.scored((p1, p2)):
+        for _ in range(SSC_MAX_TRIALS):
+            stats.trials += 1
+            point1 = pick_crossover_point(p1.tree, rng)
+            point2 = pick_crossover_point(p2.tree, rng)
+            sub1 = subtree_at(p1.tree, point1)
+            sub2 = subtree_at(p2.tree, point2)
+            distance = ssc_distance(
+                evaluate_semantics(sub1, features, memo), evaluate_semantics(sub2, features, memo)
+            )
+            fits = (
+                _depth_after_replace(p1.tree, point1, sub2) <= max_depth
+                and _depth_after_replace(p2.tree, point2, sub1) <= max_depth
+            )
+            if fits and cfg.lbss <= distance <= cfg.ubss:
+                stats.accepted += 1
+                return point1, point2
     return (point1, point2) if fits else None
 
 

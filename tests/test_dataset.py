@@ -16,6 +16,7 @@ from semogp.dataset import (
     load_csv,
     minmax_apply,
     minmax_fit,
+    minmax_pair,
     stratified_split,
     synthetic_blobs,
     write_synthetic_csv,
@@ -394,6 +395,27 @@ class TestMinMax:
         mins, maxs = minmax_fit(ds)
         scaled = minmax_apply(ds, mins, maxs)
         assert scaled.features[:, 0].tolist() == [0.0, 0.0]
+
+    def test_pair_of_the_kept_split_is_scaled_once(self, small_dataset):
+        train, test = stratified_split(small_dataset, 0.7, seed=3)
+        scaled = minmax_pair(train, test)
+        mins, maxs = minmax_fit(train)
+        for got, ds in zip(scaled, (train, test)):
+            assert np.array_equal(got.features, minmax_apply(ds, mins, maxs).features)
+            assert np.array_equal(got.labels, ds.labels)
+        assert minmax_pair(train, test) is scaled
+        # Another split drops the kept one, and its scaled pair with it.
+        other = stratified_split(small_dataset, 0.7, seed=4)
+        assert minmax_pair(*other) is minmax_pair(*other)
+        again = minmax_pair(*stratified_split(small_dataset, 0.7, seed=3))
+        assert again[0] is not scaled[0]
+        assert np.array_equal(again[0].features, scaled[0].features)
+
+    def test_a_pair_that_is_not_the_kept_split_is_not_kept(self, small_dataset):
+        train, test = stratified_split(small_dataset, 0.7, seed=3)
+        for pair in ((test, train), (train, train), (small_dataset.subset(range(20)), test)):
+            assert minmax_pair(*pair) is not minmax_pair(*pair)
+        assert dataset._last_split[(0.7, 3)][2] is None
 
     def test_test_split_can_leave_unit_interval(self):
         train = Dataset([[0.0], [1.0]], [True, False])

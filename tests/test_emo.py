@@ -1,5 +1,6 @@
 """Dominance, sorting, crowding, SPEA2 fitness, decomposition, engines."""
 
+import contextlib
 import math
 import random
 
@@ -34,6 +35,7 @@ from semogp.objectives import ClassificationEvaluator
 from semogp.semantic_emo import SdoObjectives, SemanticConfig, run_variant
 
 from conftest import PAIRS, ScriptedRandom, blob_dataset, make_individual, same_bits
+from test_gp_core import count_applies, distinct_calls
 
 INF = float("inf")
 
@@ -811,6 +813,69 @@ class TestOffspringReuse:
             want = fresh.evaluate_tree(child.tree)
             assert same_bits(child.semantics, want.semantics)
             assert same_bits(child.objectives, want.objectives)
+
+
+class TestPlannedBreeding:
+    """NSGA-II and SPEA2 score each generation's offspring as one planned batch."""
+
+    @pytest.mark.parametrize("cls", [Nsga2Engine, Spea2Engine])
+    def test_steps_match_unplanned_scoring(self, cls, monkeypatch):
+        # More cases than SemanticsMemo keeps entries for: only the plan reuses nodes.
+        ds = blob_dataset(n_cases=300, imbalance=3, seed=1)
+        params = GPParams(pop_size=16, generations=5, init_min_depth=2, init_max_depth=5)
+        engines = [
+            cls(ClassificationEvaluator(ds), Variation(PrimitiveSet(ds.n_features), params), random.Random(3))
+            for _ in range(2)
+        ]
+        planned, unplanned = engines
+        memo = planned.evaluator.memo
+        assert memo.capacity == 0
+        unplanned.evaluator.memo.planned = lambda trees: contextlib.nullcontext()
+        batches = []
+        plan = memo.planned
+
+        def recorded(trees):
+            batches.append(list(trees))
+            return plan(trees)
+
+        memo.planned = recorded
+        for engine in engines:
+            engine.initialize()
+        applied = count_applies(monkeypatch)
+        for _ in range(4):
+            applied.clear()
+            planned.step()
+            assert len(applied) == len(distinct_calls(batches[-1]))
+            assert memo.held == {} and memo.requests == {}
+            unplanned.step()
+            assert len(applied) > len(distinct_calls(batches[-1]))
+            assert planned.rng.getstate() == unplanned.rng.getstate()
+            for got, want in zip(planned.kept, unplanned.kept, strict=True):
+                assert got.tree == want.tree
+                assert same_bits(got.semantics, want.semantics)
+                assert same_bits(got.objectives, want.objectives)
+
+    def test_the_batch_is_every_offspring_not_a_parents_tree(self, monkeypatch):
+        ds = blob_dataset(n_cases=300, imbalance=3, seed=1)
+        params = GPParams(pop_size=16, generations=5, crossover_rate=0.5, mutation_rate=0.0)
+        engine = Nsga2Engine(ClassificationEvaluator(ds), Variation(PrimitiveSet(ds.n_features), params), random.Random(4))
+        engine.initialize()
+        memo = engine.evaluator.memo
+        batches, plan = [], memo.planned
+        memo.planned = lambda trees: batches.append(trees) or plan(trees)
+        scored, score = [], emo._Engine._score
+
+        def recorded(engine, tree, a, b):
+            scored.append((tree, a, b))
+            return score(engine, tree, a, b)
+
+        monkeypatch.setattr(emo._Engine, "_score", recorded)
+        engine.step()
+        (batch,) = batches
+        fresh = [tree for tree, a, b in scored if tree is not a.tree and tree is not b.tree]
+        assert len(scored) == params.pop_size
+        assert 0 < len(batch) < params.pop_size
+        assert len(batch) == len(fresh) and all(x is y for x, y in zip(batch, fresh))
 
 
 def engine_on(ds, cls=Nsga2Engine, seed=0, size=12, depths=(2, 4), threshold=0.0, rng=None, scorer=None):

@@ -443,6 +443,104 @@ class TestEvaluationOracle:
             )
 
 
+def reference_divide(a, b):
+    """A division node guarded element by element and always clamped: the oracle."""
+    small = np.abs(b) < DIV_EPSILON
+    out = np.where(small, 1.0, np.divide(a, np.where(small, 1.0, b)))
+    return np.clip(out, -VALUE_CLAMP, VALUE_CLAMP)
+
+
+TINY = math.nextafter(DIV_EPSILON, 0.0)
+# Divisor columns, each with the dividend column [3.0, -1e9, 0.5, 7.0][:n].
+DIVISORS = {
+    "least exactly epsilon": [DIV_EPSILON, -2.0, 1e-3, 5.0],
+    "least exactly -epsilon": [-DIV_EPSILON, 2.0, -4.0, 1e9],
+    "least just below epsilon": [TINY, 2.0, 3.0, -1.0],
+    "least just below, negative": [-TINY, -DIV_EPSILON, 1.0, 1.0],
+    "nan entry": [math.nan, 2.0, -3.0, 4.0],
+    "nan beside a small entry": [math.nan, 0.0, -3.0, 4.0],
+    "positive zero": [0.0, 2.0, 3.0, 4.0],
+    "negative zero": [-0.0, 2.0, 3.0, 4.0],
+    "infinities": [math.inf, -math.inf, 2.0, -0.5],
+    "all infinite": [math.inf, -math.inf, math.inf, -math.inf],
+    "tiny quotients": [1e300, -1e300, 1e200, 1e100],
+    "huge quotients": [1e-3, DIV_EPSILON, -1e-6, 2 * DIV_EPSILON],
+}
+
+
+class TestDivisionGuard:
+    """A division takes its divisor's least magnitude once and clamps only where that can matter."""
+
+    @staticmethod
+    def columns(divisor):
+        dividend = np.array([3.0, -1e9, 0.5, 7.0])
+        return dividend, np.array(divisor, dtype=np.float64)
+
+    @pytest.mark.parametrize("divisor", DIVISORS.values(), ids=DIVISORS.keys())
+    def test_node_matches_the_old_guard_and_bounds_its_output(self, divisor):
+        a, b = self.columns(divisor)
+        with np.errstate(invalid="ignore"):
+            out, bound = gp_core._apply("/", a, feature_bound(a[:, None]), b, feature_bound(b[:, None]))
+            want = reference_divide(a, b)
+        assert same_bits(out, want)
+        assert type(bound) is float
+        assert not (np.abs(out) > bound).any()
+
+    @pytest.mark.parametrize("divisor", DIVISORS.values(), ids=DIVISORS.keys())
+    def test_trees_match_the_reference_walk(self, divisor):
+        a, b = self.columns(divisor)
+        features = np.column_stack([a, b, np.array([1e6, -2.0, 0.25, 1e-12])])
+        memo = SemanticsMemo(features)
+        for text in (
+            "(/ x0 x1)",
+            "(/ 0.5 x1)",
+            "(* (/ x0 x1) (/ x0 x1))",
+            "(/ (* x0 x2) (- x1 x2))",
+            "(+ (/ x2 x1) (/ x1 (* x1 x1)))",
+            "(/ (/ x0 x1) (/ x1 x0))",
+        ):
+            tree = parse_prefix(text)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = reference_semantics(tree, features)
+                assert same_bits(evaluate_semantics(tree, features), want), text
+                assert same_bits(evaluate_semantics(tree, features, memo), want), text
+
+    def test_empty_divisor(self):
+        # A reduction over no rows needs its initial value: the least is inf.
+        empty = np.zeros(0)
+        out, bound = gp_core._apply("/", empty, 0.0, empty, 0.0)
+        assert out.shape == (0,) and bound == 0.0 and type(bound) is float
+        features = np.zeros((0, 2))
+        for text in ("(/ x0 x1)", "(/ 1.0 (* x1 x0))", "(+ (/ x0 x1) 2.0)"):
+            out = evaluate_semantics(parse_prefix(text), features)
+            assert out.dtype == np.float64 and out.shape == (0,)
+
+    def test_an_overflowing_bound_is_an_inf_float(self):
+        # 1e300 / 1e-9 overflows: as Python floats that is inf, as numpy
+        # scalars a RuntimeWarning, which this suite turns into a failure.
+        a = np.array([1.0, -2.0])
+        b = np.array([DIV_EPSILON, 4.0])
+        out, bound = gp_core._apply("/", a, 1e300, b, 4.0)
+        assert bound == VALUE_CLAMP and type(bound) is float
+        assert same_bits(out, reference_divide(a, b))
+        features = np.array([[1e300, DIV_EPSILON], [-1.0, 4.0]])
+        tree = parse_prefix("(/ x0 x1)")
+        with np.errstate(over="ignore"):
+            want = reference_semantics(tree, features)
+        # The array quotient itself overflows; only that is silenced.
+        with np.errstate(over="ignore"):
+            out = evaluate_semantics(tree, features)
+        assert same_bits(out, want)
+        assert out.tolist() == [VALUE_CLAMP, -0.25]
+
+    def test_the_bound_comes_from_the_least_divisor(self):
+        # 50 / DIV_EPSILON would be above the clamp; the least divisor gives 100.
+        a = np.array([30.0, -50.0])
+        out, bound = gp_core._apply("/", a, 50.0, np.array([0.5, -2.0]), 2.0)
+        assert bound == 100.0 and out.tolist() == [60.0, 25.0]
+        out, bound = gp_core._apply("/", a, 50.0, np.array([DIV_EPSILON, -2.0]), 2.0)
+        assert bound == VALUE_CLAMP and out.tolist() == [VALUE_CLAMP, 25.0]
+
 NEAR_CLAMP = (
     VALUE_CLAMP,
     -VALUE_CLAMP,
@@ -585,6 +683,169 @@ class TestSemanticsMemo:
         assert memo.capacity == 0
         out = evaluate_semantics(sample_tree(), memo.features, memo)
         assert out.flags.writeable and not memo.entries
+
+
+def distinct_calls(trees):
+    """The distinct function nodes of trees, by identity."""
+    seen = {}
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if type(node) is Call and id(node) not in seen:
+            seen[id(node)] = node
+            stack += [node.left, node.right]
+    return list(seen.values())
+
+
+def offspring_batch(seed, n_cases=300):
+    """Trees sharing subtrees as a generation's offspring do, on a matrix
+    too large for the memo's entries, and those trees' parents.
+
+    Besides crossover and mutation offspring it holds a repeated tree, a
+    parent's subtree as a whole tree and a bare terminal.
+    """
+    rng = random.Random(seed)
+    ps = PrimitiveSet(n_features=N_FEATURES)
+    parents = [grow_tree(ps, rng.randint(2, 6), rng) for _ in range(6)]
+    batch = []
+    for _ in range(8):
+        a, b = rng.sample(parents, 2)
+        c1, c2 = subtree_crossover(a, b, rng, max_depth=17)
+        batch += [c1, subtree_mutation(c2, ps, rng, max_depth=17, subtree_depth=3)]
+    batch += [batch[0], subtree_at(parents[0], (0,)), Feature(1)]
+    features = np.random.default_rng(seed).normal(scale=4.0, size=(n_cases, N_FEATURES))
+    return batch, parents, features
+
+
+def count_applies(monkeypatch):
+    applied = []
+    apply = gp_core._apply
+
+    def counted(op, *args):
+        applied.append(op)
+        return apply(op, *args)
+
+    monkeypatch.setattr(gp_core, "_apply", counted)
+    return applied
+
+
+class TestPlannedBatch:
+    """Within planned(trees), each function node of the batch is computed once."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_outputs_match_unplanned_scoring(self, seed):
+        batch, _, features = offspring_batch(seed)
+        memo = SemanticsMemo(features)
+        assert memo.capacity == 0
+        with memo.planned(batch):
+            got = [evaluate_semantics(tree, features, memo) for tree in batch]
+        for tree, out in zip(batch, got):
+            assert same_bits(out, evaluate_semantics(tree, features)), to_prefix(tree)
+            assert same_bits(out, reference_semantics(tree, features)), to_prefix(tree)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_apply_per_distinct_function_node(self, seed, monkeypatch):
+        batch, _, features = offspring_batch(seed)
+        memo = SemanticsMemo(features)
+        unplanned = count_applies(monkeypatch)
+        for tree in batch:
+            evaluate_semantics(tree, features, memo)
+        assert len(unplanned) == sum(tree.n_functions for tree in batch)
+        planned = count_applies(monkeypatch)
+        with memo.planned(batch):
+            for tree in batch:
+                evaluate_semantics(tree, features, memo)
+        assert len(planned) == len(distinct_calls(batch)) < len(unplanned)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_held_outputs_are_read_only_and_dropped_at_their_last_request(self, seed):
+        batch, _, features = offspring_batch(seed)
+        memo = SemanticsMemo(features)
+        with memo.planned(batch):
+            assert memo.requests and not memo.held
+            assert all(count > 1 for count in memo.requests.values())
+            for tree in batch:
+                evaluate_semantics(tree, features, memo)
+                for out, _ in memo.held.values():
+                    assert type(out) is not np.ndarray or not out.flags.writeable
+                assert memo.held.keys() <= memo.requests.keys()
+            # Every request was made, so nothing is held any more.
+            assert not memo.held and not memo.requests
+
+    def test_state_is_empty_after_a_batch_that_raises(self, monkeypatch):
+        batch, _, features = offspring_batch(0)
+        memo = SemanticsMemo(features)
+        apply = gp_core._apply
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 40:
+                raise FloatingPointError("raised inside the batch")
+            return apply(*args)
+
+        monkeypatch.setattr(gp_core, "_apply", failing)
+        with pytest.raises(FloatingPointError):
+            with memo.planned(batch):
+                for tree in batch:
+                    evaluate_semantics(tree, features, memo)
+        assert memo.held == {} and memo.requests == {}
+        monkeypatch.setattr(gp_core, "_apply", apply)
+        for tree in batch:
+            assert same_bits(evaluate_semantics(tree, features, memo), reference_semantics(tree, features))
+
+    def test_a_memo_with_entries_plans_nothing(self):
+        batch, _, features = offspring_batch(1, n_cases=40)
+        memo = SemanticsMemo(features)
+        assert memo.capacity == gp_core.MEMO_ENTRIES
+        with memo.planned(batch):
+            assert not memo.requests
+            for tree in batch:
+                out = evaluate_semantics(tree, features, memo)
+                assert same_bits(out, reference_semantics(tree, features))
+            assert not memo.held
+
+
+class TestScoredMembers:
+    """Within scored(members), a walk reaching a member's root reads its semantics."""
+
+    def test_whole_and_containing_picks_read_the_semantics(self, monkeypatch):
+        _, parents, features = offspring_batch(2)
+        memo = SemanticsMemo(features)
+        inner = parents[0]
+        outer = Call("-", Call("*", inner, Feature(0)), Feature(1))
+        members = [Individual(tree, evaluate_semantics(tree, features)) for tree in (inner, outer)]
+        applied = count_applies(monkeypatch)
+        with memo.scored(members):
+            assert evaluate_semantics(outer, features, memo) is members[1].semantics
+            assert evaluate_semantics(inner, features, memo) is members[0].semantics
+            assert applied == []
+            picked = subtree_at(outer, (0,))
+            out = evaluate_semantics(picked, features, memo)
+            assert applied == ["*"]
+        assert same_bits(out, reference_semantics(picked, features))
+        assert memo.held == {}
+
+    def test_members_without_semantics_or_a_function_root_are_walked(self, monkeypatch):
+        _, parents, features = offspring_batch(3)
+        memo = SemanticsMemo(features)
+        tree = parents[1]
+        applied = count_applies(monkeypatch)
+        with memo.scored([Individual(tree), Individual(Feature(0), np.zeros(len(features)))]):
+            assert not memo.held
+            out = evaluate_semantics(tree, features, memo)
+        assert len(applied) == tree.n_functions
+        assert same_bits(out, reference_semantics(tree, features))
+
+    def test_state_is_empty_after_a_block_that_raises(self):
+        _, parents, features = offspring_batch(4)
+        memo = SemanticsMemo(features)
+        member = Individual(parents[2], evaluate_semantics(parents[2], features))
+        with pytest.raises(KeyError):
+            with memo.scored([member]):
+                assert memo.held
+                raise KeyError("raised inside the block")
+        assert memo.held == {}
 
 
 class TestCrossover:

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semogp.dataset
+import semogp.emo
 import semogp.harness
 from semogp.cli import main
 from semogp.dataset import Dataset, load_csv, stratified_split, synthetic_blobs
@@ -626,6 +628,75 @@ class TestRunExperiment:
         by_seed = {r.seed: r for r in loaded}
         for result in results:
             assert by_seed[result.seed] == result
+
+
+def clear_reuse_memos():
+    for memo in (semogp.dataset._last_parse, semogp.dataset._last_split, semogp.emo._last_population):
+        memo.clear()
+
+
+def file_bytes(directory) -> dict:
+    return {p.name: p.read_bytes() for p in Path(directory).iterdir()}
+
+
+class TestReuseAcrossRuns:
+    """Runs on one dataset and seed build and score its initial population once."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = []
+        build = semogp.emo.ramped_half_and_half
+
+        def counted(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(semogp.emo, "ramped_half_and_half", counted)
+        return built
+
+    def test_scaled_runs_share_one_initial_population(self, tiny_config, tmp_path, monkeypatch):
+        approaches = ("canonical", "sdo", "ssc", "scd")
+        cfg = replace(tiny_config, scale_features=True, seeds=[2])
+        cold = {}
+        for approach in approaches:
+            clear_reuse_memos()
+            out = tmp_path / f"cold_{approach}"
+            run_experiment(replace(cfg, approach=approach, output_dir=str(out)))
+            cold.update(file_bytes(out))
+        clear_reuse_memos()
+        built = self.count_builds(monkeypatch)
+        for approach in approaches:
+            run_experiment(replace(cfg, approach=approach, output_dir=str(tmp_path / "warm")))
+        assert len(built) == 1
+        assert file_bytes(tmp_path / "warm") == cold
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_grid_runs_seed_major_and_saves_point_major(self, tiny_config, tmp_path, monkeypatch, n_workers):
+        grid = replace(tiny_config, approach="ssc", seeds=[0, 1], lbss=[0.01, 0.1], n_workers=n_workers)
+        cold = {}
+        for index, point in enumerate(expand_grid(grid)):
+            for seed in grid.seeds:
+                clear_reuse_memos()
+                out = tmp_path / f"cold{index}_{seed}"
+                run_experiment(replace(point, seeds=[seed], n_workers=1, output_dir=str(out)))
+                cold.update(file_bytes(out))
+        clear_reuse_memos()
+        built = self.count_builds(monkeypatch)
+        saved, save = [], semogp.harness.save_run
+
+        def recorded(result, output_dir):
+            saved.append(result)
+            return save(result, output_dir)
+
+        monkeypatch.setattr(semogp.harness, "save_run", recorded)
+        results = run_experiment(grid)
+        point_major = [(lb, s) for lb in (0.01, 0.1) for s in (0, 1)]
+        assert [(r.config["lbss"], r.seed) for r in results] == point_major
+        assert [(r.config["lbss"], r.seed) for r in saved] == point_major
+        if n_workers == 1:
+            # Worker processes build their own; here, one build per seed.
+            assert len(built) == 2
+        assert file_bytes(grid.output_dir) == cold
 
 
 def _result_files(cfg):

@@ -48,7 +48,7 @@ from semogp.semantic_emo import (
 )
 
 from conftest import PAIRS, ScriptedRandom, blob_dataset, exchanged, left_comb, make_individual
-from test_gp_core import reference_breed_one
+from test_gp_core import count_applies, reference_breed_one
 
 # Parametrized ids read "approach-engine", e.g. "sdo-moead".
 PAIR_IDS = [f"{a}-{e}" for e, a in PAIRS]
@@ -227,6 +227,12 @@ class TestSscOracle:
                 outcomes.add("last trial kept")
         assert outcomes == {"accept", "fallback to parents", "last trial kept"}
 
+    @settings(max_examples=200, deadline=None)
+    @given(ssc_trees, ssc_trees, st.sampled_from(SSC_BOUNDS), st.integers(0, 2**32 - 1), st.integers(3, 17))
+    def test_parents_with_semantics_match_reference(self, p1, p2, cfg, seed, max_depth):
+        p1, p2 = (make_individual(evaluate_semantics(p.tree, SSC_FEATURES), tree=p.tree) for p in (p1, p2))
+        ssc_against_reference(p1, p2, cfg, seed, max_depth)
+
     def test_breed_one_builds_only_the_offspring_it_keeps(self, monkeypatch):
         # The reference builds both offspring through conftest's own _exchange.
         def build_pair(*args):
@@ -246,6 +252,77 @@ class TestSscOracle:
             assert got == reference_breed_one(variation, a, b, slow)
             assert fast.getstate() == slow.getstate()
         assert stats.accepted > 0
+
+
+class TestSscScoredParents:
+    """A pick that is, or holds, a parent's root reads the parent's semantics."""
+
+    # More cases than SemanticsMemo keeps entries for, so only the parents are reused.
+    FEATURES = np.random.default_rng(7).normal(size=(300, 2))
+    CFG = SemanticConfig(approach="ssc", lbss=0.0, ubss=float("inf"))
+
+    def parents(self, seed, scored):
+        rng = random.Random(seed)
+        trees = [gp_core.full_tree(SSC_PS, 3, rng) for _ in range(2)]
+        # The first parent holds the second's whole tree below its root.
+        trees[0] = Call("-", Call("*", trees[1], Feature(0)), trees[0])
+        return [
+            make_individual(evaluate_semantics(tree, self.FEATURES) if scored else None, tree=tree) for tree in trees
+        ]
+
+    def run(self, p1, p2, script, monkeypatch):
+        memo = gp_core.SemanticsMemo(self.FEATURES)
+        assert memo.capacity == 0
+        stats = SscCounters()
+        applied = count_applies(monkeypatch)
+        rng = ScriptedRandom(script)
+        points = ssc_crossover(p1, p2, self.CFG, rng, 17, self.FEATURES, stats, memo)
+        assert not rng.script and memo.held == {}
+        monkeypatch.undo()
+        return points, stats, applied
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_whole_parent_picks_walk_nothing(self, seed, monkeypatch):
+        # Function points at preorder index 0: both roots.
+        p1, p2 = self.parents(seed, scored=True)
+        points, stats, applied = self.run(p1, p2, [0.0, 0, 0.0, 0], monkeypatch)
+        assert points == ((), ())
+        assert (stats.calls, stats.trials, stats.accepted) == (1, 1, 1)
+        assert applied == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_pick_holding_a_parent_root_reads_it(self, seed, monkeypatch):
+        # p1's second function node is (* p2.tree x0); p2's pick is its root.
+        p1, p2 = self.parents(seed, scored=True)
+        points, _, applied = self.run(p1, p2, [0.0, 1, 0.0, 0], monkeypatch)
+        assert points == ((0,), ())
+        assert applied == ["*"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_parents_without_semantics_are_walked(self, seed, monkeypatch):
+        p1, p2 = self.parents(seed, scored=False)
+        points, _, applied = self.run(p1, p2, [0.0, 0, 0.0, 0], monkeypatch)
+        assert points == ((), ())
+        assert len(applied) == p1.tree.n_functions + p2.tree.n_functions
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_scored_and_unscored_parents_agree_with_the_reference(self, seed):
+        rng = random.Random(seed)
+        cfg = rng.choice(SSC_BOUNDS)
+        scored = self.parents(seed, scored=True)
+        unscored = self.parents(seed, scored=False)
+        results = []
+        for p1, p2 in (scored, unscored):
+            memo = gp_core.SemanticsMemo(self.FEATURES)
+            stats = SscCounters()
+            fast, slow = random.Random(seed), random.Random(seed)
+            got = exchanged(p1, p2, ssc_crossover(p1, p2, cfg, fast, 17, self.FEATURES, stats, memo))
+            want_stats = SscCounters()
+            want = reference_ssc_crossover(p1, p2, cfg, slow, 17, self.FEATURES, want_stats)
+            assert got == want and stats == want_stats
+            assert fast.getstate() == slow.getstate()
+            results.append((got, stats))
+        assert results[0] == results[1]
 
 
 class ScdFixture:
