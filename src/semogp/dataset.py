@@ -8,7 +8,7 @@ feature matrix plus a boolean label vector, where True marks the positive
 from __future__ import annotations
 
 import csv
-import hashlib
+import functools
 import io
 import math
 import random
@@ -85,16 +85,6 @@ def _parse_feature(cell: str, row_no: int, col_no: int) -> float:
     return value
 
 
-# The last parse, as its only entry: (path, label_column, positive_label,
-# SHA-256 of the file's bytes) -> Dataset.
-_last_parse: dict[tuple, Dataset] = {}
-
-# The last split, as its only entry: (train_fraction, seed) -> [the Dataset
-# split, matched by identity; (train, test); that pair min-max scaled by
-# minmax_pair, or None until it is asked for].
-_last_split: dict[tuple, list] = {}
-
-
 def load_csv(path, label_column: int = -1, positive_label: str | None = None) -> Dataset:
     """Load a CSV file of feature columns plus one label column.
 
@@ -102,11 +92,11 @@ def load_csv(path, label_column: int = -1, positive_label: str | None = None) ->
     column fails to parse as a number. The positive class defaults to the
     rarer label token, with the lexicographically smaller token winning ties.
 
-    A file is parsed once while its bytes are unchanged: the last Dataset
-    parsed is kept under the path, label_column, positive_label and the
-    SHA-256 of the bytes read, and a call that matches all four returns
-    that same (immutable) Dataset. Any change of content parses again; a
-    failed parse is not kept.
+    A file is parsed once while its bytes are unchanged: _parse_csv keeps
+    its last Dataset under the bytes read, path, label_column and
+    positive_label, and a call that matches all four returns that same
+    (immutable) Dataset. Any change of content parses again; a failed
+    parse is not kept.
 
     Args:
         path: CSV file path.
@@ -125,15 +115,10 @@ def load_csv(path, label_column: int = -1, positive_label: str | None = None) ->
             data = handle.read()
     except OSError as exc:
         raise DatasetError(f"missing file: {path}") from exc
-    key = (path, label_column, positive_label, hashlib.sha256(data).digest())
-    dataset = _last_parse.get(key)
-    if dataset is None:
-        dataset = _parse_csv(data, path, label_column, positive_label)
-        _last_parse.clear()
-        _last_parse[key] = dataset
-    return dataset
+    return _parse_csv(data, path, label_column, positive_label)
 
 
+@functools.lru_cache(maxsize=1)
 def _parse_csv(data: bytes, path, label_column: int, positive_label: str | None) -> Dataset:
     """load_csv's parse of a file's bytes; path only names the file in errors."""
     # Decoded as open(path, newline="") decodes the file.
@@ -200,6 +185,7 @@ def _parse_csv(data: bytes, path, label_column: int, positive_label: str | None)
     return Dataset(features, labels)
 
 
+@functools.lru_cache(maxsize=1)
 def stratified_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Split into train/test subsets preserving per-class proportions.
 
@@ -207,16 +193,13 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     clamped so both splits keep at least one case of each class. Row order
     within each split follows the original dataset. Deterministic per seed.
 
-    The last split is kept: a call with the same Dataset object, fraction
-    and seed returns the same (immutable) train and test Datasets, so runs
-    on the same data and seed share them. A failed split is not kept.
+    The last split is kept: a call with the same Dataset object (a
+    Dataset hashes by identity), fraction and seed returns the same
+    (immutable) train and test Datasets, so runs on the same data and seed
+    share them. A failed split is not kept.
     """
     if not 0.0 < train_fraction < 1.0:
         raise DatasetError("train_fraction must lie strictly between 0 and 1")
-    key = (train_fraction, seed)
-    entry = _last_split.get(key)
-    if entry is not None and entry[0] is ds:
-        return entry[1]
     rng = random.Random(seed)
     train_idx: list[int] = []
     test_idx: list[int] = []
@@ -229,10 +212,7 @@ def stratified_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
         n_train = min(max(n_train, 1), len(members) - 1)
         train_idx.extend(members[:n_train])
         test_idx.extend(members[n_train:])
-    split = ds.subset(sorted(train_idx)), ds.subset(sorted(test_idx))
-    _last_split.clear()
-    _last_split[key] = [ds, split, None]
-    return split
+    return ds.subset(sorted(train_idx)), ds.subset(sorted(test_idx))
 
 
 def minmax_fit(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -249,23 +229,16 @@ def minmax_apply(ds: Dataset, mins: np.ndarray, maxs: np.ndarray) -> Dataset:
     return Dataset(scaled, ds.labels)
 
 
+@functools.lru_cache(maxsize=1)
 def minmax_pair(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
     """train and test min-max scaled by train's per-feature ranges.
 
-    The pair stratified_split keeps is scaled once: called on that split's
-    own train and test Datasets, this keeps the scaled pair with the split
-    and returns the same (immutable) scaled Datasets again, so runs on one
-    scaled split share one training Dataset.
+    The last pair is kept: called again on the same train and test
+    Dataset objects, this returns the same (immutable) scaled Datasets, so
+    runs on one scaled split share one training Dataset.
     """
-    entry = next(iter(_last_split.values()), None)
-    kept = entry is not None and entry[1][0] is train and entry[1][1] is test
-    if kept and entry[2] is not None:
-        return entry[2]
     mins, maxs = minmax_fit(train)
-    scaled = minmax_apply(train, mins, maxs), minmax_apply(test, mins, maxs)
-    if kept:
-        entry[2] = scaled
-    return scaled
+    return minmax_apply(train, mins, maxs), minmax_apply(test, mins, maxs)
 
 
 def synthetic_blobs(n_cases: int, imbalance: int, seed: int) -> list[tuple[float, float, str]]:

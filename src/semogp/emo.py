@@ -10,6 +10,7 @@ semantic variants can replace single mechanisms without touching the loops.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import NamedTuple
@@ -27,11 +28,6 @@ from .objectives import ClassificationEvaluator
 MOEAD_NEIGHBORS = 20
 MOEAD_DELTA = 0.9
 MOEAD_MAX_REPLACEMENTS = 2
-
-# The last initial population built, as its only entry: (generator state,
-# size, primitives, init_min_depth, init_max_depth, threshold) -> (training
-# Dataset, matched by identity; the scored members; generator state after).
-_last_population: dict[tuple, tuple] = {}
 
 
 def dominates(a, b) -> bool:
@@ -301,6 +297,26 @@ def canonical_crowding(members: Population, fronts, objs: np.ndarray, rng: rando
     return crowds
 
 
+@functools.lru_cache(maxsize=1)
+def _scored_population(state, size, primitives, init_min_depth, init_max_depth, dataset, threshold):
+    """Initial members grown from a random.Random set to state and scored on
+    dataset, with read-only arrays, and the generator state after them.
+
+    Tree building depends only on the generator state and the init
+    settings, and scoring only on the tree, the dataset and the threshold,
+    so the last population is kept: engines on the same training Dataset
+    (which hashes by identity) and seed share its trees and arrays.
+    """
+    rng = random.Random()
+    rng.setstate(state)
+    trees = ramped_half_and_half(size, primitives, rng, init_min_depth, init_max_depth)
+    members = ClassificationEvaluator(dataset, threshold).evaluate_all(trees)
+    for ind in members:
+        ind.semantics.flags.writeable = False
+        ind.objectives.flags.writeable = False
+    return tuple(members), rng.getstate()
+
+
 class _Engine:
     """State and loops shared by the engines.
 
@@ -340,41 +356,19 @@ class _Engine:
     def _initial_population(self, size: int) -> Population:
         """Ramped half-and-half members, scored; built once per data and generator state.
 
-        Tree building depends only on the generator state and the init
-        settings, and scoring only on the tree and the dataset. So the last
-        population built is kept with the generator state after it, and a
-        call that matches it (same state, size, primitives, init depths and
-        threshold, and the same training Dataset object) skips to that
-        state and returns new Individuals over the same trees and read-only
-        arrays. Only a plain random.Random and ClassificationEvaluator are
-        matched, since a subclass may draw or score otherwise.
+        A plain random.Random and ClassificationEvaluator take the members
+        from _scored_population, skip to the generator state after them, and
+        return new Individuals over its trees and read-only arrays. A
+        subclass may draw or score otherwise, so it builds its own.
         """
-        evaluator, params = self.evaluator, self.params
-        key = None
-        if type(self.rng) is random.Random and type(evaluator) is ClassificationEvaluator:
-            key = (
-                self.rng.getstate(),
-                size,
-                self.variation.primitives,
-                params.init_min_depth,
-                params.init_max_depth,
-                evaluator.threshold,
-            )
-            entry = _last_population.get(key)
-            if entry is not None and entry[0] is evaluator.dataset:
-                self.rng.setstate(entry[2])
-                return [Individual(ind.tree, ind.semantics, ind.objectives) for ind in entry[1]]
-            _last_population.clear()
-        trees = ramped_half_and_half(
-            size, self.variation.primitives, self.rng, params.init_min_depth, params.init_max_depth
+        evaluator, params, rng = self.evaluator, self.params, self.rng
+        primitives, depths = self.variation.primitives, (params.init_min_depth, params.init_max_depth)
+        if type(rng) is not random.Random or type(evaluator) is not ClassificationEvaluator:
+            return evaluator.evaluate_all(ramped_half_and_half(size, primitives, rng, *depths))
+        members, state = _scored_population(
+            rng.getstate(), size, primitives, *depths, evaluator.dataset, evaluator.threshold
         )
-        members = evaluator.evaluate_all(trees)
-        if key is None:
-            return members
-        for ind in members:
-            ind.semantics.flags.writeable = False
-            ind.objectives.flags.writeable = False
-        _last_population[key] = (evaluator.dataset, members, self.rng.getstate())
+        rng.setstate(state)
         return [Individual(ind.tree, ind.semantics, ind.objectives) for ind in members]
 
     def _tournament(self) -> int:

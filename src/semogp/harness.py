@@ -185,7 +185,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
 
     The runs go seed by seed, each seed's grid points one after another,
     so that they share the seed's split and initial population (see
-    stratified_split and emo._Engine). Results are saved and returned
+    stratified_split and emo._scored_population). Results are saved and returned
     point by point and seed by seed, each saved as soon as every result
     before it in that order is. With n_workers > 1, the runs share one pool
     of at most that many worker processes; files are still written here,

@@ -71,9 +71,8 @@ def ssc_crossover(
     cfg: SemanticConfig,
     rng: random.Random,
     max_depth: int,
-    features: np.ndarray,
-    stats: SscCounters,  # bench/tracing.py reads stats as positional argument 6
     memo: SemanticsMemo,
+    stats: SscCounters,  # bench/tracing.py reads stats as positional argument 6
 ) -> tuple[Path, Path] | None:
     """Where two parents exchange subtrees, gated on the subtrees' similarity.
 
@@ -84,14 +83,15 @@ def ssc_crossover(
     trial's (or None, keeping the parents, if those offspring would be too
     deep). It builds no offspring: as Variation's hook, it only decides.
 
-    Subtrees are scored through memo, which must have been built on
-    features; build_engine passes its evaluator's, so subtrees of parents
-    it has just scored are looked up. A parent's semantics, when not None,
-    must be evaluate_semantics(parent.tree, features): a pick that is a
+    Subtrees are scored on memo.features through memo; build_engine passes
+    its evaluator's, so subtrees of parents it has just scored are looked
+    up. A parent's semantics, when not None, must be
+    evaluate_semantics(parent.tree, memo.features): a pick that is a
     parent's whole tree, or holds a parent's root, reads them (see
     SemanticsMemo.scored) instead of walking that tree again.
     """
     stats.calls += 1
+    features = memo.features
     with memo.scored((p1, p2)):
         for _ in range(SSC_MAX_TRIALS):
             stats.trials += 1
@@ -281,7 +281,7 @@ def build_engine(
         memo, max_depth, stats = evaluator.memo, variation.params.max_depth, SscCounters()
         variation = replace(
             variation,
-            crossover=lambda a, b, r: ssc_crossover(a, b, cfg, r, max_depth, memo.features, stats, memo),
+            crossover=lambda a, b, r: ssc_crossover(a, b, cfg, r, max_depth, memo, stats),
         )
     return engine_cls(evaluator, variation, rng, space, diversity)
 

@@ -106,14 +106,19 @@ def blob_dataset(n_cases=60, imbalance=3, seed=0) -> Dataset:
     return Dataset(features, labels)
 
 
+# Every cached function that carries results from one run to the next.
+REUSE_CACHES = (dataset._parse_csv, dataset.stratified_split, dataset.minmax_pair, emo._scored_population)
+
+
+def clear_reuse_caches():
+    for cached in REUSE_CACHES:
+        cached.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def clear_reuse_memos():
-    """Start every test with empty parse, split and initial-population memos.
-
-    Cleared in place: the modules' dicts keep their identity.
-    """
-    for memo in (dataset._last_parse, dataset._last_split, emo._last_population):
-        memo.clear()
+    """Start every test with empty parse, split, scaled-pair and initial-population caches."""
+    clear_reuse_caches()
 
 
 @pytest.fixture

@@ -168,7 +168,7 @@ def test_criterion_05_gated_crossover_trial_accounting():
     # Vacuous bounds accept the very first trial.
     cfg = SemanticConfig(approach="ssc", lbss=0.0, ubss=math.inf)
     stats = SscCounters()
-    ssc_crossover(feature_parent, constant_parent, cfg, rng, 8, features, stats, memo)
+    ssc_crossover(feature_parent, constant_parent, cfg, rng, 8, memo, stats)
     assert (stats.calls, stats.trials, stats.accepted) == (1, 1, 1)
 
     # Single-node identical parents always exchange identical semantics, so a
@@ -176,7 +176,7 @@ def test_criterion_05_gated_crossover_trial_accounting():
     cfg = SemanticConfig(approach="ssc", lbss=0.1, ubss=0.5)
     stats = SscCounters()
     other_parent = make_individual(tree=Feature(0))
-    points = ssc_crossover(feature_parent, other_parent, cfg, rng, 8, features, stats, memo)
+    points = ssc_crossover(feature_parent, other_parent, cfg, rng, 8, memo, stats)
     c1, c2 = exchanged(feature_parent, other_parent, points)
     assert (stats.calls, stats.trials, stats.accepted) == (1, SSC_MAX_TRIALS, 0)
     assert to_prefix(c1) == "x0" and to_prefix(c2) == "x0"
@@ -185,7 +185,7 @@ def test_criterion_05_gated_crossover_trial_accounting():
     # once: |0 - 0.1| and |0.2 - 0.1| average to 0.1.
     cfg = SemanticConfig(approach="ssc", lbss=0.05, ubss=0.5)
     stats = SscCounters()
-    points = ssc_crossover(feature_parent, constant_parent, cfg, rng, 8, features, stats, memo)
+    points = ssc_crossover(feature_parent, constant_parent, cfg, rng, 8, memo, stats)
     c1, c2 = exchanged(feature_parent, constant_parent, points)
     assert (stats.calls, stats.trials, stats.accepted) == (1, 1, 1)
     assert to_prefix(c1) == "0.1" and to_prefix(c2) == "x0"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from semogp import emo
+from semogp import emo, gp_core, objectives, semantic_emo
 from semogp.emo import (
     BaseObjectives,
     MoeadEngine,
@@ -32,10 +32,11 @@ from semogp.emo import (
 )
 from semogp.gp_core import GPParams, PrimitiveSet, Variation, to_prefix
 from semogp.objectives import ClassificationEvaluator
+from semogp.results import save_run
 from semogp.semantic_emo import SdoObjectives, SemanticConfig, run_variant
 
-from conftest import PAIRS, ScriptedRandom, blob_dataset, make_individual, same_bits
-from test_gp_core import count_applies, distinct_calls
+from conftest import PAIRS, ScriptedRandom, blob_dataset, clear_reuse_caches, make_individual, same_bits
+from test_gp_core import count_applies, distinct_calls, reference_semantics
 
 INF = float("inf")
 
@@ -878,6 +879,30 @@ class TestPlannedBreeding:
         assert len(batch) == len(fresh) and all(x is y for x, y in zip(batch, fresh))
 
 
+def test_whole_runs_above_the_plan_cut_match_plain_evaluation(tmp_path, monkeypatch):
+    # At 300 cases SemanticsMemo keeps no entries, so every NSGA-II and
+    # SPEA2 generation is a planned batch; the runs share one initial
+    # population. The reference walks every tree without any reuse.
+    ds = blob_dataset(n_cases=300)
+    assert ClassificationEvaluator(ds).memo.capacity == 0
+    gp = GPParams(pop_size=10, generations=3)
+    run = lambda engine, approach: run_variant(engine, SemanticConfig(approach=approach), ds, gp, seed=0)
+    got = [run(*pair) for pair in PAIRS]
+    plain = lambda tree, features, memo=None: reference_semantics(tree, features)
+    for module in (gp_core, objectives, semantic_emo):
+        monkeypatch.setattr(module, "evaluate_semantics", plain)
+    monkeypatch.setattr(emo._Engine, "_score", lambda engine, tree, a, b: engine.evaluator.evaluate_tree(tree))
+    for pair, result in zip(PAIRS, got, strict=True):
+        clear_reuse_caches()
+        want = run(*pair)
+        assert result == want, pair
+        save_run(result, tmp_path / "got")
+        save_run(want, tmp_path / "want")
+    read = lambda name: {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert len(read("got")) == 2 * len(PAIRS)
+    assert read("got") == read("want")
+
+
 def engine_on(ds, cls=Nsga2Engine, seed=0, size=12, depths=(2, 4), threshold=0.0, rng=None, scorer=None):
     """An engine on ds whose initial population has the given settings."""
     params = GPParams(pop_size=size, generations=5, init_min_depth=depths[0], init_max_depth=depths[1])
@@ -904,6 +929,15 @@ class TestInitialPopulationReuse:
         monkeypatch.setattr(ClassificationEvaluator, "evaluate_tree", counted_evaluate)
         return evaluated
 
+    @staticmethod
+    def kept_members(ds, seed=0, size=12, depths=(2, 4), threshold=0.0):
+        """The cached members for engine_on's settings, read as a cache hit."""
+        hits = emo._scored_population.cache_info().hits
+        state = random.Random(seed).getstate()
+        members, _ = emo._scored_population(state, size, PrimitiveSet(ds.n_features), *depths, ds, threshold)
+        assert emo._scored_population.cache_info().hits == hits + 1
+        return members
+
     def test_same_seed_and_dataset_give_the_same_members_and_generator(self, monkeypatch):
         ds = blob_dataset()
         fresh = engine_on(ds, Spea2Engine, seed=7)
@@ -912,7 +946,7 @@ class TestInitialPopulationReuse:
         again = engine_on(ds, MoeadEngine, seed=7)
         reused = again._initial_population(12)
         assert evaluated == []
-        emo._last_population.clear()
+        emo._scored_population.cache_clear()
         cold = engine_on(ds, Nsga2Engine, seed=7)
         rebuilt = cold._initial_population(12)
         assert len(evaluated) == 12
@@ -960,8 +994,7 @@ class TestInitialPopulationReuse:
         ds = blob_dataset()
         first = engine_on(ds)._initial_population(12)
         second = engine_on(ds)._initial_population(12)
-        (kept_ds, kept, _), = emo._last_population.values()
-        assert kept_ds is ds
+        kept = self.kept_members(ds)
         assert second is not first and first is not kept
         for a, b, k in zip(first, second, kept):
             assert len({id(a), id(b), id(k)}) == 3
@@ -981,7 +1014,7 @@ class TestInitialPopulationReuse:
         ds = blob_dataset()
         engine = engine_on(ds, MoeadEngine, seed=3)
         engine.initialize()
-        (_, kept, _), = emo._last_population.values()
+        kept = self.kept_members(ds, seed=3, size=engine.n_subproblems)
         members = list(kept)
         signature = lambda: [(to_prefix(m.tree), m.semantics.tobytes(), m.objectives.tobytes()) for m in kept]
         before = signature()
@@ -989,7 +1022,7 @@ class TestInitialPopulationReuse:
         for _ in range(3):
             engine.step()
         assert any(now is not then for now, then in zip(engine.population, start))
-        (_, kept_after, _), = emo._last_population.values()
+        kept_after = self.kept_members(ds, seed=3, size=engine.n_subproblems)
         assert kept_after is kept and len(kept) == len(members)
         assert all(a is b for a, b in zip(kept, members))
         assert signature() == before
@@ -1002,7 +1035,7 @@ class TestInitialPopulationReuse:
         gp = GPParams(pop_size=15, generations=3, init_min_depth=2, init_max_depth=4)
         run = lambda e, a: run_variant(e, SemanticConfig(approach=a), ds, gp, seed=11)
         cold = run(engine, approach)
-        emo._last_population.clear()
+        emo._scored_population.cache_clear()
         other = PAIRS[(PAIRS.index((engine, approach)) + 1) % len(PAIRS)]
         run(*other)
         # The warm run builds no tree: it can only take the kept population.

@@ -1,7 +1,9 @@
 """Configuration, experiment driver, persistence, summaries, and the CLI."""
 
+import importlib
 import json
 import math
+import pkgutil
 import re
 import tempfile
 from dataclasses import fields, replace
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import semogp.dataset
+import semogp
 import semogp.emo
 import semogp.harness
 from semogp.cli import main
@@ -32,7 +34,7 @@ from semogp.results import FrontMember, RunResult, load_run, run_file_stem, save
 from semogp.semantic_emo import ENGINES, run_variant
 from semogp.semantics import APPROACHES, SemanticConfig
 
-from conftest import grid_cell_hypervolume
+from conftest import REUSE_CACHES, clear_reuse_caches, grid_cell_hypervolume
 
 
 def make_result(
@@ -630,17 +632,22 @@ class TestRunExperiment:
             assert by_seed[result.seed] == result
 
 
-def clear_reuse_memos():
-    for memo in (semogp.dataset._last_parse, semogp.dataset._last_split, semogp.emo._last_population):
-        memo.clear()
-
-
 def file_bytes(directory) -> dict:
     return {p.name: p.read_bytes() for p in Path(directory).iterdir()}
 
 
 class TestReuseAcrossRuns:
     """Runs on one dataset and seed build and score its initial population once."""
+
+    def test_the_autouse_fixture_clears_every_cache_in_the_package(self):
+        # A cache it missed would carry one test's results into the next.
+        found = {}
+        for info in pkgutil.iter_modules(semogp.__path__):
+            for value in vars(importlib.import_module(f"semogp.{info.name}")).values():
+                for candidate in (value, *vars(value).values()) if isinstance(value, type) else (value,):
+                    if hasattr(candidate, "cache_clear"):
+                        found[id(candidate)] = f"{info.name}.{candidate.__qualname__}"
+        assert set(found) == {id(cached) for cached in REUSE_CACHES}, sorted(found.values())
 
     @staticmethod
     def count_builds(monkeypatch):
@@ -659,11 +666,11 @@ class TestReuseAcrossRuns:
         cfg = replace(tiny_config, scale_features=True, seeds=[2])
         cold = {}
         for approach in approaches:
-            clear_reuse_memos()
+            clear_reuse_caches()
             out = tmp_path / f"cold_{approach}"
             run_experiment(replace(cfg, approach=approach, output_dir=str(out)))
             cold.update(file_bytes(out))
-        clear_reuse_memos()
+        clear_reuse_caches()
         built = self.count_builds(monkeypatch)
         for approach in approaches:
             run_experiment(replace(cfg, approach=approach, output_dir=str(tmp_path / "warm")))
@@ -676,11 +683,11 @@ class TestReuseAcrossRuns:
         cold = {}
         for index, point in enumerate(expand_grid(grid)):
             for seed in grid.seeds:
-                clear_reuse_memos()
+                clear_reuse_caches()
                 out = tmp_path / f"cold{index}_{seed}"
                 run_experiment(replace(point, seeds=[seed], n_workers=1, output_dir=str(out)))
                 cold.update(file_bytes(out))
-        clear_reuse_memos()
+        clear_reuse_caches()
         built = self.count_builds(monkeypatch)
         saved, save = [], semogp.harness.save_run
 

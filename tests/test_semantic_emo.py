@@ -85,7 +85,7 @@ class TestSscCrossover:
         cfg = SemanticConfig(approach="ssc", lbss=0.1, ubss=0.5)
         parent = make_individual(tree=Feature(0))
         stats = SscCounters()
-        points = ssc_crossover(parent, parent, cfg, random.Random(0), 17, self.FEATURES, stats, self.memo)
+        points = ssc_crossover(parent, parent, cfg, random.Random(0), 17, self.memo, stats)
         c1, c2 = exchanged(parent, parent, points)
         assert stats.calls == 1
         assert stats.trials == SSC_MAX_TRIALS
@@ -97,7 +97,7 @@ class TestSscCrossover:
         cfg = SemanticConfig(approach="ssc", lbss=0.0, ubss=float("inf"))
         parent = make_individual(tree=Feature(0))
         stats = SscCounters()
-        ssc_crossover(parent, parent, cfg, random.Random(0), 17, self.FEATURES, stats, self.memo)
+        ssc_crossover(parent, parent, cfg, random.Random(0), 17, self.memo, stats)
         assert stats.trials == 1
         assert stats.accepted == 1
 
@@ -107,7 +107,7 @@ class TestSscCrossover:
         p1 = make_individual(tree=Feature(0))
         p2 = make_individual(tree=Constant(0.1))
         stats = SscCounters()
-        points = ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES, stats, self.memo)
+        points = ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.memo, stats)
         c1, c2 = exchanged(p1, p2, points)
         assert stats.accepted == 1
         assert (c1, c2) == (Constant(0.1), Feature(0))
@@ -118,7 +118,7 @@ class TestSscCrossover:
         p2 = make_individual(tree=left_comb(17))
         script = [0.0, "last", 0.0, 0] * SSC_MAX_TRIALS
         rng = ScriptedRandom(script)
-        points = ssc_crossover(p1, p2, cfg, rng, 17, self.FEATURES, SscCounters(), self.memo)
+        points = ssc_crossover(p1, p2, cfg, rng, 17, self.memo, SscCounters())
         c1, c2 = exchanged(p1, p2, points)
         assert not rng.script
         assert c1 is p1.tree
@@ -133,17 +133,10 @@ class TestSscCrossover:
         for _ in range(100):
             p1 = make_individual(tree=grow_tree(ps, rng.randint(1, 5), rng))
             p2 = make_individual(tree=grow_tree(ps, rng.randint(1, 5), rng))
-            points = ssc_crossover(p1, p2, cfg, rng, 6, self.FEATURES, SscCounters(), self.memo)
+            points = ssc_crossover(p1, p2, cfg, rng, 6, self.memo, SscCounters())
             c1, c2 = exchanged(p1, p2, points)
             assert tree_depth(c1) <= 6
             assert tree_depth(c2) <= 6
-
-    def test_memo_of_another_feature_matrix_rejected(self):
-        p1 = make_individual(tree=Feature(0), semantics=(0.0, 0.2))
-        p2 = make_individual(tree=Constant(0.0), semantics=(0.0, 0.0))
-        cfg = SemanticConfig(approach="ssc", lbss=0.3, ubss=0.4)
-        with pytest.raises(ValueError, match="another feature matrix"):
-            ssc_crossover(p1, p2, cfg, random.Random(0), 17, self.FEATURES.copy(), SscCounters(), self.memo)
 
 
 def reference_ssc_crossover(p1, p2, cfg, rng, max_depth, features, stats):
@@ -193,7 +186,7 @@ def ssc_against_reference(p1, p2, cfg, seed, max_depth):
     fast, slow = random.Random(seed), random.Random(seed)
     got_stats, want_stats = SscCounters(), SscCounters()
     memo = gp_core.SemanticsMemo(SSC_FEATURES)
-    got = exchanged(p1, p2, ssc_crossover(p1, p2, cfg, fast, max_depth, SSC_FEATURES, got_stats, memo))
+    got = exchanged(p1, p2, ssc_crossover(p1, p2, cfg, fast, max_depth, memo, got_stats))
     want = reference_ssc_crossover(p1, p2, cfg, slow, max_depth, SSC_FEATURES, want_stats)
     assert got == want
     assert (got[0] is p1.tree, got[1] is p2.tree) == (want[0] is p1.tree, want[1] is p2.tree)
@@ -240,7 +233,7 @@ class TestSscOracle:
 
         monkeypatch.setattr(gp_core, "_exchange", build_pair)
         cfg, memo, stats = SemanticConfig(approach="ssc"), gp_core.SemanticsMemo(SSC_FEATURES), SscCounters()
-        hook = lambda a, b, r: ssc_crossover(a, b, cfg, r, 8, SSC_FEATURES, stats, memo)
+        hook = lambda a, b, r: ssc_crossover(a, b, cfg, r, 8, memo, stats)
         variation = gp_core.Variation(SSC_PS, GPParams(max_depth=8), crossover=hook)
         rng = random.Random(23)
         for _ in range(200):
@@ -276,7 +269,7 @@ class TestSscScoredParents:
         stats = SscCounters()
         applied = count_applies(monkeypatch)
         rng = ScriptedRandom(script)
-        points = ssc_crossover(p1, p2, self.CFG, rng, 17, self.FEATURES, stats, memo)
+        points = ssc_crossover(p1, p2, self.CFG, rng, 17, memo, stats)
         assert not rng.script and memo.held == {}
         monkeypatch.undo()
         return points, stats, applied
@@ -316,7 +309,7 @@ class TestSscScoredParents:
             memo = gp_core.SemanticsMemo(self.FEATURES)
             stats = SscCounters()
             fast, slow = random.Random(seed), random.Random(seed)
-            got = exchanged(p1, p2, ssc_crossover(p1, p2, cfg, fast, 17, self.FEATURES, stats, memo))
+            got = exchanged(p1, p2, ssc_crossover(p1, p2, cfg, fast, 17, memo, stats))
             want_stats = SscCounters()
             want = reference_ssc_crossover(p1, p2, cfg, slow, 17, self.FEATURES, want_stats)
             assert got == want and stats == want_stats
