@@ -185,18 +185,12 @@ def _parse_csv(data: bytes, path, label_column: int, positive_label: str | None)
     return Dataset(features, labels)
 
 
-@functools.lru_cache(maxsize=1)
 def stratified_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Split into train/test subsets preserving per-class proportions.
 
     Per class, the train share is round-half-up of fraction * class size,
     clamped so both splits keep at least one case of each class. Row order
     within each split follows the original dataset. Deterministic per seed.
-
-    The last split is kept: a call with the same Dataset object (a
-    Dataset hashes by identity), fraction and seed returns the same
-    (immutable) train and test Datasets, so runs on the same data and seed
-    share them. A failed split is not kept.
     """
     if not 0.0 < train_fraction < 1.0:
         raise DatasetError("train_fraction must lie strictly between 0 and 1")
@@ -227,18 +221,6 @@ def minmax_apply(ds: Dataset, mins: np.ndarray, maxs: np.ndarray) -> Dataset:
     scaled = (ds.features - mins) / safe
     scaled = np.where(span > 0.0, scaled, 0.0)
     return Dataset(scaled, ds.labels)
-
-
-@functools.lru_cache(maxsize=1)
-def minmax_pair(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
-    """train and test min-max scaled by train's per-feature ranges.
-
-    The last pair is kept: called again on the same train and test
-    Dataset objects, this returns the same (immutable) scaled Datasets, so
-    runs on one scaled split share one training Dataset.
-    """
-    mins, maxs = minmax_fit(train)
-    return minmax_apply(train, mins, maxs), minmax_apply(test, mins, maxs)
 
 
 def synthetic_blobs(n_cases: int, imbalance: int, seed: int) -> list[tuple[float, float, str]]:

@@ -306,6 +306,7 @@ def _scored_population(state, size, primitives, init_min_depth, init_max_depth, 
     settings, and scoring only on the tree, the dataset and the threshold,
     so the last population is kept: engines on the same training Dataset
     (which hashes by identity) and seed share its trees and arrays.
+    harness._seed_split hands every run on one seed that same Dataset.
     """
     rng = random.Random()
     rng.setstate(state)

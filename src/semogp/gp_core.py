@@ -191,19 +191,41 @@ def feature_bound(features: np.ndarray) -> float:
     return float(np.abs(np.asarray(features, dtype=np.float64)).max(initial=0.0))
 
 
+class _NodeRef(weakref.ref):
+    """A memo entry's weak reference to its node, carrying the entry's key."""
+
+    __slots__ = ("key",)
+
+
+def _forgetter(entries: OrderedDict) -> Callable[[_NodeRef], None]:
+    """The callback that removes a node's entry from entries when the node dies.
+
+    It holds entries weakly, so a memo and its entries are freed by
+    reference counting alone.
+    """
+    table = weakref.ref(entries)
+
+    def forget(ref: _NodeRef):
+        live = table()
+        if live is not None and live.get(ref.key, (None,))[0] is ref:
+            del live[ref.key]
+
+    return forget
+
+
 class SemanticsMemo:
     """What evaluate_semantics reuses across the trees scored on one matrix.
 
     It holds the matrix, its feature_bound, and the outputs of recently
     computed function nodes keyed by node identity: id(node) maps to
-    (weak reference to the node, output, walk bound). An entry counts only
-    while its reference still resolves to the node looked up, so a dead or
-    reused id misses, and the memo never keeps a tree alive. The capacity
-    most recently used entries are kept: MEMO_ENTRIES where that many
-    outputs fit in MEMO_BYTES (at most 256 cases by default), else 0, so
-    that no node is kept. On larger matrices such entries save time only
-    while they hold megabytes of outputs; planned batches reuse nodes
-    there instead.
+    (weak reference to the node, output, walk bound). An entry leaves when
+    its node dies, and counts only while its reference still resolves to
+    the node looked up, so a reused id misses, and the memo never keeps a
+    tree alive. The capacity most recently used entries are kept:
+    MEMO_ENTRIES where that many outputs fit in MEMO_BYTES (at most 256
+    cases by default), else 0, so that no node is kept. On larger matrices
+    such entries save time only while they hold megabytes of outputs;
+    planned batches reuse nodes there instead.
 
     At any size it also holds, in held, outputs that are certain to be
     read again: id(node) -> (output, walk bound). Within planned(trees),
@@ -220,7 +242,8 @@ class SemanticsMemo:
         self.bound = feature_bound(features)
         n_cases = np.shape(features)[0]
         self.capacity = MEMO_ENTRIES if MEMO_ENTRIES * 8 * n_cases <= MEMO_BYTES else 0
-        self.entries: OrderedDict[int, tuple[weakref.ref, np.ndarray | float, float]] = OrderedDict()
+        self.entries: OrderedDict[int, tuple[_NodeRef, np.ndarray | float, float]] = OrderedDict()
+        self.forget = _forgetter(self.entries)
         self.held: dict[int, tuple[np.ndarray | float, float]] = {}
         self.requests: dict[int, int] = {}
 
@@ -367,7 +390,7 @@ def evaluate_semantics(tree: Node, features: np.ndarray, memo: SemanticsMemo | N
     elif memo.features is not features:
         raise ValueError("memo was built on another feature matrix")
     else:
-        column_bound, capacity, entries = memo.bound, memo.capacity, memo.entries
+        column_bound, capacity, entries, forget = memo.bound, memo.capacity, memo.entries, memo.forget
         held, requests = memo.held, memo.requests
     features = np.asarray(features, dtype=np.float64)
 
@@ -401,7 +424,9 @@ def evaluate_semantics(tree: Node, features: np.ndarray, memo: SemanticsMemo | N
         out, bound = _apply(node.op, *walk(node.left), *walk(node.right))
         if type(out) is np.ndarray:
             out.flags.writeable = False
-        entries[key] = (weakref.ref(node), out, bound)
+        ref = _NodeRef(node, forget)
+        ref.key = key
+        entries[key] = (ref, out, bound)
         if len(entries) > capacity:
             entries.popitem(last=False)
         return out, bound

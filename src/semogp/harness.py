@@ -10,6 +10,7 @@ for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import multiprocessing
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields, make_dataclass, replac
 from itertools import permutations
 from pathlib import Path
 
-from .dataset import Dataset, load_csv, minmax_pair, stratified_split
+from .dataset import Dataset, load_csv, minmax_apply, minmax_fit, stratified_split
 from .gp_core import GPParams, parse_prefix
 from .metrics import HV_REFERENCE, hypervolume_2d
 from .objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
@@ -156,11 +157,25 @@ def _attach_test_metrics(result: RunResult, test_ds, threshold: float):
         member.test_objectives = scores[member.program]
 
 
+@functools.lru_cache(maxsize=1)
+def _seed_split(full: Dataset, train_fraction: float, seed: int, scale_features: bool) -> tuple[Dataset, Dataset]:
+    """One seed's train and test Datasets, min-max scaled by train's ranges if scale_features.
+
+    The last split is kept: a call with the same Dataset object (a Dataset
+    hashes by identity), fraction, seed and scale_features returns the same
+    (immutable) Datasets, so the runs on one seed share one training
+    Dataset. A failed split is not kept.
+    """
+    train, test = stratified_split(full, train_fraction, seed)
+    if scale_features:
+        mins, maxs = minmax_fit(train)
+        train, test = minmax_apply(train, mins, maxs), minmax_apply(test, mins, maxs)
+    return train, test
+
+
 def _run_seed(cfg: ExperimentConfig, full: Dataset, seed: int) -> RunResult:
     """Split, evolve and score on the held-out split: one seed's whole run."""
-    train, test = stratified_split(full, cfg.train_fraction, seed)
-    if cfg.scale_features:
-        train, test = minmax_pair(train, test)
+    train, test = _seed_split(full, cfg.train_fraction, seed, cfg.scale_features)
     result = run_variant(
         cfg.engine,
         cfg.semantic_config(),
@@ -185,7 +200,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
 
     The runs go seed by seed, each seed's grid points one after another,
     so that they share the seed's split and initial population (see
-    stratified_split and emo._scored_population). Results are saved and returned
+    _seed_split and emo._scored_population). Results are saved and returned
     point by point and seed by seed, each saved as soon as every result
     before it in that order is. With n_workers > 1, the runs share one pool
     of at most that many worker processes; files are still written here,

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from semogp import dataset, emo
+from semogp import dataset, emo, harness
 from semogp.dataset import Dataset, synthetic_blobs, write_synthetic_csv
 from semogp.gp_core import Call, Feature, Individual, _exchange
 from semogp.semantic_emo import ENGINES
@@ -107,7 +107,7 @@ def blob_dataset(n_cases=60, imbalance=3, seed=0) -> Dataset:
 
 
 # Every cached function that carries results from one run to the next.
-REUSE_CACHES = (dataset._parse_csv, dataset.stratified_split, dataset.minmax_pair, emo._scored_population)
+REUSE_CACHES = (dataset._parse_csv, harness._seed_split, emo._scored_population)
 
 
 def clear_reuse_caches():
@@ -117,7 +117,7 @@ def clear_reuse_caches():
 
 @pytest.fixture(autouse=True)
 def clear_reuse_memos():
-    """Start every test with empty parse, split, scaled-pair and initial-population caches."""
+    """Start every test with empty parse, split and initial-population caches."""
     clear_reuse_caches()
 
 

@@ -15,7 +15,6 @@ from semogp.dataset import (
     load_csv,
     minmax_apply,
     minmax_fit,
-    minmax_pair,
     stratified_split,
     synthetic_blobs,
     write_synthetic_csv,
@@ -300,8 +299,10 @@ class TestStratifiedSplit:
             assert class_counts(part)["negative"] >= 1
 
     def test_deterministic_per_seed(self, small_dataset):
+        # Equal but distinct Datasets: the split keeps nothing between calls.
         a_train, a_test = stratified_split(small_dataset, 0.7, seed=11)
         b_train, b_test = stratified_split(small_dataset, 0.7, seed=11)
+        assert a_train is not b_train and a_test is not b_test
         assert np.array_equal(a_train.features, b_train.features)
         assert np.array_equal(a_test.features, b_test.features)
 
@@ -331,55 +332,6 @@ class TestStratifiedSplit:
         assert positions == sorted(positions)
 
 
-class TestSplitMemo:
-    """The last split is kept for the same Dataset object, fraction and seed."""
-
-    def test_a_repeat_call_returns_the_same_datasets(self, small_dataset):
-        train, test = stratified_split(small_dataset, 0.7, seed=3)
-        again = stratified_split(small_dataset, 0.7, seed=3)
-        assert again[0] is train and again[1] is test
-
-    def test_another_seed_fraction_or_dataset_splits_again(self, small_dataset):
-        twin = blob_dataset()
-        assert np.array_equal(twin.features, small_dataset.features)
-        for ds, fraction, seed in ((small_dataset, 0.7, 4), (small_dataset, 0.6, 3), (twin, 0.7, 3)):
-            kept = stratified_split(small_dataset, 0.7, seed=3)
-            train, test = stratified_split(ds, fraction, seed)
-            assert train is not kept[0] and test is not kept[1]
-            train_idx, test_idx = reference_split(ds, fraction, seed)
-            assert np.array_equal(train.features, ds.features[train_idx])
-            assert np.array_equal(test.features, ds.features[test_idx])
-            assert stratified_split(ds, fraction, seed)[0] is train
-        # The twin's split holds the same rows but is its own object.
-        assert np.array_equal(train.features, kept[0].features)
-
-    def test_an_invalid_fraction_raises_and_is_not_kept(self, small_dataset):
-        train, _ = stratified_split(small_dataset, 0.7, seed=3)
-        for _ in range(2):
-            with pytest.raises(DatasetError, match="strictly between"):
-                stratified_split(small_dataset, 1.5, seed=3)
-        assert stratified_split.cache_info().currsize == 1
-        assert stratified_split(small_dataset, 0.7, seed=3)[0] is train
-
-    def test_a_failed_split_is_not_kept(self):
-        ds = Dataset([[1.0], [2.0], [3.0]], [True, False, False])
-        for _ in range(2):
-            with pytest.raises(DatasetError, match="at least two cases to split"):
-                stratified_split(ds, 0.5, seed=0)
-        assert stratified_split.cache_info().currsize == 0
-
-    def test_a_kept_split_equals_a_fresh_one(self, small_dataset):
-        kept = stratified_split(small_dataset, 0.7, seed=5)
-        assert stratified_split(small_dataset, 0.7, seed=5) is kept
-        stratified_split.cache_clear()
-        fresh = stratified_split(small_dataset, 0.7, seed=5)
-        assert fresh[0] is not kept[0]
-        for a, b in zip(kept, fresh):
-            assert np.array_equal(a.features, b.features)
-            assert np.array_equal(a.labels, b.labels)
-            assert not a.features.flags.writeable and not a.labels.flags.writeable
-
-
 class TestMinMax:
     def test_scales_to_unit_interval(self):
         ds = Dataset([[0.0, 10.0], [5.0, 20.0], [10.0, 30.0]], [True, False, False])
@@ -394,27 +346,6 @@ class TestMinMax:
         mins, maxs = minmax_fit(ds)
         scaled = minmax_apply(ds, mins, maxs)
         assert scaled.features[:, 0].tolist() == [0.0, 0.0]
-
-    def test_pair_of_the_kept_split_is_scaled_once(self, small_dataset):
-        train, test = stratified_split(small_dataset, 0.7, seed=3)
-        scaled = minmax_pair(train, test)
-        mins, maxs = minmax_fit(train)
-        for got, ds in zip(scaled, (train, test)):
-            assert np.array_equal(got.features, minmax_apply(ds, mins, maxs).features)
-            assert np.array_equal(got.labels, ds.labels)
-        assert minmax_pair(train, test) is scaled
-        # Another split drops the kept one, and its scaled pair with it.
-        other = stratified_split(small_dataset, 0.7, seed=4)
-        assert minmax_pair(*other) is minmax_pair(*other)
-        again = minmax_pair(*stratified_split(small_dataset, 0.7, seed=3))
-        assert again[0] is not scaled[0]
-        assert np.array_equal(again[0].features, scaled[0].features)
-
-    def test_any_last_pair_is_kept(self, small_dataset):
-        train, test = stratified_split(small_dataset, 0.7, seed=3)
-        for pair in ((test, train), (train, train), (small_dataset.subset(range(20)), test)):
-            assert minmax_pair(*pair) is minmax_pair(*pair)
-        assert minmax_pair.cache_info().currsize == 1
 
     def test_test_split_can_leave_unit_interval(self):
         train = Dataset([[0.0], [1.0]], [True, False])

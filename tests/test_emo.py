@@ -879,14 +879,20 @@ class TestPlannedBreeding:
         assert len(batch) == len(fresh) and all(x is y for x, y in zip(batch, fresh))
 
 
-def test_whole_runs_above_the_plan_cut_match_plain_evaluation(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "bounds,generations", [({}, 3), ({"lbss": 0.01, "ubss": 2.0}, 5)], ids=["default-bounds", "ssc-engaged"]
+)
+def test_whole_runs_above_the_plan_cut_match_plain_evaluation(tmp_path, monkeypatch, bounds, generations):
     # At 300 cases SemanticsMemo keeps no entries, so every NSGA-II and
     # SPEA2 generation is a planned batch; the runs share one initial
-    # population. The reference walks every tree without any reuse.
+    # population. The reference walks every tree without any reuse. At
+    # the default bounds almost every ssc trial falls above the band; at
+    # [0.01, 2] most ssc calls accept one, so the parents' semantics that
+    # SemanticsMemo.scored serves decide many of the acceptances.
     ds = blob_dataset(n_cases=300)
     assert ClassificationEvaluator(ds).memo.capacity == 0
-    gp = GPParams(pop_size=10, generations=3)
-    run = lambda engine, approach: run_variant(engine, SemanticConfig(approach=approach), ds, gp, seed=0)
+    gp = GPParams(pop_size=10, generations=generations)
+    run = lambda engine, approach: run_variant(engine, SemanticConfig(approach=approach, **bounds), ds, gp, seed=0)
     got = [run(*pair) for pair in PAIRS]
     plain = lambda tree, features, memo=None: reference_semantics(tree, features)
     for module in (gp_core, objectives, semantic_emo):
@@ -901,6 +907,55 @@ def test_whole_runs_above_the_plan_cut_match_plain_evaluation(tmp_path, monkeypa
     read = lambda name: {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
     assert len(read("got")) == 2 * len(PAIRS)
     assert read("got") == read("want")
+
+
+# _apply calls per pair over PAIRS in order, from the empty caches each test
+# starts with, at pop 10, 3 generations, seed 0: the first pair builds the
+# initial population that later pairs of the same size share.
+# On 60 cases SemanticsMemo's entries reuse nodes; on 300 the planned
+# batches and scored ssc parents do. A reuse layer that stops reusing
+# moves these numbers; a change that moves one states old -> new.
+NODE_COMPUTATIONS = {
+    60: {
+        "nsga2/canonical": 299,
+        "nsga2/ssc": 115,
+        "nsga2/scd": 74,
+        "nsga2/sdo": 135,
+        "spea2/canonical": 134,
+        "spea2/ssc": 162,
+        "spea2/scd": 144,
+        "spea2/sdo": 162,
+        "moead/canonical": 37,
+        "moead/ssc": 48,
+        "moead/sdo": 98,
+    },
+    300: {
+        "nsga2/canonical": 215,
+        "nsga2/ssc": 168,
+        "nsga2/scd": 32,
+        "nsga2/sdo": 63,
+        "spea2/canonical": 77,
+        "spea2/ssc": 119,
+        "spea2/scd": 81,
+        "spea2/sdo": 194,
+        "moead/canonical": 44,
+        "moead/ssc": 351,
+        "moead/sdo": 191,
+    },
+}
+
+
+@pytest.mark.parametrize("n_cases", sorted(NODE_COMPUTATIONS))
+def test_node_computations_per_pair_are_pinned(n_cases, monkeypatch):
+    ds = blob_dataset(n_cases=n_cases)
+    gp = GPParams(pop_size=10, generations=3)
+    applied = count_applies(monkeypatch)
+    counts = {}
+    for engine, approach in PAIRS:
+        applied.clear()
+        run_variant(engine, SemanticConfig(approach=approach), ds, gp, seed=0)
+        counts[f"{engine}/{approach}"] = len(applied)
+    assert counts == NODE_COMPUTATIONS[n_cases]
 
 
 def engine_on(ds, cls=Nsga2Engine, seed=0, size=12, depths=(2, 4), threshold=0.0, rng=None, scorer=None):

@@ -1,6 +1,7 @@
 """Tree representation, initialization, evaluation, and variation operators."""
 
 import dataclasses
+import gc
 import math
 import pickle
 import random
@@ -663,6 +664,34 @@ class TestSemanticsMemo:
         assert same_bits(out, reference_semantics(tree, features))
         assert memo.entries[id(tree)][0]() is tree
         check_memo(memo)
+
+    def test_an_entry_leaves_when_its_node_dies(self):
+        features = np.arange(12.0).reshape(4, 3)
+        memo = SemanticsMemo(features)
+        tree = Call("+", Call("*", Feature(0), Feature(1)), Constant(1.0))
+        evaluate_semantics(tree, features, memo)
+        assert len(memo.entries) == 2
+        kept = tree.left
+        del tree
+        assert [ref() for ref, _, _ in memo.entries.values()] == [kept]
+        del kept
+        assert not memo.entries
+
+    def test_a_dropped_memo_frees_its_entries_by_reference_counting(self):
+        # The entries' callbacks must not tie the memo or its entries into a cycle.
+        features = np.arange(12.0).reshape(4, 3)
+        memo = SemanticsMemo(features)
+        tree = sample_tree()
+        evaluate_semantics(tree, features, memo)
+        entries = weakref.ref(memo.entries)
+        assert entries()
+        gc.collect()
+        gc.disable()
+        try:
+            del memo
+            assert entries() is None
+        finally:
+            gc.enable()
 
     def test_oldest_entry_leaves_first(self):
         features = np.arange(12.0).reshape(4, 3)

@@ -18,10 +18,11 @@ import semogp
 import semogp.emo
 import semogp.harness
 from semogp.cli import main
-from semogp.dataset import Dataset, load_csv, stratified_split, synthetic_blobs
+from semogp.dataset import Dataset, DatasetError, load_csv, minmax_apply, minmax_fit, stratified_split, synthetic_blobs
 from semogp.gp_core import GPParams, parse_prefix
 from semogp.harness import (
     ExperimentConfig,
+    _seed_split,
     expand_grid,
     format_summary,
     load_results,
@@ -34,7 +35,8 @@ from semogp.results import FrontMember, RunResult, load_run, run_file_stem, save
 from semogp.semantic_emo import ENGINES, run_variant
 from semogp.semantics import APPROACHES, SemanticConfig
 
-from conftest import REUSE_CACHES, clear_reuse_caches, grid_cell_hypervolume
+from conftest import REUSE_CACHES, blob_dataset, clear_reuse_caches, grid_cell_hypervolume
+from test_dataset import reference_split
 
 
 def make_result(
@@ -704,6 +706,84 @@ class TestReuseAcrossRuns:
             # Worker processes build their own; here, one build per seed.
             assert len(built) == 2
         assert file_bytes(grid.output_dir) == cold
+
+
+def reference_seed_split(ds, train_fraction, seed, scale):
+    """The rows reference_split gives, each half min-max scaled by the training ranges if scale."""
+    train, test = (ds.subset(idx) for idx in reference_split(ds, train_fraction, seed))
+    if not scale:
+        return train, test
+    mins, maxs = minmax_fit(train)
+    return minmax_apply(train, mins, maxs), minmax_apply(test, mins, maxs)
+
+
+class TestSeedSplit:
+    """The last split is kept for the same Dataset object, fraction, seed and scale_features."""
+
+    @pytest.mark.parametrize("scale", [False, True])
+    def test_a_repeat_call_returns_the_same_datasets(self, small_dataset, scale):
+        train, test = _seed_split(small_dataset, 0.7, 3, scale)
+        again = _seed_split(small_dataset, 0.7, 3, scale)
+        assert again[0] is train and again[1] is test
+
+    def test_another_seed_fraction_scaling_or_dataset_splits_again(self, small_dataset):
+        twin = blob_dataset()
+        assert np.array_equal(twin.features, small_dataset.features)
+        others = [(small_dataset, 0.7, 4, False), (small_dataset, 0.6, 3, False), (small_dataset, 0.7, 3, True)]
+        for args in [*others, (twin, 0.7, 3, False)]:
+            kept = _seed_split(small_dataset, 0.7, 3, False)
+            train, test = _seed_split(*args)
+            assert train is not kept[0] and test is not kept[1]
+            for got, want in zip((train, test), reference_seed_split(*args), strict=True):
+                assert np.array_equal(got.features, want.features)
+                assert np.array_equal(got.labels, want.labels)
+            assert _seed_split(*args)[0] is train
+            assert _seed_split.cache_info().currsize == 1
+        # The twin's split holds the same rows but is its own object.
+        assert np.array_equal(train.features, kept[0].features)
+
+    def test_an_invalid_fraction_raises_and_is_not_kept(self, small_dataset):
+        train, _ = _seed_split(small_dataset, 0.7, 3, False)
+        for _ in range(2):
+            with pytest.raises(DatasetError, match="strictly between"):
+                _seed_split(small_dataset, 1.5, 3, False)
+        assert _seed_split.cache_info().currsize == 1
+        assert _seed_split(small_dataset, 0.7, 3, False)[0] is train
+
+    @pytest.mark.parametrize("scale", [False, True])
+    def test_a_failed_split_is_not_kept(self, scale):
+        ds = Dataset([[1.0], [2.0], [3.0]], [True, False, False])
+        for _ in range(2):
+            with pytest.raises(DatasetError, match="at least two cases to split"):
+                _seed_split(ds, 0.5, 0, scale)
+        assert _seed_split.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("scale", [False, True])
+    def test_a_kept_split_equals_a_fresh_one(self, small_dataset, scale):
+        kept = _seed_split(small_dataset, 0.7, 5, scale)
+        assert _seed_split(small_dataset, 0.7, 5, scale) is kept
+        _seed_split.cache_clear()
+        fresh = _seed_split(small_dataset, 0.7, 5, scale)
+        assert fresh[0] is not kept[0]
+        for a, b in zip(kept, fresh):
+            assert np.array_equal(a.features, b.features)
+            assert np.array_equal(a.labels, b.labels)
+            assert not a.features.flags.writeable and not a.labels.flags.writeable
+
+    def test_the_scaled_pair_is_each_half_scaled_by_the_training_ranges(self, small_dataset):
+        train, test = stratified_split(small_dataset, 0.7, seed=3)
+        scaled = _seed_split(small_dataset, 0.7, 3, True)
+        mins, maxs = minmax_fit(train)
+        for got, ds in zip(scaled, (train, test)):
+            assert np.array_equal(got.features, minmax_apply(ds, mins, maxs).features)
+            assert np.array_equal(got.labels, ds.labels)
+        assert _seed_split(small_dataset, 0.7, 3, True) is scaled
+        # Another split drops the kept one, and its scaled pair with it.
+        other = _seed_split(small_dataset, 0.7, 4, True)
+        assert _seed_split(small_dataset, 0.7, 4, True) is other
+        again = _seed_split(small_dataset, 0.7, 3, True)
+        assert again[0] is not scaled[0]
+        assert np.array_equal(again[0].features, scaled[0].features)
 
 
 def _result_files(cfg):
