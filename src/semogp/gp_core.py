@@ -363,15 +363,16 @@ def evaluate_semantics(tree: Node, features: np.ndarray, memo: SemanticsMemo | N
     floats and broadcast; constant-only subtrees compute the same IEEE
     doubles in Python.
 
-    Only the sign bit of a NaN can differ from an all-numpy walk: IEEE 754
-    does not fix which operand's NaN an operation returns, and Python's
-    float arithmetic and numpy's vector loops choose differently. On
-    x86-64, (+ (+ 0.0 nan) (+ inf -inf)) gives 0xfff8... from this walk
-    and 0x7ff8... from numpy arrays. Numpy does not agree with itself
-    either: with a = 0x7ff8... and b = 0xfff8..., np.full(n, a) +
-    np.full(n, b) gives a's NaN in its 8-wide blocks and b's in the tail,
-    so both signs in one array for n = 15 or 17. Runs build no NaN
-    constant, and the NaN is a NaN either way.
+    Only the sign and the payload of a NaN can differ from an all-numpy
+    walk: IEEE 754 does not fix which operand's NaN an operation returns,
+    and Python's float arithmetic and numpy's vector loops choose
+    differently. On x86-64, (+ (+ 0.0 nan) (+ inf -inf)) gives 0xfff8...
+    from this walk and 0x7ff8... from numpy arrays, and (+ c1 c2) with c1 =
+    0x7ff8...0 and c2 = 0x7ff8...1 gives ...1 from this walk and ...0 from
+    numpy. Numpy does not agree with itself either: with a = 0x7ff8... and
+    b = 0xfff8..., np.full(n, a) + np.full(n, b) gives a's NaN in its
+    8-wide blocks and b's in the tail, so both signs in one array for n =
+    15 or 17. Runs build no NaN constant, and the NaN is a NaN either way.
 
     memo, when given, must have been built on this very features object
     (ValueError otherwise); its bound is used, a function node it holds
@@ -431,7 +432,12 @@ def evaluate_semantics(tree: Node, features: np.ndarray, memo: SemanticsMemo | N
             entries.popitem(last=False)
         return out, bound
 
-    result, _ = walk(tree)
+    try:
+        result, _ = walk(tree)
+    finally:
+        # walk refers to itself through its closure cell; deleting it breaks
+        # that cycle, so a dropped memo's tables go by reference counting.
+        del walk
     if type(result) is not np.ndarray:
         return np.full(features.shape[0], result, dtype=np.float64)
     if type(tree) is Feature:

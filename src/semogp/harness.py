@@ -10,6 +10,7 @@ for byte.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -133,7 +134,7 @@ def _bound(name: str, value) -> float:
 
 
 def expand_grid(cfg: ExperimentConfig) -> list[ExperimentConfig]:
-    """Cross-product of the lbss and ubss lists, as single-valued configs."""
+    """Cross-product of the lbss and ubss lists, as single-valued configs; no list may repeat a value."""
     cfg._check_types()
     values = {}
     for name in ("lbss", "ubss"):
@@ -142,6 +143,8 @@ def expand_grid(cfg: ExperimentConfig) -> list[ExperimentConfig]:
         if not entries:
             raise ValueError(f"{name} must be a non-empty list")
         values[name] = [_bound(name, entry) for entry in entries]
+        if len(set(values[name])) != len(entries):
+            raise ValueError(f"{name} must not repeat a value, got {value!r}")
     return [replace(cfg, lbss=lb, ubss=ub) for lb in values["lbss"] for ub in values["ubss"]]
 
 
@@ -200,43 +203,28 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
 
     The runs go seed by seed, each seed's grid points one after another,
     so that they share the seed's split and initial population (see
-    _seed_split and emo._scored_population). Results are saved and returned
-    point by point and seed by seed, each saved as soon as every result
-    before it in that order is. With n_workers > 1, the runs share one pool
-    of at most that many worker processes; files are still written here,
-    byte-identical to a sequential run's.
+    _seed_split and emo._scored_population). Each run's files are saved
+    as soon as the run finishes, in that seed-major order; the results are
+    returned point by point and seed by seed. With n_workers > 1, the runs
+    share one pool of at most that many worker processes; files are still
+    written here, byte-identical to a sequential run's.
     """
     points = expand_grid(cfg)
     for point in points:
         point.validate()
     full = load_csv(cfg.dataset, cfg.label_column, cfg.positive_label)
-    seeds = cfg.seeds
-    jobs = [(point, full, seed) for seed in seeds for point in points]
-    # Job i's place in the point-major order.
-    positions = [p * len(seeds) + s for s in range(len(seeds)) for p in range(len(points))]
+    jobs = [(point, full, seed) for seed in cfg.seeds for point in points]
     n_workers = min(cfg.n_workers, len(jobs))
-    columns = zip(*jobs)
-    if n_workers == 1:
-        return _save_in_order(map(_run_seed, *columns), positions, cfg.output_dir)
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=n_workers, mp_context=context) as pool:
-        return _save_in_order(pool.map(_run_seed, *columns), positions, cfg.output_dir)
-
-
-def _save_in_order(runs, positions, output_dir) -> list[RunResult]:
-    """Place each arriving result at its position and save the results in position order.
-
-    A result is saved once every result before it is in place, so each
-    file is written as early as that order allows.
-    """
-    results = [None] * len(positions)
-    saved = 0
-    for position, result in zip(positions, runs):
-        results[position] = result
-        while saved < len(results) and results[saved] is not None:
-            save_run(results[saved], output_dir)
-            saved += 1
-    return results
+    pool = None
+    if n_workers > 1:
+        pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=multiprocessing.get_context("spawn"))
+    runs = []
+    with pool or contextlib.nullcontext():
+        for result in (pool.map if pool else map)(_run_seed, *zip(*jobs)):
+            save_run(result, cfg.output_dir)
+            runs.append(result)
+    # Seed-major: point p's runs are every len(points)-th from index p.
+    return [result for p in range(len(points)) for result in runs[p :: len(points)]]
 
 
 def load_results(directory) -> list[RunResult]:

@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,11 @@ def grid_cell_hypervolume(points, ref) -> float:
             if any(a <= x0 and b <= y0 for a, b in inside):
                 total += (x1 - x0) * (y1 - y0)
     return total
+
+
+def file_bytes(directory) -> dict:
+    """Each file's bytes, keyed by its name."""
+    return {p.name: p.read_bytes() for p in Path(directory).iterdir()}
 
 
 def blob_dataset(n_cases=60, imbalance=3, seed=0) -> Dataset:

@@ -1,16 +1,21 @@
 """Dominance, sorting, crowding, SPEA2 fitness, decomposition, engines."""
 
 import contextlib
+import csv
+import itertools
 import math
 import random
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from semogp import emo, gp_core, objectives, semantic_emo
+from semogp.dataset import load_csv, stratified_split, synthetic_blobs
 from semogp.emo import (
     BaseObjectives,
     MoeadEngine,
@@ -31,11 +36,11 @@ from semogp.emo import (
     tchebycheff,
 )
 from semogp.gp_core import GPParams, PrimitiveSet, Variation, to_prefix
+from semogp.harness import ExperimentConfig, expand_grid, run_experiment
 from semogp.objectives import ClassificationEvaluator
-from semogp.results import save_run
 from semogp.semantic_emo import SdoObjectives, SemanticConfig, run_variant
 
-from conftest import PAIRS, ScriptedRandom, blob_dataset, clear_reuse_caches, make_individual, same_bits
+from conftest import PAIRS, ScriptedRandom, blob_dataset, clear_reuse_caches, file_bytes, make_individual, same_bits
 from test_gp_core import count_applies, distinct_calls, reference_semantics
 
 INF = float("inf")
@@ -879,34 +884,129 @@ class TestPlannedBreeding:
         assert len(batch) == len(fresh) and all(x is y for x, y in zip(batch, fresh))
 
 
-@pytest.mark.parametrize(
-    "bounds,generations", [({}, 3), ({"lbss": 0.01, "ubss": 2.0}, 5)], ids=["default-bounds", "ssc-engaged"]
-)
-def test_whole_runs_above_the_plan_cut_match_plain_evaluation(tmp_path, monkeypatch, bounds, generations):
-    # At 300 cases SemanticsMemo keeps no entries, so every NSGA-II and
-    # SPEA2 generation is a planned batch; the runs share one initial
-    # population. The reference walks every tree without any reuse. At
-    # the default bounds almost every ssc trial falls above the band; at
-    # [0.01, 2] most ssc calls accept one, so the parents' semantics that
-    # SemanticsMemo.scored serves decide many of the acceptances.
-    ds = blob_dataset(n_cases=300)
-    assert ClassificationEvaluator(ds).memo.capacity == 0
-    gp = GPParams(pop_size=10, generations=generations)
-    run = lambda engine, approach: run_variant(engine, SemanticConfig(approach=approach, **bounds), ds, gp, seed=0)
-    got = [run(*pair) for pair in PAIRS]
+# Full sizes whose 0.7 stratified split trains on 60, 256, 257 and 400
+# cases: SemanticsMemo keeps entries up to 256 cases and plans each
+# generation's batch from 257 on.
+FULL_CASES = {60: 85, 256: 365, 257: 367, 400: 571}
+# At the blobs' own magnitude runs seldom reach the clamp or the division
+# guard, so a wrong division bound or guard goes unseen there; with the
+# features scaled by 1e8, runs reach both.
+MAGNITUDES = (1.0, 1e8)
+ENGAGED = {"lbss": 0.01, "ubss": 2.0}
+
+
+@pytest.fixture(scope="module")
+def sized_csvs(tmp_path_factory):
+    """Synthetic blob CSVs keyed by (training size, feature magnitude)."""
+    paths = {}
+    for (n_train, n_cases), magnitude in itertools.product(FULL_CASES.items(), MAGNITUDES):
+        path = paths[n_train, magnitude] = tmp_path_factory.mktemp("sized") / "blobs.csv"
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["x0", "x1", "label"])
+            for x0, x1, label in synthetic_blobs(n_cases, 3, seed=0):
+                writer.writerow([repr(x0 * magnitude), repr(x1 * magnitude), label])
+        train, _ = stratified_split(load_csv(path), 0.7, 0)
+        assert len(train.labels) == n_train
+        assert (ClassificationEvaluator(train).memo.capacity > 0) == (n_train <= 256)
+    return paths
+
+
+@contextlib.contextmanager
+def plain_evaluation():
+    """Every tree walked by reference_semantics and every offspring scored afresh."""
     plain = lambda tree, features, memo=None: reference_semantics(tree, features)
-    for module in (gp_core, objectives, semantic_emo):
-        monkeypatch.setattr(module, "evaluate_semantics", plain)
-    monkeypatch.setattr(emo._Engine, "_score", lambda engine, tree, a, b: engine.evaluator.evaluate_tree(tree))
-    for pair, result in zip(PAIRS, got, strict=True):
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (gp_core, objectives, semantic_emo):
+            patch.setattr(module, "evaluate_semantics", plain)
+        patch.setattr(emo._Engine, "_score", lambda engine, tree, a, b: engine.evaluator.evaluate_tree(tree))
+        yield
+
+
+def plain_runs(configs, output_dir):
+    """run_experiment's results for each config without any reuse: one run per call, caches cleared."""
+    results = []
+    with plain_evaluation():
+        for cfg in configs:
+            for point in expand_grid(cfg):
+                for seed in cfg.seeds:
+                    clear_reuse_caches()
+                    results += run_experiment(replace(point, seeds=[seed], n_workers=1, output_dir=output_dir))
+    return results
+
+
+# The reference walks every tree without any reuse, while the runs under
+# test share one parse, split and initial population per draw, and reuse
+# SemanticsMemo entries (<= 256 cases) or planned batches and scored ssc
+# parents (> 256). At the default bounds almost every ssc trial falls above
+# the band; at [0.01, 2] most ssc calls accept one, so the parents'
+# semantics that SemanticsMemo.scored serves decide many acceptances.
+@settings(max_examples=20, deadline=None)
+@given(
+    order=st.permutations(PAIRS),
+    n_train=st.sampled_from(sorted(FULL_CASES)),
+    magnitude=st.sampled_from(MAGNITUDES),
+    scale_features=st.booleans(),
+    distance_rule=st.sampled_from(["above", "band"]),
+    bounds=st.sampled_from([{}, ENGAGED]),
+    pop_size=st.integers(8, 15),
+    generations=st.integers(2, 4),
+    seed=st.integers(0, 3),
+)
+@example(PAIRS, 400, 1.0, False, "band", {}, 10, 3, 0)
+@example(PAIRS, 257, 1.0, True, "band", ENGAGED, 10, 4, 0)
+@example(PAIRS[::-1], 256, 1.0, False, "above", ENGAGED, 15, 4, 1)
+@example(PAIRS, 60, 1e8, False, "band", ENGAGED, 10, 3, 0)
+@example(PAIRS, 400, 1e8, False, "band", {}, 10, 3, 0)
+def test_whole_runs_match_plain_evaluation(
+    sized_csvs, order, n_train, magnitude, scale_features, distance_rule, bounds, pop_size, generations, seed
+):
+    cfg = ExperimentConfig(
+        dataset=str(sized_csvs[n_train, magnitude]),
+        scale_features=scale_features,
+        distance_rule=distance_rule,
+        pop_size=pop_size,
+        generations=generations,
+        seeds=[seed],
+        **bounds,
+    )
+    configs = [replace(cfg, engine=engine, approach=approach) for engine, approach in order]
+    with tempfile.TemporaryDirectory() as out:
         clear_reuse_caches()
-        want = run(*pair)
-        assert result == want, pair
-        save_run(result, tmp_path / "got")
-        save_run(want, tmp_path / "want")
-    read = lambda name: {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
-    assert len(read("got")) == 2 * len(PAIRS)
-    assert read("got") == read("want")
+        got = [result for each in configs for result in run_experiment(replace(each, output_dir=f"{out}/got"))]
+        want = plain_runs(configs, f"{out}/want")
+        assert got == want
+        assert len(file_bytes(f"{out}/got")) == 2 * len(PAIRS)
+        assert file_bytes(f"{out}/got") == file_bytes(f"{out}/want")
+
+
+# run_experiment over a grid in one call: in-process, where one seed's grid
+# points share its split and initial population, and on two spawned
+# workers, which the reference path's patches do not reach.
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize(
+    "pair,n_train,magnitude,scale_features",
+    [(("nsga2", "ssc"), 257, 1.0, True), (("spea2", "sdo"), 60, 1e8, False)],
+    ids=["nsga2-ssc-257", "spea2-sdo-60-1e8"],
+)
+def test_grid_runs_match_plain_evaluation(sized_csvs, tmp_path, pair, n_train, magnitude, scale_features, n_workers):
+    cfg = ExperimentConfig(
+        dataset=str(sized_csvs[n_train, magnitude]),
+        engine=pair[0],
+        approach=pair[1],
+        scale_features=scale_features,
+        lbss=[0.01, 0.1],
+        ubss=2.0,
+        pop_size=10,
+        generations=3,
+        seeds=[0, 1],
+        n_workers=n_workers,
+        output_dir=str(tmp_path / "got"),
+    )
+    got = run_experiment(cfg)
+    assert got == plain_runs([cfg], str(tmp_path / "want"))
+    assert len(file_bytes(tmp_path / "got")) == 2 * 4
+    assert file_bytes(tmp_path / "got") == file_bytes(tmp_path / "want")
 
 
 # _apply calls per pair over PAIRS in order, from the empty caches each test

@@ -5,11 +5,12 @@ import gc
 import math
 import pickle
 import random
+import struct
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semogp import gp_core
@@ -386,14 +387,30 @@ feature_matrices = st.one_of(
 )
 
 
+def float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def nan_sum(a: int, b: int) -> Call:
+    """(+ a b) over two NaN constants given by their bits."""
+    return Call("+", Constant(float_of_bits(a)), Constant(float_of_bits(b)))
+
+
 class TestEvaluationOracle:
+    # Bit for bit but NaN's sign and payload, which Python floats and numpy
+    # choose differently (see evaluate_semantics): both examples differ.
     @settings(max_examples=400, deadline=None)
     @given(trees, feature_matrices)
+    @example(nan_sum(0x7FF8000000000000, 0xFFF8000000000000), np.zeros((2, N_FEATURES)))
+    @example(nan_sum(0x7FF8000000000000, 0x7FF8000000000001), np.zeros((2, N_FEATURES)))
     def test_bit_identical_to_reference(self, tree, features):
         with np.errstate(all="ignore"):
             expected = reference_semantics(tree, features)
             out = evaluate_semantics(tree, features)
-        assert same_bits(out, expected), to_prefix(tree)
+        nan = np.isnan(expected)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert np.array_equal(np.isnan(out), nan), to_prefix(tree)
+        assert same_bits(out[~nan], expected[~nan]), to_prefix(tree)
 
     @pytest.mark.parametrize("scale", [8.0, 1e3, 1e5, 1e8])
     def test_random_grown_trees_bit_identical(self, scale):
@@ -688,6 +705,21 @@ class TestSemanticsMemo:
         gc.collect()
         gc.disable()
         try:
+            del memo
+            assert entries() is None
+        finally:
+            gc.enable()
+
+    def test_an_evaluation_leaves_no_cycle_that_holds_the_memo(self):
+        # The recursive walk holds the memo's tables; it must not outlive the call.
+        features = np.arange(12.0).reshape(4, 3)
+        memo = SemanticsMemo(features)
+        tree = sample_tree()
+        entries = weakref.ref(memo.entries)
+        gc.collect()
+        gc.disable()
+        try:
+            evaluate_semantics(tree, features, memo)
             del memo
             assert entries() is None
         finally:

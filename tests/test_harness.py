@@ -35,7 +35,7 @@ from semogp.results import FrontMember, RunResult, load_run, run_file_stem, save
 from semogp.semantic_emo import ENGINES, run_variant
 from semogp.semantics import APPROACHES, SemanticConfig
 
-from conftest import REUSE_CACHES, blob_dataset, clear_reuse_caches, grid_cell_hypervolume
+from conftest import REUSE_CACHES, blob_dataset, clear_reuse_caches, file_bytes, grid_cell_hypervolume
 from test_dataset import reference_split
 
 
@@ -480,6 +480,12 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match=f"^{name} must be a non-empty list$"):
                 expand_grid(ExperimentConfig(dataset="d.csv", **{name: []}))
 
+    def test_a_repeated_grid_value_names_its_key(self):
+        # Equal after parsing counts: 0.1 and "1e-1", inf and "inf".
+        for name, value in (("lbss", [0.1, 0.1]), ("lbss", [0.1, "1e-1"]), ("ubss", [0.5, math.inf, "inf"])):
+            with pytest.raises(ValueError, match=f"^{name} must not repeat a value"):
+                expand_grid(ExperimentConfig(dataset="d.csv", **{name: value}))
+
     def test_single_values_are_not_a_grid(self):
         cfg = ExperimentConfig(dataset="d.csv")
         assert expand_grid(cfg) == [cfg]
@@ -634,10 +640,6 @@ class TestRunExperiment:
             assert by_seed[result.seed] == result
 
 
-def file_bytes(directory) -> dict:
-    return {p.name: p.read_bytes() for p in Path(directory).iterdir()}
-
-
 class TestReuseAcrossRuns:
     """Runs on one dataset and seed build and score its initial population once."""
 
@@ -680,7 +682,7 @@ class TestReuseAcrossRuns:
         assert file_bytes(tmp_path / "warm") == cold
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_grid_runs_seed_major_and_saves_point_major(self, tiny_config, tmp_path, monkeypatch, n_workers):
+    def test_grid_runs_and_saves_seed_major_and_returns_point_major(self, tiny_config, tmp_path, monkeypatch, n_workers):
         grid = replace(tiny_config, approach="ssc", seeds=[0, 1], lbss=[0.01, 0.1], n_workers=n_workers)
         cold = {}
         for index, point in enumerate(expand_grid(grid)):
@@ -698,11 +700,25 @@ class TestReuseAcrossRuns:
             return save(result, output_dir)
 
         monkeypatch.setattr(semogp.harness, "save_run", recorded)
+        out, on_disk, run_seed = Path(grid.output_dir), [], semogp.harness._run_seed
+
+        def started(*job):
+            on_disk.append(sorted(p.name for p in out.iterdir()) if out.exists() else [])
+            return run_seed(*job)
+
+        if n_workers == 1:
+            # Spawned workers would not see this patch.
+            monkeypatch.setattr(semogp.harness, "_run_seed", started)
         results = run_experiment(grid)
+        seed_major = [(lb, s) for s in (0, 1) for lb in (0.01, 0.1)]
         point_major = [(lb, s) for lb in (0.01, 0.1) for s in (0, 1)]
         assert [(r.config["lbss"], r.seed) for r in results] == point_major
-        assert [(r.config["lbss"], r.seed) for r in saved] == point_major
+        assert [(r.config["lbss"], r.seed) for r in saved] == seed_major
         if n_workers == 1:
+            # Each run's files are on disk before the next run starts.
+            stems = [run_file_stem(r) for r in saved]
+            before = [sorted(f"{stem}.{ext}" for stem in stems[:k] for ext in ("csv", "json")) for k in range(4)]
+            assert on_disk == before
             # Worker processes build their own; here, one build per seed.
             assert len(built) == 2
         assert file_bytes(grid.output_dir) == cold
@@ -1014,6 +1030,19 @@ class TestCli:
             assert code == 1
             assert capsys.readouterr().err == f"error: {name} must be a non-empty list\n"
             assert list(out_dir.iterdir()) == []
+
+    def test_repeated_grid_value_fails_naming_its_key(self, blob_csv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset": str(blob_csv), "output_dir": str(tmp_path / "out")}))
+        for name, flags in (
+            ("lbss", ["--lbss", "0.1,0.1"]),
+            ("lbss", ["--lbss", "0.1,1e-1", "--ubss", "0.5,inf"]),
+            ("ubss", ["--ubss", "0.5,inf,inf"]),
+        ):
+            code = main(["run", "--config", str(cfg_path), *flags])
+            assert code == 1
+            assert capsys.readouterr().err.startswith(f"error: {name} must not repeat a value")
+        assert not (tmp_path / "out").exists()
 
     def test_unparsable_bound_override_names_its_key(self, blob_csv, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
