@@ -539,19 +539,29 @@ def _depth_after_replace(tree: Node, path: Path, replacement: Node) -> int:
     return depth
 
 
+def draw_exchange(p1: Node, p2: Node, rng: random.Random, max_depth: int) -> tuple[Path, Path, Node, Node, bool]:
+    """One candidate exchange: (point1, point2, sub1, sub2, fits).
+
+    A point is drawn in p1 and then in p2 by the Koza bias; sub1 and sub2
+    are the subtrees at them, and fits is whether both offspring would
+    stay within max_depth. No offspring is built.
+    """
+    point1 = pick_crossover_point(p1, rng)
+    point2 = pick_crossover_point(p2, rng)
+    sub1, sub2 = subtree_at(p1, point1), subtree_at(p2, point2)
+    fits = _depth_after_replace(p1, point1, sub2) <= max_depth and _depth_after_replace(p2, point2, sub1) <= max_depth
+    return point1, point2, sub1, sub2, fits
+
+
 def _crossover_points(p1: Node, p2: Node, rng: random.Random, max_depth: int) -> tuple[Path, Path] | None:
     """The points subtree_crossover exchanges at, or None when it gives up.
 
-    Draws a point in each parent, and draws again, up to five more times,
-    while either offspring would exceed max_depth. No offspring is built.
+    Draws a candidate exchange, and draws again, up to five more times,
+    while either offspring would exceed max_depth.
     """
     for _ in range(1 + CROSSOVER_DEPTH_RETRIES):
-        point1 = pick_crossover_point(p1, rng)
-        point2 = pick_crossover_point(p2, rng)
-        if (
-            _depth_after_replace(p1, point1, subtree_at(p2, point2)) <= max_depth
-            and _depth_after_replace(p2, point2, subtree_at(p1, point1)) <= max_depth
-        ):
+        point1, point2, _, _, fits = draw_exchange(p1, p2, rng, max_depth)
+        if fits:
             return point1, point2
     return None
 

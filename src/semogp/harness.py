@@ -186,10 +186,25 @@ def _run_seed(cfg: ExperimentConfig, full: Dataset, seed: int) -> RunResult:
         cfg.gp_params(),
         seed=seed,
         threshold=cfg.threshold,
-        config_echo=cfg.echo(seed),
     )
+    result.config = cfg.echo(seed)
     _attach_test_metrics(result, test, cfg.threshold)
     return result
+
+
+# A pool worker's full Dataset: unpickled once, when the worker starts, so
+# that all its runs hand _seed_split (and so emo._scored_population) one
+# Dataset, which both key on.
+_worker_dataset: Dataset | None = None
+
+
+def _hold_dataset(full: Dataset):
+    global _worker_dataset
+    _worker_dataset = full
+
+
+def _run_in_worker(cfg: ExperimentConfig, seed: int) -> RunResult:
+    return _run_seed(cfg, _worker_dataset, seed)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
@@ -206,21 +221,30 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
     _seed_split and emo._scored_population). Each run's files are saved
     as soon as the run finishes, in that seed-major order; the results are
     returned point by point and seed by seed. With n_workers > 1, the runs
-    share one pool of at most that many worker processes; files are still
-    written here, byte-identical to a sequential run's.
+    share one pool of at most that many worker processes (and at most one
+    per run). Each worker receives the dataset once, when it starts, so
+    its runs on one seed share that seed's split and initial population
+    too. Files are still written here, as each result comes back in run
+    order, byte-identical to a sequential run's.
     """
     points = expand_grid(cfg)
     for point in points:
         point.validate()
     full = load_csv(cfg.dataset, cfg.label_column, cfg.positive_label)
-    jobs = [(point, full, seed) for seed in cfg.seeds for point in points]
+    jobs = [(point, seed) for seed in cfg.seeds for point in points]
     n_workers = min(cfg.n_workers, len(jobs))
     pool = None
     if n_workers > 1:
-        pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=multiprocessing.get_context("spawn"))
+        pool = ProcessPoolExecutor(
+            max_workers=n_workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_hold_dataset,
+            initargs=(full,),
+        )
     runs = []
     with pool or contextlib.nullcontext():
-        for result in (pool.map if pool else map)(_run_seed, *zip(*jobs)):
+        results = pool.map(_run_in_worker, *zip(*jobs)) if pool else (_run_seed(p, full, s) for p, s in jobs)
+        for result in results:
             save_run(result, cfg.output_dir)
             runs.append(result)
     # Seed-major: point p's runs are every len(points)-th from index p.

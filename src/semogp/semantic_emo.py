@@ -40,11 +40,9 @@ from .gp_core import (
     PrimitiveSet,
     SemanticsMemo,
     Variation,
-    _depth_after_replace,
+    draw_exchange,
     evaluate_semantics,
     node_count,
-    pick_crossover_point,
-    subtree_at,
     to_prefix,
 )
 from .metrics import HV_REFERENCE, GenerationStats, hypervolume_2d, unique_solutions
@@ -76,8 +74,9 @@ def ssc_crossover(
 ) -> tuple[Path, Path] | None:
     """Where two parents exchange subtrees, gated on the subtrees' similarity.
 
-    Candidate point pairs are drawn up to SSC_MAX_TRIALS times; a trial
-    is accepted when the mean absolute difference between the two selected
+    Candidate exchanges are drawn through draw_exchange, up to
+    SSC_MAX_TRIALS times, each trial scoring both subtrees; a trial is
+    accepted when the mean absolute difference between the two selected
     subtrees' outputs lies in [lbss, ubss] and both offspring would respect
     max_depth. Its points are returned; if no trial qualifies, the final
     trial's (or None, keeping the parents, if those offspring would be too
@@ -95,16 +94,9 @@ def ssc_crossover(
     with memo.scored((p1, p2)):
         for _ in range(SSC_MAX_TRIALS):
             stats.trials += 1
-            point1 = pick_crossover_point(p1.tree, rng)
-            point2 = pick_crossover_point(p2.tree, rng)
-            sub1 = subtree_at(p1.tree, point1)
-            sub2 = subtree_at(p2.tree, point2)
+            point1, point2, sub1, sub2, fits = draw_exchange(p1.tree, p2.tree, rng, max_depth)
             distance = ssc_distance(
                 evaluate_semantics(sub1, features, memo), evaluate_semantics(sub2, features, memo)
-            )
-            fits = (
-                _depth_after_replace(p1.tree, point1, sub2) <= max_depth
-                and _depth_after_replace(p2.tree, point2, sub1) <= max_depth
             )
             if fits and cfg.lbss <= distance <= cfg.ubss:
                 stats.accepted += 1
@@ -294,7 +286,6 @@ def run_variant(
     *,
     seed: int = 0,
     threshold: float = CLASSIFICATION_THRESHOLD,
-    config_echo: dict | None = None,
 ) -> RunResult:
     """Run one engine/approach combination on a dataset for one seed.
 
@@ -302,6 +293,11 @@ def run_variant(
     initial population (generation 0), each describing the first front in
     the plain two-objective space. The returned final front is that first
     front, sorted by objectives then program text.
+
+    The config echo names every setting that shaped the run as
+    ExperimentConfig does (engine, the SemanticConfig and GPParams fields,
+    threshold), plus its seed. run_experiment stores its config file's
+    echo (ExperimentConfig.echo) in its place.
     """
     rng = random.Random(seed)
     evaluator = ClassificationEvaluator(dataset, threshold)
@@ -318,10 +314,6 @@ def run_variant(
         stats.append(_generation_stats(generation, front))
     wall = time.perf_counter() - start
 
-    front = sorted(
-        front,
-        key=lambda ind: (float(ind.objectives[0]), float(ind.objectives[1]), to_prefix(ind.tree)),
-    )
     members = [
         FrontMember(
             program=to_prefix(ind.tree),
@@ -330,21 +322,15 @@ def run_variant(
         )
         for ind in front
     ]
-    if config_echo is None:
-        config_echo = _default_echo(engine, cfg, gp, seed, threshold)
+    members.sort(key=lambda member: (member.objectives, member.program))
     result = RunResult(
         engine=engine,
         approach=cfg.approach,
         seed=seed,
-        config=config_echo,
+        config={"engine": engine, **asdict(cfg), **asdict(gp), "threshold": threshold, "seed": seed},
         front=members,
         generations=stats,
         wall_time_s=wall,
     )
     result.validate()
     return result
-
-
-def _default_echo(engine: str, cfg: SemanticConfig, gp: GPParams, seed: int, threshold: float) -> dict:
-    """Every setting that shaped a library run, named as in ExperimentConfig, plus its seed."""
-    return {"engine": engine, **asdict(cfg), **asdict(gp), "threshold": threshold, "seed": seed}

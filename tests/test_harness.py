@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import pickle
 import pkgutil
 import re
 import tempfile
@@ -605,8 +606,8 @@ class TestRunExperiment:
             cfg.gp_params(),
             seed=3,
             threshold=cfg.threshold,
-            config_echo=cfg.echo(3),
         )
+        expected.config = cfg.echo(3)
         assert replace(result, front=[replace(m, test_objectives=None) for m in result.front]) == expected
         evaluator = ClassificationEvaluator(scaled(test), cfg.threshold)
         for member in result.front:
@@ -722,6 +723,63 @@ class TestReuseAcrossRuns:
             # Worker processes build their own; here, one build per seed.
             assert len(built) == 2
         assert file_bytes(grid.output_dir) == cold
+
+    @pytest.fixture
+    def in_process_pool(self, monkeypatch):
+        """Replace the pool with one worker in this process, and return the
+        max_workers of each pool opened."""
+        opened = []
+
+        class InProcessPool:
+            """ProcessPoolExecutor as one worker in this process: it unpickles
+            its initargs once, when it starts, and each chunk of jobs on its
+            own, and sends back a chunk's results only when the whole chunk
+            has run, as the real pool does."""
+
+            def __init__(self, max_workers, mp_context, initializer=None, initargs=()):
+                opened.append(max_workers)
+                self.initializer, self.initargs = initializer, initargs
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                if self.initializer:
+                    self.initializer(*pickle.loads(pickle.dumps(self.initargs)))
+                jobs = list(zip(*iterables))
+                for start in range(0, len(jobs), chunksize):
+                    yield from [fn(*args) for args in pickle.loads(pickle.dumps(jobs[start : start + chunksize]))]
+
+        monkeypatch.setattr(semogp.harness, "ProcessPoolExecutor", InProcessPool)
+        return opened
+
+    def test_a_worker_shares_one_dataset_across_its_runs(self, tiny_config, in_process_pool):
+        grid = replace(tiny_config, seeds=[0, 1], lbss=[0.01, 0.1, 0.2], n_workers=4)
+        assert len(run_experiment(grid)) == 6
+        # A Dataset pickled with each job would key every run apart: 6 splits and 6 builds.
+        assert _seed_split.cache_info().misses == 2
+        assert semogp.emo._scored_population.cache_info().misses == 2
+        # At most one worker per run, so a one-seed grid still runs its points side by side.
+        assert len(run_experiment(replace(grid, seeds=[0]))) == 3
+        assert in_process_pool == [4, 3]
+
+    def test_a_failed_pooled_run_keeps_the_files_of_every_run_before_it(self, tiny_config, in_process_pool, monkeypatch):
+        run_seed = semogp.harness._run_seed
+
+        def third_fails(cfg, full, seed):
+            if cfg.lbss == 0.2:
+                raise RuntimeError("the third run failed")
+            return run_seed(cfg, full, seed)
+
+        monkeypatch.setattr(semogp.harness, "_run_seed", third_fails)
+        grid = replace(tiny_config, seeds=[0, 1], lbss=[0.01, 0.1, 0.2], n_workers=2)
+        with pytest.raises(RuntimeError, match="the third run failed"):
+            run_experiment(grid)
+        saved = sorted(path.name for path in Path(grid.output_dir).iterdir())
+        assert saved == sorted(f"{stem}_seed0.{ext}" for stem in ("nsga2_canonical_lb0.01_ub0.5_band", "nsga2_canonical_lb0.1_ub0.5_band") for ext in ("csv", "json"))
 
 
 def reference_seed_split(ds, train_fraction, seed, scale):

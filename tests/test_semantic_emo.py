@@ -668,6 +668,29 @@ class TestRunVariant:
         assert len(counts) == gp.generations
         assert np.median(counts[-1]) / data.n_cases == share
 
+    # NSGA-II at the desk protocol, GP seeds 0-4 on all 200 cases of the
+    # 1:9 blobs of the same seed: per seed, the final front's hypervolume
+    # to 4 decimals and its count of distinct objective vectors. scd's
+    # front collapses where canonical's, which reads no rule, does not.
+    SCD_COLLAPSE = {
+        ("scd", RULE_BAND): ([0.0201, 0.0101, 0.0101, 0.3788, 0.4610], [2, 1, 1, 2, 5]),
+        ("scd", RULE_ABOVE): ([0.6907, 0.8184, 0.5337, 0.0101, 0.5372], [12, 17, 9, 1, 5]),
+        ("canonical", RULE_BAND): ([0.8262, 0.8582, 0.7054, 0.7495, 0.7815], [18, 15, 17, 18, 17]),
+    }
+
+    def test_nsga2_scd_collapse_at_the_desk_protocol(self):
+        got = {}
+        for approach, rule in self.SCD_COLLAPSE:
+            cfg = SemanticConfig(approach=approach, distance_rule=rule)
+            runs = [run_variant("nsga2", cfg, blob_dataset(200, 9, s), GPParams(), seed=s) for s in range(5)]
+            got[approach, rule] = (
+                [round(r.generations[-1].hypervolume, 4) for r in runs],
+                [len({m.objectives for m in r.front}) for r in runs],
+            )
+        assert got == self.SCD_COLLAPSE, (
+            "the NSGA-II scd collapse of ROADMAP item 4 moved; a fix to it updates this pin"
+        )
+
     def test_seed_changes_the_run(self, dataset):
         a = run_variant("nsga2", SemanticConfig(), dataset, gp=self.GP, seed=4)
         b = run_variant("nsga2", SemanticConfig(), dataset, gp=self.GP, seed=5)
