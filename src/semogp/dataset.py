@@ -7,6 +7,7 @@ feature matrix plus a boolean label vector, where True marks the positive
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import io
@@ -91,6 +92,7 @@ def load_csv(path, label_column: int = -1, positive_label: str | None = None) ->
     The first row is treated as a header when any cell outside the label
     column fails to parse as a number. The positive class defaults to the
     rarer label token, with the lexicographically smaller token winning ties.
+    A leading UTF-8 byte-order mark is skipped.
 
     A file is parsed once while its bytes are unchanged: _parse_csv keeps
     its last Dataset under the bytes read, path, label_column and
@@ -121,8 +123,8 @@ def load_csv(path, label_column: int = -1, positive_label: str | None = None) ->
 @functools.lru_cache(maxsize=1)
 def _parse_csv(data: bytes, path, label_column: int, positive_label: str | None) -> Dataset:
     """load_csv's parse of a file's bytes; path only names the file in errors."""
-    # Decoded as open(path, newline="") decodes the file.
-    text = io.TextIOWrapper(io.BytesIO(data), newline="")
+    # Decoded as open(path, newline="") decodes the file, less a leading UTF-8 BOM.
+    text = io.TextIOWrapper(io.BytesIO(data.removeprefix(codecs.BOM_UTF8)), newline="")
     try:
         rows = [row for row in csv.reader(text) if row]
     except UnicodeDecodeError as exc:

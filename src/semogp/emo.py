@@ -298,20 +298,20 @@ def canonical_crowding(members: Population, fronts, objs: np.ndarray, rng: rando
 
 
 @functools.lru_cache(maxsize=1)
-def _scored_population(state, size, primitives, init_min_depth, init_max_depth, dataset, threshold):
+def _scored_population(state, size, primitives, init_min_depth, init_max_depth, dataset):
     """Initial members grown from a random.Random set to state and scored on
     dataset, with read-only arrays, and the generator state after them.
 
     Tree building depends only on the generator state and the init
-    settings, and scoring only on the tree, the dataset and the threshold,
-    so the last population is kept: engines on the same training Dataset
-    (which hashes by identity) and seed share its trees and arrays.
+    settings, and scoring only on the tree and the dataset, so the last
+    population is kept: engines on the same training Dataset (which hashes
+    by identity) and seed share its trees and arrays.
     harness._seed_split hands every run on one seed that same Dataset.
     """
     rng = random.Random()
     rng.setstate(state)
     trees = ramped_half_and_half(size, primitives, rng, init_min_depth, init_max_depth)
-    members = ClassificationEvaluator(dataset, threshold).evaluate_all(trees)
+    members = ClassificationEvaluator(dataset).evaluate_all(trees)
     for ind in members:
         ind.semantics.flags.writeable = False
         ind.objectives.flags.writeable = False
@@ -366,9 +366,7 @@ class _Engine:
         primitives, depths = self.variation.primitives, (params.init_min_depth, params.init_max_depth)
         if type(rng) is not random.Random or type(evaluator) is not ClassificationEvaluator:
             return evaluator.evaluate_all(ramped_half_and_half(size, primitives, rng, *depths))
-        members, state = _scored_population(
-            rng.getstate(), size, primitives, *depths, evaluator.dataset, evaluator.threshold
-        )
+        members, state = _scored_population(rng.getstate(), size, primitives, *depths, evaluator.dataset)
         rng.setstate(state)
         return [Individual(ind.tree, ind.semantics, ind.objectives) for ind in members]
 

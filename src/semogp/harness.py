@@ -59,7 +59,6 @@ class ExperimentConfig(_Settings):
     engine: str = "nsga2"
     train_fraction: float = 0.7
     scale_features: bool = False
-    threshold: float = CLASSIFICATION_THRESHOLD
     seeds: list[int] = field(default_factory=lambda: [0])
     output_dir: str = "results"
     n_workers: int = 1
@@ -90,8 +89,6 @@ class ExperimentConfig(_Settings):
         self._check_types()
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
-        if not math.isfinite(self.threshold):
-            raise ValueError(f"threshold must be finite, got {self.threshold!r}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -115,12 +112,14 @@ class ExperimentConfig(_Settings):
         """Config record stored with each run, sufficient to re-run it.
 
         Every field, with lbss and ubss as the floats semantic_config()
-        parsed and seeds as [seed]. Operational knobs that cannot change
-        the computed results (output_dir, n_workers) are excluded so files
-        for the same configuration and seed stay byte-identical wherever
-        and however they were produced.
+        parsed and seeds as [seed], plus the fixed CLASSIFICATION_THRESHOLD
+        that scored the run. Operational knobs that cannot change the
+        computed results (output_dir, n_workers) are excluded so files for
+        the same configuration and seed stay byte-identical wherever and
+        however they were produced.
         """
-        payload = asdict(self) | asdict(self.semantic_config()) | {"seeds": [seed]}
+        payload = asdict(self) | asdict(self.semantic_config())
+        payload |= {"threshold": CLASSIFICATION_THRESHOLD, "seeds": [seed]}
         return {k: v for k, v in payload.items() if k not in ("output_dir", "n_workers")}
 
 
@@ -148,10 +147,10 @@ def expand_grid(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     return [replace(cfg, lbss=lb, ubss=ub) for lb in values["lbss"] for ub in values["ubss"]]
 
 
-def _attach_test_metrics(result: RunResult, test_ds, threshold: float):
+def _attach_test_metrics(result: RunResult, test_ds):
     # Programs round-trip exactly through their prefix text, so each
     # distinct text is scored once and its repeats share the objectives.
-    evaluator = ClassificationEvaluator(test_ds, threshold)
+    evaluator = ClassificationEvaluator(test_ds)
     scores: dict[str, tuple[float, ...]] = {}
     for member in result.front:
         if member.program not in scores:
@@ -185,10 +184,9 @@ def _run_seed(cfg: ExperimentConfig, full: Dataset, seed: int) -> RunResult:
         train,
         cfg.gp_params(),
         seed=seed,
-        threshold=cfg.threshold,
     )
     result.config = cfg.echo(seed)
-    _attach_test_metrics(result, test, cfg.threshold)
+    _attach_test_metrics(result, test)
     return result
 
 

@@ -1,9 +1,10 @@
 """Classification objectives: program outputs to minimization vectors.
 
-A program classifies a case as positive when its output is at or above a
-fixed threshold. Accuracy on each class is scored separately and both
-objectives are expressed in minimization form, (1 - TPR, 1 - TNR), so a
-perfect classifier sits at the origin.
+A program classifies a case as positive when its output is at or above
+the fixed CLASSIFICATION_THRESHOLD, 0.0 (the zero-threshold rule of
+Bhowan et al., IEEE TEC 2013). Accuracy on each class is scored
+separately and both objectives are expressed in minimization form,
+(1 - TPR, 1 - TNR), so a perfect classifier sits at the origin.
 """
 
 from __future__ import annotations
@@ -72,13 +73,13 @@ class ClassificationEvaluator:
     shared with an earlier tree is looked up, on matrices small enough for
     the memo to keep entries, or held within a planned batch). evaluate_tree then counts true and false
     positives directly and gives the same objectives, bit for bit, as
-    objective_vector(confusion(classify(semantics, threshold), labels)).
+    objective_vector(confusion(classify(semantics), labels)): a case is
+    positive where its output is at or above CLASSIFICATION_THRESHOLD.
     The semantics it caches may be read-only arrays shared with the memo.
     """
 
-    def __init__(self, dataset: Dataset, threshold: float = CLASSIFICATION_THRESHOLD):
+    def __init__(self, dataset: Dataset):
         self.dataset = dataset
-        self.threshold = threshold
         self.memo = SemanticsMemo(dataset.features)
         self._positive_rows = np.flatnonzero(dataset.labels)
         self._n_pos = self._positive_rows.size
@@ -86,7 +87,7 @@ class ClassificationEvaluator:
 
     def evaluate_tree(self, tree: Node) -> Individual:
         semantics = evaluate_semantics(tree, self.dataset.features, self.memo)
-        predicted = semantics >= self.threshold
+        predicted = semantics >= CLASSIFICATION_THRESHOLD
         tp = np.count_nonzero(predicted[self._positive_rows])
         tn = self._n_neg - (np.count_nonzero(predicted) - tp)
         # objective_vector's expressions: tp + fn and tn + fp are the class sizes.

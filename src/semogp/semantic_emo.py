@@ -285,7 +285,6 @@ def run_variant(
     gp: GPParams = GPParams(),
     *,
     seed: int = 0,
-    threshold: float = CLASSIFICATION_THRESHOLD,
 ) -> RunResult:
     """Run one engine/approach combination on a dataset for one seed.
 
@@ -295,12 +294,12 @@ def run_variant(
     front, sorted by objectives then program text.
 
     The config echo names every setting that shaped the run as
-    ExperimentConfig does (engine, the SemanticConfig and GPParams fields,
-    threshold), plus its seed. run_experiment stores its config file's
-    echo (ExperimentConfig.echo) in its place.
+    ExperimentConfig does (engine, the SemanticConfig and GPParams fields),
+    plus the fixed CLASSIFICATION_THRESHOLD and its seed. run_experiment
+    stores its config file's echo (ExperimentConfig.echo) in its place.
     """
     rng = random.Random(seed)
-    evaluator = ClassificationEvaluator(dataset, threshold)
+    evaluator = ClassificationEvaluator(dataset)
     variation = Variation(PrimitiveSet(dataset.n_features), gp)
     eng = build_engine(engine, cfg, evaluator, variation, rng)
 
@@ -327,7 +326,7 @@ def run_variant(
         engine=engine,
         approach=cfg.approach,
         seed=seed,
-        config={"engine": engine, **asdict(cfg), **asdict(gp), "threshold": threshold, "seed": seed},
+        config={"engine": engine, **asdict(cfg), **asdict(gp), "threshold": CLASSIFICATION_THRESHOLD, "seed": seed},
         front=members,
         generations=stats,
         wall_time_s=wall,

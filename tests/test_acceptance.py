@@ -39,7 +39,7 @@ from semogp.emo import (
 from semogp.gp_core import Constant, Feature, PrimitiveSet, SemanticsMemo, Variation, node_count, to_prefix
 from semogp.harness import ExperimentConfig
 from semogp.metrics import HV_REFERENCE, hypervolume_2d, unique_solutions
-from semogp.objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
+from semogp.objectives import ClassificationEvaluator
 from semogp.semantic_emo import SSC_MAX_TRIALS, SscCounters, sdo_extend, ssc_crossover
 from semogp.semantics import RULE_ABOVE, RULE_BAND, Pivot, SemanticConfig, count_distances
 
@@ -206,7 +206,7 @@ def test_criterion_06_canonical_variant_is_the_raw_engine():
             )
 
             rng = random.Random(seed)
-            evaluator = ClassificationEvaluator(ds, CLASSIFICATION_THRESHOLD)
+            evaluator = ClassificationEvaluator(ds)
             variation = Variation(PrimitiveSet(ds.n_features), gp)
             if engine_name == "nsga2":
                 engine = Nsga2Engine(evaluator, variation, rng)

@@ -47,6 +47,22 @@ class TestLoadCsv:
         assert ds.n_cases == 3
         assert ds.features[0].tolist() == [1.0, 2.0]
 
+    @pytest.mark.parametrize(
+        "text, n_cases",
+        [
+            ("1.0,2.0,pos\n3.0,4.0,neg\n0.5,0.5,neg\n2.0,1.0,pos\n4.0,3.0,neg\n", 5),
+            ("x0,x1,label\n1.0,2.0,pos\n3.0,4.0,neg\n0.5,0.5,neg\n", 3),
+        ],
+        ids=["headerless", "header"],
+    )
+    def test_a_utf8_byte_order_mark_is_not_part_of_the_first_cell(self, tmp_path, text, n_cases):
+        plain = load_csv(write(tmp_path / "plain.csv", text))
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        marked = load_csv(tmp_path / "bom.csv")
+        assert marked.n_cases == plain.n_cases == n_cases
+        assert np.array_equal(marked.features, plain.features)
+        assert np.array_equal(marked.labels, plain.labels)
+
     def test_label_column_zero(self, tmp_path):
         path = write(tmp_path / "d.csv", "pos,1.0,2.0\nneg,3.0,4.0\n")
         ds = load_csv(path, label_column=0)

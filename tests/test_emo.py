@@ -1058,10 +1058,10 @@ def test_node_computations_per_pair_are_pinned(n_cases, monkeypatch):
     assert counts == NODE_COMPUTATIONS[n_cases]
 
 
-def engine_on(ds, cls=Nsga2Engine, seed=0, size=12, depths=(2, 4), threshold=0.0, rng=None, scorer=None):
+def engine_on(ds, cls=Nsga2Engine, seed=0, size=12, depths=(2, 4), rng=None, scorer=None):
     """An engine on ds whose initial population has the given settings."""
     params = GPParams(pop_size=size, generations=5, init_min_depth=depths[0], init_max_depth=depths[1])
-    evaluator = (scorer or ClassificationEvaluator)(ds, threshold)
+    evaluator = (scorer or ClassificationEvaluator)(ds)
     return cls(evaluator, Variation(PrimitiveSet(ds.n_features), params), rng or random.Random(seed))
 
 
@@ -1085,11 +1085,11 @@ class TestInitialPopulationReuse:
         return evaluated
 
     @staticmethod
-    def kept_members(ds, seed=0, size=12, depths=(2, 4), threshold=0.0):
+    def kept_members(ds, seed=0, size=12, depths=(2, 4)):
         """The cached members for engine_on's settings, read as a cache hit."""
         hits = emo._scored_population.cache_info().hits
         state = random.Random(seed).getstate()
-        members, _ = emo._scored_population(state, size, PrimitiveSet(ds.n_features), *depths, ds, threshold)
+        members, _ = emo._scored_population(state, size, PrimitiveSet(ds.n_features), *depths, ds)
         assert emo._scored_population.cache_info().hits == hits + 1
         return members
 
@@ -1120,12 +1120,11 @@ class TestInitialPopulationReuse:
             lambda: {"size": 10},
             lambda: {"depths": (2, 5)},
             lambda: {"depths": (1, 4)},
-            lambda: {"threshold": 0.5},
             lambda: {"ds": blob_dataset()},
             lambda: {"rng": ScriptedRandom(seed=0)},
             lambda: {"scorer": SubclassedEvaluator},
         ],
-        ids=["seed", "size", "max-depth", "min-depth", "threshold", "equal-dataset", "scripted-rng", "subclass"],
+        ids=["seed", "size", "max-depth", "min-depth", "equal-dataset", "scripted-rng", "subclass"],
     )
     def test_any_other_setting_builds_and_scores_again(self, change, monkeypatch):
         ds = blob_dataset()

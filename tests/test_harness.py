@@ -381,7 +381,7 @@ class TestExperimentConfig:
         assert cfg.pop_size == 100
 
     def test_from_json_unknown_key(self, tmp_path):
-        # The retired ssc, engine and moead/scd keys fail loudly instead of being silently ignored.
+        # The retired ssc, engine, moead/scd and threshold keys fail loudly instead of being silently ignored.
         path = tmp_path / "cfg.json"
         for key in (
             "population",
@@ -393,6 +393,7 @@ class TestExperimentConfig:
             "moead_neighbors",
             "moead_delta",
             "moead_max_replacements",
+            "threshold",
         ):
             path.write_text(json.dumps({"dataset": "d.csv", key: 1}))
             with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
@@ -452,9 +453,6 @@ class TestExperimentConfig:
             ({"ubss": "abc"}, "ubss must be a number"),
             ({"lbss": "abc"}, "lbss must be a number"),
             ({"ubss": True}, "ubss must be of type"),
-            ({"threshold": math.nan}, "threshold"),
-            ({"threshold": math.inf}, "threshold"),
-            ({"threshold": -math.inf}, "threshold"),
         ):
             with pytest.raises(ValueError, match=message):
                 run_experiment(ExperimentConfig(dataset="missing.csv", **settings))
@@ -507,7 +505,8 @@ class TestExperimentConfig:
         defaults = ExperimentConfig(dataset="d.csv")
         assert defaults.gp_params() == GPParams()
         assert defaults.semantic_config() == SemanticConfig()
-        assert defaults.threshold == CLASSIFICATION_THRESHOLD
+        # The threshold is not a setting, but each run file still states it.
+        assert defaults.echo(0)["threshold"] == CLASSIFICATION_THRESHOLD == 0.0
         cfg = ExperimentConfig(
             dataset="d.csv",
             approach="ssc",
@@ -605,11 +604,10 @@ class TestRunExperiment:
             scaled(train),
             cfg.gp_params(),
             seed=3,
-            threshold=cfg.threshold,
         )
         expected.config = cfg.echo(3)
         assert replace(result, front=[replace(m, test_objectives=None) for m in result.front]) == expected
-        evaluator = ClassificationEvaluator(scaled(test), cfg.threshold)
+        evaluator = ClassificationEvaluator(scaled(test))
         for member in result.front:
             scored = evaluator.evaluate_tree(parse_prefix(member.program)).objectives
             assert member.test_objectives == tuple(scored.tolist())
@@ -626,9 +624,9 @@ class TestRunExperiment:
             return evaluate(evaluator, tree)
 
         monkeypatch.setattr(ClassificationEvaluator, "evaluate_tree", counted)
-        semogp.harness._attach_test_metrics(result, ds, CLASSIFICATION_THRESHOLD)
+        semogp.harness._attach_test_metrics(result, ds)
         assert len(scored) == 2
-        fresh = ClassificationEvaluator(ds, CLASSIFICATION_THRESHOLD)
+        fresh = ClassificationEvaluator(ds)
         for member in result.front:
             objectives = evaluate(fresh, parse_prefix(member.program)).objectives
             assert member.test_objectives == tuple(objectives.tolist())

@@ -133,31 +133,22 @@ class TestEvaluator:
         )
         assert np.array_equal(ind.objectives, manual)
 
-    def test_custom_threshold_changes_objectives(self, small_dataset):
-        tree = Feature(0)
-        low = ClassificationEvaluator(small_dataset, threshold=-10.0).evaluate_tree(tree)
-        assert low.objectives.tolist() == [0.0, 1.0]
-
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(2, 40),
         st.integers(0, 6),
-        st.one_of(st.none(), st.sampled_from([-1.0, -0.25, 0.0, 0.5, 2.0])),
     )
-    def test_objectives_equal_the_confusion_pipeline(self, seed, n_cases, depth, threshold):
-        # Features on a quarter grid put many outputs exactly on the threshold;
-        # with threshold None it is one of the program's own outputs.
+    def test_objectives_equal_the_confusion_pipeline(self, seed, n_cases, depth):
+        # Features on a quarter grid put many outputs exactly on the threshold 0.0.
         rng = random.Random(seed)
         features = np.array([[rng.randint(-8, 8) / 4 for _ in range(2)] for _ in range(n_cases)])
         labels = np.array([rng.random() < 0.3 for _ in range(n_cases)])
         labels[:2] = [True, False]
         dataset = Dataset(features, labels)
         tree = grow_tree(PrimitiveSet(n_features=2), depth, rng)
-        if threshold is None:
-            threshold = float(rng.choice(evaluate_semantics(tree, dataset.features)))
-        ind = ClassificationEvaluator(dataset, threshold).evaluate_tree(tree)
-        expected = objective_vector(confusion(classify(ind.semantics, threshold), dataset.labels))
+        ind = ClassificationEvaluator(dataset).evaluate_tree(tree)
+        expected = objective_vector(confusion(classify(ind.semantics, 0.0), dataset.labels))
         assert ind.objectives.dtype == expected.dtype and ind.objectives.shape == (2,)
         assert np.array_equal(ind.objectives.view(np.int64), expected.view(np.int64))
         assert np.array_equal(ind.semantics, evaluate_semantics(tree, dataset.features))

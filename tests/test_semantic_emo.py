@@ -691,6 +691,46 @@ class TestRunVariant:
             "the NSGA-II scd collapse of ROADMAP item 4 moved; a fix to it updates this pin"
         )
 
+    # NSGA-II at the defaults through build_engine, initialize and 29 steps as
+    # run_variant runs them, GP seeds 0-4 on all cases of the 1:9 blobs of the
+    # same seed: per seed, the distinct 2-D objective vectors among the kept
+    # members, the distinct ones on the 2-D first front, and that front's size.
+    # sdo keeps more trade-offs in its population than canonical at both
+    # scales, though fewer of them sit on the front that criterion 7 counts.
+    POPULATION_DIVERSITY = {
+        (200, "canonical"): ([18, 32, 17, 18, 31], [18, 15, 17, 18, 17], [100, 66, 100, 100, 62]),
+        (200, "sdo"): ([34, 55, 54, 63, 45], [14, 14, 19, 18, 15], [43, 36, 51, 33, 51]),
+        (2000, "canonical"): ([88, 86, 76, 87, 88], [88, 86, 76, 87, 88], [100] * 5),
+        (2000, "sdo"): ([94, 95, 92, 92, 94], [65, 59, 75, 68, 73], [70, 63, 83, 74, 78]),
+    }
+
+    def test_nsga2_population_diversity_against_the_front(self):
+        gp = GPParams()
+        got = {}
+        for n_cases, approach in self.POPULATION_DIVERSITY:
+            rows = []
+            for s in range(5):
+                ds = blob_dataset(n_cases, 9, s)
+                variation = gp_core.Variation(gp_core.PrimitiveSet(ds.n_features), gp)
+                cfg = SemanticConfig(approach=approach)
+                engine = build_engine("nsga2", cfg, ClassificationEvaluator(ds), variation, random.Random(s))
+                engine.initialize()
+                for _ in range(gp.generations - 1):
+                    engine.step()
+                front = engine.front()
+                rows.append(
+                    (
+                        len({tuple(ind.objectives) for ind in engine.kept}),
+                        len({tuple(ind.objectives) for ind in front}),
+                        len(front),
+                    )
+                )
+            got[n_cases, approach] = tuple(list(column) for column in zip(*rows))
+        assert got == self.POPULATION_DIVERSITY, (
+            "the population-against-front diversity behind criterion 7 (ROADMAP item 5) moved; "
+            "a change that moves results updates this pin"
+        )
+
     def test_seed_changes_the_run(self, dataset):
         a = run_variant("nsga2", SemanticConfig(), dataset, gp=self.GP, seed=4)
         b = run_variant("nsga2", SemanticConfig(), dataset, gp=self.GP, seed=5)
@@ -717,16 +757,16 @@ class TestRunVariant:
 
     def test_config_echo_defaults(self, dataset):
         cfg = SemanticConfig(distance_rule=RULE_ABOVE)
-        result = run_variant("nsga2", cfg, dataset, gp=self.GP, seed=9, threshold=0.25)
+        result = run_variant("nsga2", cfg, dataset, gp=self.GP, seed=9)
         assert result.config["engine"] == "nsga2"
         assert result.config["approach"] == "canonical"
         assert result.config["seed"] == 9
         assert result.config["pop_size"] == 16
         assert result.config["distance_rule"] == RULE_ABOVE
+        assert result.config["threshold"] == 0.0
         # The echo names every setting of the run as ExperimentConfig does,
-        # so the run can be configured again from it.
-        settings = {k: v for k, v in result.config.items() if k != "seed"}
+        # plus the fixed threshold, so the run can be configured again from it.
+        settings = {k: v for k, v in result.config.items() if k not in ("seed", "threshold")}
         rebuilt = ExperimentConfig(dataset="d.csv", **settings)
         assert rebuilt.semantic_config() == cfg
         assert rebuilt.gp_params() == self.GP
-        assert rebuilt.threshold == 0.25
