@@ -10,9 +10,9 @@ from .dataset import write_synthetic_csv
 from .harness import ExperimentConfig, format_summary, load_results, run_experiment, summarize
 
 
-def _bounds_list(text: str):
-    """Comma-separated bounds, left for the config to parse: one string or a list."""
-    parts = [part for part in text.split(",") if part.strip()]
+def _list(text: str):
+    """Comma-separated grid values, stripped and left for the config to check: one string or a list."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
     return parts[0] if len(parts) == 1 else parts
 
 
@@ -26,10 +26,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a configuration (grids are expanded)")
     run_p.add_argument("--config", required=True, help="JSON configuration file")
     run_p.add_argument("--seed", type=int, action="append", help="override seeds (repeatable)")
-    run_p.add_argument("--engine", help="override engine: nsga2, spea2, moead")
-    run_p.add_argument("--approach", help="override approach: canonical, ssc, scd, sdo")
-    run_p.add_argument("--lbss", type=_bounds_list, help="lower similarity bound(s), comma separated")
-    run_p.add_argument("--ubss", type=_bounds_list, help="upper similarity bound(s), comma separated")
+    run_p.add_argument("--engine", type=_list, help="override engine(s), comma separated: nsga2, spea2, moead")
+    run_p.add_argument("--approach", type=_list, help="override approach(es), comma separated: canonical, ssc, scd, sdo")
+    run_p.add_argument("--lbss", type=_list, help="lower similarity bound(s), comma separated")
+    run_p.add_argument("--ubss", type=_list, help="upper similarity bound(s), comma separated")
     run_p.add_argument("--distance-rule", dest="distance_rule", help="above or band")
     run_p.add_argument("--out", help="override output directory")
 

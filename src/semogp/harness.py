@@ -1,8 +1,10 @@
 """Experiment driver: configuration, seeded runs, persistence, summaries.
 
-A JSON configuration names a dataset and one engine/approach combination
-(the similarity bounds may be lists, expanded into a grid of runs). Every
-grid point and seed becomes one fully deterministic run: the seed drives
+A JSON configuration names a dataset and the runs to make on it: the
+engine, the approach and the similarity bounds may each be a list, and
+expand_grid crosses them into a grid of single-valued points, keeping only
+the engine x approach pairs of semantic_emo.PAIRS. Every grid point and
+seed becomes one fully deterministic run: the seed drives
 the train/test split and the evolution, results are written atomically,
 and re-running the same configuration and seed reproduces the files byte
 for byte.
@@ -19,7 +21,7 @@ import statistics
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 from .dataset import Dataset, load_csv, minmax_apply, minmax_fit, stratified_split
@@ -27,8 +29,8 @@ from .gp_core import GPParams, parse_prefix
 from .metrics import HV_REFERENCE, hypervolume_2d
 from .objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
 from .results import RunResult, check_type, load_run, save_run
-from .semantic_emo import check_engine, run_variant
-from .semantics import SemanticConfig
+from .semantic_emo import ENGINES, PAIRS, check_engine, run_variant
+from .semantics import APPROACHES, SemanticConfig
 
 
 # Every GP and semantic setting, flat: named, typed and defaulted by its param class.
@@ -39,8 +41,8 @@ _Settings = make_dataclass(
 )
 
 
-# lbss and ubss may also be grid lists, and strings that float() parses ("inf").
-_BOUND_HINT = float | str | list[float | str]
+# The keys that may hold a list of values, one grid axis each, in expand_grid's order.
+GRID_KEYS = ("engine", "approach", "lbss", "ubss")
 
 
 @dataclass(kw_only=True)
@@ -49,8 +51,8 @@ class ExperimentConfig(_Settings):
 
     Besides the run-level fields below it carries every GPParams and
     SemanticConfig setting under its own name; those classes check them.
-    lbss and ubss may be single values or lists; expand_grid turns lists
-    into the cross-product of single-valued configurations.
+    Each GRID_KEYS key may be a single value or a list; expand_grid turns
+    lists into the cross-product of single-valued configurations.
     """
 
     dataset: str
@@ -80,13 +82,20 @@ class ExperimentConfig(_Settings):
         return cfg
 
     def _check_types(self):
-        """Check each value against the type its class declares for the key."""
+        """Check each value against the type its class declares for the key, or a list of it
+        for a GRID_KEYS key; lbss and ubss may also be strings that float() parses ("inf")."""
         for name, hint in typing.get_type_hints(type(self)).items():
-            check_type(name, getattr(self, name), _BOUND_HINT if name in ("lbss", "ubss") else hint)
+            if name in GRID_KEYS:
+                single = hint | str if name in ("lbss", "ubss") else hint
+                hint = single | list[single]
+            check_type(name, getattr(self, name), hint)
 
     def validate(self):
         """Check every setting of a single-valued configuration, reading no file."""
         self._check_types()
+        for name in GRID_KEYS:
+            if isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} holds a grid list; validate each point expand_grid makes of it")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
         if not self.seeds:
@@ -133,18 +142,32 @@ def _bound(name: str, value) -> float:
 
 
 def expand_grid(cfg: ExperimentConfig) -> list[ExperimentConfig]:
-    """Cross-product of the lbss and ubss lists, as single-valued configs; no list may repeat a value."""
+    """The cross-product of the GRID_KEYS values, as single-valued configs.
+
+    A list must be non-empty and repeat no value (bounds compared as the
+    floats _bound parses). Points come in product order over GRID_KEYS:
+    engine, approach, lbss, then ubss. A point whose engine and approach
+    are both known but not a pair of PAIRS (scd on moead) is left out; if
+    none is left, all are returned, for validate to reject with
+    check_engine's message. Canonical reads no bound but still runs at
+    every bound point, so that each (engine, lbss, ubss) cell summarize
+    compares within holds a canonical row.
+    """
     cfg._check_types()
-    values = {}
-    for name in ("lbss", "ubss"):
+    axes = []
+    for name in GRID_KEYS:
         value = getattr(cfg, name)
         entries = value if isinstance(value, (list, tuple)) else [value]
         if not entries:
             raise ValueError(f"{name} must be a non-empty list")
-        values[name] = [_bound(name, entry) for entry in entries]
-        if len(set(values[name])) != len(entries):
+        if name in ("lbss", "ubss"):
+            entries = [_bound(name, entry) for entry in entries]
+        if len(set(entries)) != len(entries):
             raise ValueError(f"{name} must not repeat a value, got {value!r}")
-    return [replace(cfg, lbss=lb, ubss=ub) for lb in values["lbss"] for ub in values["ubss"]]
+        axes.append(entries)
+    points = [replace(cfg, **dict(zip(GRID_KEYS, values))) for values in product(*axes)]
+    unpaired = set(product(ENGINES, APPROACHES)) - set(PAIRS)
+    return [p for p in points if (p.engine, p.approach) not in unpaired] or points
 
 
 def _attach_test_metrics(result: RunResult, test_ds):
@@ -214,9 +237,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
     computed on the training split; each front member also carries its
     objectives on the held-out split.
 
-    The runs go seed by seed, each seed's grid points one after another,
-    so that they share the seed's split and initial population (see
-    _seed_split and emo._scored_population). Each run's files are saved
+    The runs go seed by seed, each seed's grid points (every engine x
+    approach pair and bound point of it) one after another, so that they
+    share the seed's split and initial population (see _seed_split and
+    emo._scored_population; moead/sdo, with its own population size,
+    builds its own). Each run's files are saved
     as soon as the run finishes, in that seed-major order; the results are
     returned point by point and seed by seed. With n_workers > 1, the runs
     share one pool of at most that many worker processes (and at most one

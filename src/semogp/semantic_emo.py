@@ -48,7 +48,7 @@ from .gp_core import (
 from .metrics import HV_REFERENCE, GenerationStats, hypervolume_2d, unique_solutions
 from .objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
 from .results import FrontMember, RunResult
-from .semantics import Pivot, SemanticConfig, count_distances, select_pivot, ssc_distance
+from .semantics import APPROACHES, Pivot, SemanticConfig, count_distances, select_pivot, ssc_distance
 
 # Candidate point pairs ssc_crossover draws before it falls back.
 SSC_MAX_TRIALS = 4
@@ -247,13 +247,16 @@ _ENGINES = {
     "moead": (MoeadEngine, None),
 }
 ENGINES = tuple(_ENGINES)
+# The engine x approach pairs that run: every approach on every engine but
+# scd where the engine has no scd hook. The paper's 11, engine by engine.
+PAIRS = tuple((e, a) for e, (_, scd) in _ENGINES.items() for a in APPROACHES if a != "scd" or scd is not None)
 
 
 def check_engine(engine: str, cfg: SemanticConfig):
-    """Reject an unknown engine, and scd on an engine with no scd hook."""
+    """Reject an unknown engine, and a pair not in PAIRS (scd on an engine with no scd hook)."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    if cfg.approach == "scd" and _ENGINES[engine][1] is None:
+    if (engine, cfg.approach) not in PAIRS:
         raise ValueError(f"scd replaces a crowding mechanism {engine} does not have")
 
 

@@ -6,15 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semogp import dataset, emo, harness
+from semogp import dataset, emo, harness, semantic_emo
 from semogp.dataset import Dataset, synthetic_blobs, write_synthetic_csv
 from semogp.gp_core import Call, Feature, Individual, _exchange
-from semogp.semantic_emo import ENGINES
-from semogp.semantics import APPROACHES
 
-# The 11 engine x approach pairs the paper compares: scd replaces a
-# crowding mechanism that moead does not have.
-PAIRS = [(e, a) for e in ENGINES for a in APPROACHES if (e, a) != ("moead", "scd")]
+# The 11 engine x approach pairs the paper compares, as the package decides them.
+PAIRS = list(semantic_emo.PAIRS)
 
 
 class ScriptedRandom(random.Random):

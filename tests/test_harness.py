@@ -36,7 +36,7 @@ from semogp.results import FrontMember, RunResult, load_run, run_file_stem, save
 from semogp.semantic_emo import ENGINES, run_variant
 from semogp.semantics import APPROACHES, SemanticConfig
 
-from conftest import REUSE_CACHES, blob_dataset, clear_reuse_caches, file_bytes, grid_cell_hypervolume
+from conftest import PAIRS, REUSE_CACHES, blob_dataset, clear_reuse_caches, file_bytes, grid_cell_hypervolume
 from test_dataset import reference_split
 
 
@@ -453,6 +453,12 @@ class TestExperimentConfig:
             ({"ubss": "abc"}, "ubss must be a number"),
             ({"lbss": "abc"}, "lbss must be a number"),
             ({"ubss": True}, "ubss must be of type"),
+            # A grid of scd on moead alone; an unknown name in a list is never left out.
+            ({"engine": ["moead"], "approach": ["scd"], "lbss": [0.01, 0.1]}, "scd replaces a crowding mechanism moead"),
+            ({"engine": ["nsga2", "annealing"]}, "unknown engine 'annealing'"),
+            ({"engine": ["moead", "annealing"], "approach": ["scd"]}, "unknown engine 'annealing'"),
+            ({"approach": ["sdo", "psychic"]}, "unknown approach 'psychic'"),
+            ({"engine": ["moead"], "approach": ["scd", "psychic"]}, "unknown approach 'psychic'"),
         ):
             with pytest.raises(ValueError, match=message):
                 run_experiment(ExperimentConfig(dataset="missing.csv", **settings))
@@ -481,13 +487,37 @@ class TestExperimentConfig:
 
     def test_a_repeated_grid_value_names_its_key(self):
         # Equal after parsing counts: 0.1 and "1e-1", inf and "inf".
-        for name, value in (("lbss", [0.1, 0.1]), ("lbss", [0.1, "1e-1"]), ("ubss", [0.5, math.inf, "inf"])):
+        for name, value in (
+            ("lbss", [0.1, 0.1]),
+            ("lbss", [0.1, "1e-1"]),
+            ("ubss", [0.5, math.inf, "inf"]),
+            ("engine", ["nsga2", "moead", "nsga2"]),
+            ("approach", ["sdo", "sdo"]),
+        ):
             with pytest.raises(ValueError, match=f"^{name} must not repeat a value"):
                 expand_grid(ExperimentConfig(dataset="d.csv", **{name: value}))
 
     def test_single_values_are_not_a_grid(self):
         cfg = ExperimentConfig(dataset="d.csv")
         assert expand_grid(cfg) == [cfg]
+
+    def test_every_engine_and_approach_give_exactly_the_pairs(self):
+        grid = ExperimentConfig(dataset="d.csv", engine=list(ENGINES), approach=list(APPROACHES))
+        assert [(p.engine, p.approach) for p in expand_grid(grid)] == PAIRS
+        assert len(PAIRS) == 11 and ("moead", "scd") not in PAIRS
+        # Product order over GRID_KEYS: engine, approach, lbss, ubss.
+        assert semogp.harness.GRID_KEYS == ("engine", "approach", "lbss", "ubss")
+        points = expand_grid(replace(grid, lbss=[0.01, "0.1"], ubss=[0.4, 0.5]))
+        expected = [(e, a, lb, ub) for e, a in PAIRS for lb in (0.01, 0.1) for ub in (0.4, 0.5)]
+        assert [(p.engine, p.approach, p.lbss, p.ubss) for p in points] == expected
+
+    @pytest.mark.parametrize(
+        "name,value", [("engine", ["nsga2"]), ("approach", ["sdo", "ssc"]), ("lbss", [0.1, 0.2]), ("ubss", (0.5,))]
+    )
+    def test_validate_rejects_a_grid_list(self, name, value):
+        cfg = ExperimentConfig(dataset="d.csv", **{name: value})
+        with pytest.raises(ValueError, match=f"^{name} holds a grid list; .*expand_grid"):
+            cfg.validate()
 
     def test_string_bounds_parse(self):
         cfg = ExperimentConfig(dataset="d.csv", lbss=0.0, ubss="inf")
@@ -575,6 +605,28 @@ class TestRunExperiment:
         by_point = {p.name: p.read_bytes() for d in tmp_path.glob("point*") for p in d.iterdir()}
         assert len(by_point) == 16
         assert {p.name: p.read_bytes() for p in _result_files(grid)} == by_point
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_every_pair_in_one_call_matches_the_single_pair_calls(self, tiny_config, tmp_path, monkeypatch, n_workers):
+        for engine, approach in PAIRS:
+            clear_reuse_caches()
+            run_experiment(replace(tiny_config, engine=engine, approach=approach, output_dir=str(tmp_path / "single")))
+        clear_reuse_caches()
+        saved, save = [], semogp.harness.save_run
+
+        def recorded(result, output_dir):
+            saved.append((result.engine, result.approach, result.seed))
+            return save(result, output_dir)
+
+        monkeypatch.setattr(semogp.harness, "save_run", recorded)
+        grid = replace(tiny_config, engine=list(ENGINES), approach=list(APPROACHES), n_workers=n_workers)
+        results = run_experiment(grid)
+        # Returned point-major in GRID_KEYS order, saved seed-major.
+        assert [(r.engine, r.approach, r.seed) for r in results] == [(e, a, s) for e, a in PAIRS for s in (0, 1)]
+        assert saved == [(e, a, s) for s in (0, 1) for e, a in PAIRS]
+        single = file_bytes(tmp_path / "single")
+        assert len(single) == 44
+        assert file_bytes(grid.output_dir) == single
 
     def test_bad_grid_point_is_reported_before_the_dataset(self):
         cfg = ExperimentConfig(dataset="missing.csv", lbss=[0.1, 0.6], ubss=0.5)
@@ -679,6 +731,14 @@ class TestReuseAcrossRuns:
             run_experiment(replace(cfg, approach=approach, output_dir=str(tmp_path / "warm")))
         assert len(built) == 1
         assert file_bytes(tmp_path / "warm") == cold
+
+    def test_one_seed_builds_once_per_population_size(self, tiny_config, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        grid = replace(tiny_config, engine=list(ENGINES), approach=list(APPROACHES), pop_size=20, seeds=[0])
+        assert len(run_experiment(grid)) == 11
+        # Ten pairs start from one population of 20; moead/sdo, last in PAIRS,
+        # from 21 members, one per weight vector of its three objectives.
+        assert [args[0] for args in built] == [20, 21]
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_grid_runs_and_saves_seed_major_and_returns_point_major(self, tiny_config, tmp_path, monkeypatch, n_workers):
@@ -1058,6 +1118,15 @@ class TestCli:
             "spea2_ssc_lb0.01_ub0.5_band_seed5.json",
             "spea2_ssc_lb0.1_ub0.5_band_seed5.json",
         ]
+
+    def test_engine_and_approach_lists_run_every_pair_but_scd_on_moead(self, blob_csv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"dataset": str(blob_csv), "pop_size": 10, "generations": 2, "output_dir": str(tmp_path / "out")}
+        cfg_path.write_text(json.dumps(cfg | {"init_min_depth": 1, "init_max_depth": 3}))
+        code = main(["run", "--config", str(cfg_path), "--engine", "nsga2, moead", "--approach", "canonical,scd,sdo"])
+        assert code == 0
+        runs = [line.split(" lbss=")[0] for line in capsys.readouterr().out.splitlines()]
+        assert runs == ["nsga2 canonical", "nsga2 scd", "nsga2 sdo", "moead canonical", "moead sdo"]
 
     def test_bad_grid_point_fails_before_any_run(self, blob_csv, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
