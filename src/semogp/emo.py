@@ -68,6 +68,16 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
+def objective_matrix(objectives) -> np.ndarray:
+    """Objective vectors as one float64 row each; an empty input has no rows."""
+    F = np.asarray(objectives, dtype=np.float64)
+    if F.size == 0:
+        return np.zeros((0, 0))
+    if F.ndim != 2:
+        raise ValueError("objective vectors must all share one length")
+    return F
+
+
 def fast_nondominated_sort(objectives) -> list[list[int]]:
     """Partition objective vectors into successive non-dominated fronts.
 
@@ -75,11 +85,7 @@ def fast_nondominated_sort(objectives) -> list[list[int]]:
     one front, and front k+1 members are each dominated by someone in the
     union of fronts 0..k.
     """
-    F = np.asarray(objectives, dtype=np.float64)
-    if F.size == 0:
-        return []
-    if F.ndim != 2:
-        raise ValueError("objective vectors must all share one length")
+    F = objective_matrix(objectives)
     n = F.shape[0]
     D = dominance_matrix(F)
     counts = D.sum(axis=0).astype(np.int64)
@@ -93,6 +99,15 @@ def fast_nondominated_sort(objectives) -> list[list[int]]:
         counts -= D[current].sum(axis=0)
         current = np.flatnonzero(counts == 0)
     return fronts
+
+
+def first_front(objectives) -> list[int]:
+    """Ascending indices of the rows no row dominates: fast_nondominated_sort's front 0.
+
+    One dominance matrix and no peeling, for callers that read only the
+    first front.
+    """
+    return np.flatnonzero(~dominance_matrix(objective_matrix(objectives)).any(axis=0)).tolist()
 
 
 def crowding_distance(front_objectives) -> np.ndarray:
@@ -402,9 +417,12 @@ class _Engine:
             return [self._score(*entry) for entry in bred]
 
     def front(self) -> Population:
-        """First front of the kept members in the plain two-objective space."""
+        """First front of the kept members in the plain two-objective space.
+
+        Read through first_front, so no later front is peeled.
+        """
         objs = np.stack([ind.objectives for ind in self.kept])
-        return [self.kept[i] for i in fast_nondominated_sort(objs)[0]]
+        return [self.kept[i] for i in first_front(objs)]
 
 
 class Nsga2Engine(_Engine):

@@ -90,12 +90,16 @@ class ExperimentConfig(_Settings):
                 hint = single | list[single]
             check_type(name, getattr(self, name), hint)
 
-    def validate(self):
-        """Check every setting of a single-valued configuration, reading no file."""
-        self._check_types()
+    def _check_single(self):
+        """Raise ValueError naming the first GRID_KEYS key that still holds a grid list."""
         for name in GRID_KEYS:
             if isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} holds a grid list; validate each point expand_grid makes of it")
+
+    def validate(self):
+        """Check every setting of a single-valued configuration, reading no file."""
+        self._check_types()
+        self._check_single()
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
         if not self.seeds:
@@ -125,8 +129,10 @@ class ExperimentConfig(_Settings):
         that scored the run. Operational knobs that cannot change the
         computed results (output_dir, n_workers) are excluded so files for
         the same configuration and seed stay byte-identical wherever and
-        however they were produced.
+        however they were produced. A config that still holds a grid list
+        is rejected as validate rejects it.
         """
+        self._check_single()
         payload = asdict(self) | asdict(self.semantic_config())
         payload |= {"threshold": CLASSIFICATION_THRESHOLD, "seeds": [seed]}
         return {k: v for k, v in payload.items() if k not in ("output_dir", "n_workers")}

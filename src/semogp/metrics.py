@@ -9,6 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .emo import objective_matrix
 from .gp_core import Individual, node_count
 
 # Reference point for hypervolume reporting; objectives live in [0, 1]^2 and
@@ -37,6 +38,15 @@ class SizeStats(NamedTuple):
     max: int
 
 
+def _points(vectors) -> list[list[float]]:
+    """2-entry vectors as lists of Python floats, read through emo.objective_matrix."""
+    P = objective_matrix(vectors)
+    # objective_matrix gives no rows for empty vectors too, so ask the input.
+    if P.shape[1] != 2 and len(vectors):
+        raise ValueError("expected 2-entry objective vectors")
+    return P.tolist()
+
+
 def hypervolume_2d(points, ref) -> float:
     """Exact dominated hypervolume of 2-D minimization points.
 
@@ -47,16 +57,12 @@ def hypervolume_2d(points, ref) -> float:
     ref = tuple(float(r) for r in ref)
     if len(ref) != 2:
         raise ValueError("reference point must have two entries")
-    cleaned = []
-    for point in points:
-        a, b = (float(x) for x in point)
-        if a <= ref[0] and b <= ref[1]:
-            cleaned.append((a, b))
+    cleaned = {(a, b) for a, b in _points(points) if a <= ref[0] and b <= ref[1]}
     if not cleaned:
         return 0.0
     stair = []
     best = math.inf
-    for a, b in sorted(set(cleaned)):
+    for a, b in sorted(cleaned):
         if b < best:
             stair.append((a, b))
             best = b
@@ -67,17 +73,10 @@ def hypervolume_2d(points, ref) -> float:
     return total
 
 
-def _objective_tuple(member) -> tuple:
-    objs = member.objectives if isinstance(member, Individual) else member
-    vec = tuple(float(x) for x in np.asarray(objs, dtype=np.float64))
-    if len(vec) != 2:
-        raise ValueError("expected 2-entry objective vectors")
-    return vec
-
-
 def unique_solutions(members) -> int:
     """Distinct 2-entry objective vectors on a front, by exact equality."""
-    return len({_objective_tuple(m) for m in members})
+    vectors = [m.objectives if isinstance(m, Individual) else m for m in members]
+    return len(set(map(tuple, _points(vectors))))
 
 
 def size_stats(members) -> SizeStats:

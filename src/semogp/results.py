@@ -18,7 +18,7 @@ import tempfile
 import types
 import typing
 from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .metrics import GenerationStats
@@ -136,7 +136,9 @@ def save_run(result: RunResult, directory) -> tuple[Path, Path]:
         if json.dumps(existing["config"], sort_keys=True) != json.dumps(result.config, sort_keys=True):
             raise ValueError(f"{json_path} holds a run of another configuration; use another output directory")
 
-    payload = {key: value for key, value in asdict(result).items() if key in _JSON_TYPES}
+    # Read field by field: asdict would deep-copy every generation row only to drop it.
+    payload = {key: getattr(result, key) for key in _JSON_TYPES}
+    payload["front"] = [{f.name: getattr(member, f.name) for f in fields(FrontMember)} for member in result.front]
     _atomic_write(json_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     # Cast before repr: repr(np.float64(x)) is not repr(float(x)) under numpy 2.
     lines = [",".join(_COLUMNS)] + [

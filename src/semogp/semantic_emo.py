@@ -30,7 +30,7 @@ from .emo import (
     Nsga2Engine,
     Spea2Engine,
     crowding_distance,
-    fast_nondominated_sort,
+    first_front,
 )
 from .gp_core import (
     GPParams,
@@ -162,7 +162,7 @@ def select_front_pivot(members: Population, rng: random.Random) -> Pivot:
     members = list(members)
     _require_semantics(members)
     base = np.stack([ind.objectives for ind in members])
-    return _front_pivot(members, fast_nondominated_sort(base)[0], base, rng)
+    return _front_pivot(members, first_front(base), base, rng)
 
 
 class SdoObjectives:

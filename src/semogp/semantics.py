@@ -74,7 +74,10 @@ def ssc_distance(s1: np.ndarray, s2: np.ndarray) -> float:
         raise ValueError("semantics vectors must have the same length")
     if a.size == 0:
         raise ValueError("semantics vectors must be non-empty")
-    return float(np.abs(a - b).mean())
+    # np.mean's float64 path: the same pairwise sum, then one division.
+    diff = np.subtract(a, b)
+    np.abs(diff, out=diff)
+    return float(np.add.reduce(diff, axis=None)) / diff.size
 
 
 # Rows of differences processed at once by count_distances: about 256 KB of
@@ -91,17 +94,20 @@ def count_distances(semantics_rows, pivot_semantics: np.ndarray, cfg: SemanticCo
     """Case-count distance of each row to the pivot, as a float64 vector.
 
     The count follows cfg.distance_rule over the band [cfg.lbss, cfg.ubss].
-    semantics_rows is a 2-D array or a sequence of equal-length rows. The
-    rows are concatenated block_rows at a time into one reused difference
-    buffer, then subtracted, made absolute and compared in place into one
-    reused mask and counted per row, so no temporary of the whole input is
-    built. The band count is the cases at or above lbss less those above
-    ubss, which SemanticConfig's lbss <= ubss check makes exact.
+    semantics_rows is a 2-D array or a sequence of equal-length rows. Its
+    rows are counted once per distinct array object and the counts
+    scattered back: a clone shares its parent's read-only array, so a pool
+    repeats many. The distinct rows are concatenated block_rows at a time
+    into one reused difference buffer, then subtracted, made absolute and
+    compared in place into one reused mask, whose bytes are summed per row
+    into the narrowest unsigned integer that holds the case count, so no
+    temporary of the whole input is built. The band count is the cases at
+    or above lbss less those above ubss, which SemanticConfig's
+    lbss <= ubss check makes exact.
     """
     lbss, ubss, band = cfg.lbss, cfg.ubss, cfg.distance_rule == RULE_BAND
     pivot = np.asarray(pivot_semantics, dtype=np.float64)
-    n_rows = len(semantics_rows)
-    if n_rows == 1:
+    if len(semantics_rows) == 1:
         # A lone row (SdoObjectives.vector): flat counts, no buffers to set up.
         row = semantics_rows[0]
         # subtract would broadcast a row of another length, so check it here.
@@ -112,25 +118,38 @@ def count_distances(semantics_rows, pivot_semantics: np.ndarray, cfg: SemanticCo
         if band:
             count = np.count_nonzero(diff >= lbss) - count
         return np.array([count], dtype=np.float64)
+    # The list holds every row alive, so no two of them share an id, not
+    # even the row views of a matrix, which are temporaries.
+    rows = list(semantics_rows)
+    distinct = {id(row): row for row in rows}
+    slot = {key: index for index, key in enumerate(distinct)}
+    return _count_blocks(list(distinct.values()), pivot, lbss, ubss, band)[[slot[id(row)] for row in rows]]
+
+
+def _count_blocks(rows, pivot: np.ndarray, lbss: float, ubss: float, band: bool) -> np.ndarray:
+    """count_distances of every row of a list of rows, block by block."""
+    n_rows = len(rows)
     block = block_rows(pivot.size)
+    tally = np.min_scalar_type(pivot.size)
     counts = np.empty(n_rows, dtype=np.float64)
     diff = np.empty((min(block, n_rows), pivot.size))
     mask = np.empty(diff.shape, dtype=bool)
     for start in range(0, n_rows, block):
         stop = min(start + block, n_rows)
         d, m = diff[: stop - start], mask[: stop - start]
-        rows = semantics_rows[start:stop]
+        part = rows[start:stop]
         # concatenate checks only the total length, so check each row here.
-        if any(len(row) != pivot.size for row in rows):
+        if any(len(row) != pivot.size for row in part):
             raise ValueError("every semantics row must have the pivot's length")
-        np.concatenate(rows, out=d.reshape(-1))
+        np.concatenate(part, out=d.reshape(-1))
         np.subtract(d, pivot, out=d)
         np.abs(d, out=d)
         np.greater(d, ubss, out=m)
-        above = np.add.reduce(m, axis=1, dtype=np.intp)
+        above = np.add.reduce(m.view(np.uint8), axis=1, dtype=tally)
         if band:
             np.greater_equal(d, lbss, out=m)
-            counts[start:stop] = np.add.reduce(m, axis=1, dtype=np.intp) - above
+            # Every case above ubss is also at or above lbss, so this never wraps.
+            counts[start:stop] = np.add.reduce(m.view(np.uint8), axis=1, dtype=tally) - above
         else:
             counts[start:stop] = above
     return counts

@@ -27,6 +27,7 @@ from semogp.emo import (
     dominance_matrix,
     dominates,
     fast_nondominated_sort,
+    first_front,
     moead_replacements,
     neighborhoods,
     nsga2_survivors,
@@ -304,6 +305,37 @@ class TestFastNondominatedSort:
             flat = sorted(i for front in fronts for i in front)
             assert flat == list(range(n))
             assert all(front for front in fronts)
+
+
+@st.composite
+def first_front_inputs(draw):
+    """1..80 rows by 2 or 3 columns, on a coarse grid (many duplicates) or free floats."""
+    shape = (draw(st.integers(1, 80)), draw(st.sampled_from([2, 3])))
+    denom = draw(st.sampled_from([1, 2, 4, None]))
+    if denom is None:
+        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        return draw(hnp.arrays(np.float64, shape, elements=finite))
+    return draw(hnp.arrays(np.int64, shape, elements=st.integers(0, denom))) / denom
+
+
+class TestFirstFront:
+    @settings(max_examples=300, deadline=None)
+    @given(first_front_inputs())
+    @example(np.array([[0.5, 0.5]]))
+    @example(np.array([[0.25, 0.5, 1.0]]))
+    @example(np.full((6, 2), 0.5))
+    def test_matches_the_full_sort(self, objs):
+        assert first_front(objs) == fast_nondominated_sort(objs)[0]
+
+    def test_returns_python_ints_in_ascending_order(self):
+        front = first_front([(0.5, 0.5), (0.3, 0.7), (0.6, 0.6), (0.3, 0.7)])
+        assert front == [0, 1, 3]
+        assert all(type(i) is int for i in front)
+
+    def test_empty_and_ragged(self):
+        assert first_front(np.zeros((0, 2))) == []
+        with pytest.raises(ValueError):
+            first_front([(0.1, 0.2), (0.3,)])
 
 
 class TestCrowdingDistance:

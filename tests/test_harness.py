@@ -519,6 +519,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"^{name} holds a grid list; .*expand_grid"):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("engine", ["nsga2", "moead"]), ("approach", ["sdo"]), ("lbss", [0.1, 0.2]), ("ubss", (0.5, "inf"))],
+    )
+    def test_echo_rejects_a_grid_list(self, name, value):
+        # Not a float() TypeError for a bound list, nor an engine list echoed as one run's.
+        cfg = ExperimentConfig(dataset="d.csv", **{name: value})
+        with pytest.raises(ValueError, match=f"^{name} holds a grid list; .*expand_grid"):
+            cfg.echo(0)
+
     def test_string_bounds_parse(self):
         cfg = ExperimentConfig(dataset="d.csv", lbss=0.0, ubss="inf")
         assert math.isinf(cfg.semantic_config().ubss)

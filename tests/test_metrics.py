@@ -111,6 +111,14 @@ class TestUniqueSolutions:
         assert unique_solutions([(0.1, 0.2), (0.1, 0.2), (0.3, 0.4)]) == 2
 
 
+@pytest.mark.parametrize("vectors", [[()], [(), ()], [(0.1,)], [(0.1, 0.2), (0.3, 0.4, 0.5)]])
+def test_every_vector_that_is_not_2_entries_is_rejected(vectors):
+    with pytest.raises(ValueError):
+        hypervolume_2d(vectors, (1.0, 1.0))
+    with pytest.raises(ValueError):
+        unique_solutions(vectors)
+
+
 class TestSizeStats:
     def test_hand_case(self):
         ps = PrimitiveSet(n_features=1)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,8 @@ from semogp.semantics import (
     select_pivot,
     ssc_distance,
 )
+
+from conftest import same_bits
 
 
 # Scalar reference forms of the two case-count rules; count_distances is
@@ -78,6 +81,15 @@ class TestSscDistance:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ssc_distance(np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 3500])
+    def test_bit_equal_to_the_mean(self, n):
+        # Lengths on both sides of numpy's 8-wide unrolled and 128-block
+        # pairwise summation, and the benchmark's training size.
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 1e8):
+            a, b = rng.normal(size=n) * scale, rng.normal(size=n)
+            assert same_bits(ssc_distance(a, b), float(np.abs(a - b).mean()))
 
 
 def count_one(p, v, bounds, rule):
@@ -213,6 +225,75 @@ class TestCountDistancesOracle:
                 for rows in ([row], row[None]):
                     with pytest.raises(ValueError, match="pivot's length"):
                         count_distances(rows, pivot, cfg)
+
+    def test_repeated_array_objects_match_the_oracle(self):
+        # Clones share their parent's array: each object is counted once and
+        # its count scattered to every position that holds it.
+        rng = np.random.default_rng(3)
+        a, b, c = rng.normal(size=(3, 40))
+        rows = [a, b, a, a, c, b]
+        pivot = rng.normal(size=40)
+        for cfg in (*CFGS.values(), SemanticConfig(lbss=0.5, ubss=1.5)):
+            assert np.array_equal(count_distances(rows, pivot, cfg), reference_count_distances(rows, pivot, cfg))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(64, 300), st.integers(1, 12), st.integers(0, 2**32 - 1), GRID_BOUNDS)
+    def test_repeats_across_blocks_match_the_oracle(self, n_cases, n_distinct, seed, cfg):
+        rng = np.random.default_rng(seed)
+        grid = np.array([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 3.0])
+        pool = list(rng.choice(grid, size=(n_distinct, n_cases)))
+        n_rows = block_rows(n_cases) + int(rng.integers(-1, 2)) + 1
+        rows = [pool[i] for i in rng.integers(0, n_distinct, size=n_rows)]
+        pivot = rng.choice(grid, size=n_cases)
+        assert np.array_equal(count_distances(rows, pivot, cfg), reference_count_distances(rows, pivot, cfg))
+
+    def test_row_views_of_a_matrix_are_never_merged(self):
+        # Row views are temporaries whose ids recur once freed, so the rows
+        # of a matrix, or of a sequence handing out fresh rows, are keyed by
+        # id only while every one of them is held alive.
+        class FreshRows(Sequence):
+            def __init__(self, matrix):
+                self.matrix = matrix
+
+            def __len__(self):
+                return len(self.matrix)
+
+            def __getitem__(self, index):
+                return self.matrix[index] * 1.0
+
+        n_cases = 300
+        # Row i has exactly i cases above ubss, so every count differs.
+        matrix = np.zeros((n_cases, n_cases))
+        matrix[np.tril_indices(n_cases, -1)] = 2.0
+        pivot = np.zeros(n_cases)
+        cfg = SemanticConfig(lbss=0.0, ubss=1.0, distance_rule=RULE_ABOVE)
+        expected = np.arange(n_cases, dtype=np.float64)
+        assert np.array_equal(count_distances(matrix, pivot, cfg), expected)
+        assert np.array_equal(count_distances(FreshRows(matrix), pivot, cfg), expected)
+        assert np.array_equal(count_distances(list(matrix), pivot, cfg), expected)
+
+    @pytest.mark.parametrize("position", [0, 1, 3, 5])
+    def test_every_row_of_another_length_is_rejected_among_repeats(self, position):
+        good, bad = np.zeros(4), np.zeros(5)
+        rows = [good, good, good, good, good, good]
+        rows[position] = bad
+        for cfg in CFGS.values():
+            with pytest.raises(ValueError, match="pivot's length"):
+                count_distances(rows, np.zeros(4), cfg)
+            with pytest.raises(ValueError, match="pivot's length"):
+                count_distances(rows + [bad], np.zeros(4), cfg)
+
+    @pytest.mark.parametrize("n_cases", [255, 256, 65535, 65536, 65537])
+    def test_the_tally_is_exact_at_its_width_edges(self, n_cases):
+        # Every case of row 0 lies above ubss, every case of row 1 in the
+        # band, and row 2 has one case of each kind short of the rest.
+        pivot = np.zeros(n_cases)
+        rows = [np.full(n_cases, 2.0), np.full(n_cases, 0.5), np.full(n_cases, 0.5)]
+        rows[2][0] = 2.0
+        above = count_distances(rows, pivot, replace(BOUNDS, distance_rule=RULE_ABOVE))
+        band = count_distances(rows, pivot, BOUNDS)
+        assert above.tolist() == [n_cases, 0, 1]
+        assert band.tolist() == [0, n_cases, n_cases - 1]
 
     def test_rows_need_not_be_contiguous(self):
         matrix = np.asfortranarray(np.random.default_rng(0).normal(size=(9, 7)))
