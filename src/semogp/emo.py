@@ -69,7 +69,11 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
 
 
 def objective_matrix(objectives) -> np.ndarray:
-    """Objective vectors as one float64 row each; an empty input has no rows."""
+    """Objective vectors as one float64 row each; an empty input has no rows.
+
+    Every reader of a pool's objective vectors reads them through here. A
+    flat list raises the ValueError below, a ragged list numpy's own.
+    """
     F = np.asarray(objectives, dtype=np.float64)
     if F.size == 0:
         return np.zeros((0, 0))
@@ -117,11 +121,9 @@ def crowding_distance(front_objectives) -> np.ndarray:
     infinite and interior members accumulate the normalized gap between
     their neighbours. Zero-range objectives contribute nothing.
     """
-    F = np.asarray(front_objectives, dtype=np.float64)
+    F = objective_matrix(front_objectives)
     if F.size == 0:
         raise ValueError("front must be non-empty")
-    if F.ndim != 2:
-        raise ValueError("objective vectors must all share one length")
     n = F.shape[0]
     dist = np.zeros(n)
     for col in range(F.shape[1]):
@@ -171,7 +173,7 @@ def spea2_fitness(objectives) -> Spea2Fitness:
     1 / (sigma_k + 2) where sigma_k is the Euclidean distance to the k-th
     nearest other member and k = floor(sqrt(pool size)).
     """
-    F = np.asarray(objectives, dtype=np.float64)
+    F = objective_matrix(objectives)
     if F.size == 0:
         raise ValueError("pool must be non-empty")
     n = F.shape[0]
@@ -205,7 +207,7 @@ def spea2_truncate(objectives, target_size: int) -> list[int]:
     do; so the smallest row is the first minimum of the rows' bytes.
     Objectives with a NaN or an infinity raise ValueError.
     """
-    F = np.asarray(objectives, dtype=np.float64)
+    F = objective_matrix(objectives)
     n = F.shape[0]
     if target_size < 1:
         raise ValueError("target_size must be at least 1")
@@ -298,7 +300,7 @@ class BaseObjectives:
     n_objectives = 2
 
     def refresh(self, members: Population, rng: random.Random) -> np.ndarray:
-        return np.stack([ind.objectives for ind in members])
+        return objective_matrix([ind.objectives for ind in members])
 
     def vector(self, ind: Individual) -> np.ndarray:
         return ind.objectives
@@ -421,8 +423,7 @@ class _Engine:
 
         Read through first_front, so no later front is peeled.
         """
-        objs = np.stack([ind.objectives for ind in self.kept])
-        return [self.kept[i] for i in first_front(objs)]
+        return [self.kept[i] for i in first_front([ind.objectives for ind in self.kept])]
 
 
 class Nsga2Engine(_Engine):
@@ -460,7 +461,8 @@ class Spea2Engine(_Engine):
     """SPEA2: kept is the archive of pop_size members, and mates are drawn from it.
 
     The tournament key is the SPEA2 fitness. The diversity hook, when
-    given, is called with (union, objs, raw fitness, rng) and replaces the
+    given, is called with (union, nondominated, objs, rng), nondominated
+    being the ascending union indices of raw fitness 0, and replaces the
     density component of the fitness (raw dominance fitness is kept);
     archive truncation keeps its canonical nearest-neighbour rule.
     """
@@ -477,11 +479,11 @@ class Spea2Engine(_Engine):
         union = offspring + self.kept
         objs = self.space.refresh(union, self.rng)
         parts = spea2_fitness(objs)
+        nondominated = [i for i in range(len(union)) if parts.raw[i] == 0]
         if self.diversity is not None:
-            fitness = parts.raw + self.diversity(union, objs, parts.raw, self.rng)
+            fitness = parts.raw + self.diversity(union, nondominated, objs, self.rng)
         else:
             fitness = parts.fitness
-        nondominated = [i for i in range(len(union)) if parts.raw[i] == 0]
         size = self.params.pop_size
         if len(nondominated) > size:
             truncated = spea2_truncate(objs[nondominated], size)

@@ -31,6 +31,7 @@ from .emo import (
     Spea2Engine,
     crowding_distance,
     first_front,
+    objective_matrix,
 )
 from .gp_core import (
     GPParams,
@@ -125,19 +126,16 @@ def scd_assign(members: Population, pivot: Pivot, cfg: SemanticConfig) -> np.nda
     return count_distances(rows, pivot.semantics, cfg)
 
 
-def sdo_extend(members: Population, pivot: Pivot, cfg: SemanticConfig) -> np.ndarray:
-    """Objective matrix extended with a third entry -d/l per member.
+def sdo_extend(members: Population, base: np.ndarray, pivot: Pivot, cfg: SemanticConfig) -> np.ndarray:
+    """base, the members' objective matrix, extended with a third entry -d/l per member.
 
     d is the member's case-count distance to the pivot and l the number of
     cases, so minimizing the third entry maximizes the count. The first two
-    columns are the members' objective vectors, bitwise unchanged.
+    columns are base, bitwise unchanged.
     """
-    members = list(members)
-    counts = scd_assign(members, pivot, cfg)
-    base = np.stack([ind.objectives for ind in members])
     if base.shape[1] != 2:
         raise ValueError("expected 2-entry objective vectors to extend")
-    third = -counts / pivot.semantics.size
+    third = -scd_assign(members, pivot, cfg) / pivot.semantics.size
     return np.column_stack([base, third])
 
 
@@ -147,30 +145,28 @@ def _front_pivot(members: Population, front: list[int], objs: np.ndarray, rng: r
     front indexes both members and the rows of objs, on which crowding is
     measured; the returned source_index refers to members.
     """
-    crowd = crowding_distance(objs[front])
-    picked = select_pivot([members[i].semantics for i in front], crowd, rng)
-    return Pivot(picked.semantics, front[picked.source_index])
+    i = front[select_pivot(crowding_distance(objs[front]), rng)]
+    return Pivot(members[i].semantics, i)
 
 
-def select_front_pivot(members: Population, rng: random.Random) -> Pivot:
+def select_front_pivot(members: Population, base: np.ndarray, rng: random.Random) -> Pivot:
     """Pivot from the sparsest region of the pool's first front.
 
-    The first front and its crowding distances are computed on the plain
-    two-entry objective vectors; the returned source_index refers to the
-    full member list.
+    The first front and its crowding distances are read from base, the
+    members' plain two-entry objective matrix; the returned source_index
+    refers to the full member list.
     """
     members = list(members)
     _require_semantics(members)
-    base = np.stack([ind.objectives for ind in members])
     return _front_pivot(members, first_front(base), base, rng)
 
 
 class SdoObjectives:
     """Selection space of (objective 1, objective 2, -pivot distance / l).
 
-    refresh re-selects the pivot from the pool's current first front and
-    extends every member; vector extends a single later individual against
-    that same pivot.
+    refresh builds the pool's plain objective matrix once, re-selects the
+    pivot from its first front and extends every member's row; vector
+    extends a single later individual against that same pivot.
     """
 
     n_objectives = 3
@@ -180,8 +176,9 @@ class SdoObjectives:
         self.pivot: Pivot | None = None
 
     def refresh(self, members: Population, rng: random.Random) -> np.ndarray:
-        self.pivot = select_front_pivot(members, rng)
-        return sdo_extend(members, self.pivot, self.cfg)
+        base = objective_matrix([ind.objectives for ind in members])
+        self.pivot = select_front_pivot(members, base, rng)
+        return sdo_extend(members, base, self.pivot, self.cfg)
 
     def vector(self, ind: Individual) -> np.ndarray:
         if self.pivot is None:
@@ -206,13 +203,12 @@ class ScdDensity:
     """SPEA2 density replacement: 1 / (pivot distance count + 2).
 
     Mirrors the canonical 1 / (sigma_k + 2) shape so values stay below the
-    dominance granularity of the raw fitness.
+    dominance granularity of the raw fitness; the pivot comes from front.
     """
 
     cfg: SemanticConfig
 
-    def __call__(self, members, objs, raw, rng):
-        front = [i for i in range(len(members)) if raw[i] == 0]
+    def __call__(self, members, front, objs, rng):
         counts = scd_assign(members, _front_pivot(members, front, objs, rng), self.cfg)
         return 1.0 / (counts + 2.0)
 

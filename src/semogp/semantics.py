@@ -59,7 +59,7 @@ class SemanticConfig:
 class Pivot:
     """Reference individual for semantic distances.
 
-    source_index points back into the front the pivot was chosen from.
+    source_index is the pivot member's index in the pool it was chosen from.
     """
 
     semantics: np.ndarray
@@ -155,23 +155,19 @@ def _count_blocks(rows, pivot: np.ndarray, lbss: float, ubss: float, band: bool)
     return counts
 
 
-def select_pivot(semantics_list, crowding, rng: random.Random) -> Pivot:
-    """Choose the front member sitting in the sparsest region.
+def select_pivot(crowding, rng: random.Random) -> int:
+    """Index of the front member sitting in the sparsest region.
 
-    Picks the member with the largest finite crowding distance, breaking
-    ties toward the lowest index. Fronts of at most two members carry only
-    infinite crowding, so one member is chosen uniformly at random; the same
+    crowding holds one crowding distance per front member. Picks the member
+    with the largest finite crowding distance, breaking ties toward the
+    lowest index. Fronts of at most two members carry only infinite
+    crowding, so one member is chosen uniformly at random; the same
     fallback applies if no finite crowding value exists at all.
     """
-    semantics_list = list(semantics_list)
     crowding = list(crowding)
-    if not semantics_list:
+    if not crowding:
         raise ValueError("front must be non-empty")
-    if len(crowding) != len(semantics_list):
-        raise ValueError("crowding values must match the front size")
     finite = [i for i, c in enumerate(crowding) if math.isfinite(c)]
-    if len(semantics_list) <= 2 or not finite:
-        idx = rng.randrange(len(semantics_list))
-    else:
-        idx = max(finite, key=lambda i: (crowding[i], -i))
-    return Pivot(np.asarray(semantics_list[idx], dtype=np.float64), idx)
+    if len(crowding) <= 2 or not finite:
+        return rng.randrange(len(crowding))
+    return max(finite, key=lambda i: (crowding[i], -i))

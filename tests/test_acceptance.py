@@ -308,7 +308,7 @@ def test_criterion_08_third_criterion_extension_invariants():
     ]
     pivot = Pivot(members[17].semantics, 17)
     cfg = SemanticConfig(approach="sdo")
-    extended = sdo_extend(members, pivot, cfg)
+    extended = sdo_extend(members, np.stack([ind.objectives for ind in members]), pivot, cfg)
     base = np.stack([ind.objectives for ind in members])
     assert extended.shape == (10_000, 3)
     assert np.array_equal(extended[:, :2], base), "base objective entries changed"

@@ -290,6 +290,8 @@ class TestFastNondominatedSort:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             fast_nondominated_sort([(0.1, 0.2), (0.3,)])
+        with pytest.raises(ValueError):
+            fast_nondominated_sort([0.1, 0.2, 0.3])
 
     @settings(max_examples=100, deadline=None)
     @given(kernel_inputs())
@@ -336,6 +338,8 @@ class TestFirstFront:
         assert first_front(np.zeros((0, 2))) == []
         with pytest.raises(ValueError):
             first_front([(0.1, 0.2), (0.3,)])
+        with pytest.raises(ValueError):
+            first_front([0.1, 0.2, 0.3])
 
 
 class TestCrowdingDistance:
@@ -513,6 +517,26 @@ class TestSpea2Truncate:
             kept = spea2_truncate(objs, target)
             assert len(kept) == target
             assert kept == sorted(kept)
+
+
+# The pool readers that read through emo.objective_matrix besides
+# fast_nondominated_sort, first_front and the metrics, whose own tests
+# reject the same inputs.
+POOL_READERS = {
+    "crowding_distance": crowding_distance,
+    "spea2_fitness": spea2_fitness,
+    "spea2_truncate": lambda vectors: spea2_truncate(vectors, 1),
+    "BaseObjectives.refresh": lambda vectors: BaseObjectives().refresh(
+        [make_individual(objectives=v) for v in vectors], random.Random(0)
+    ),
+}
+
+
+@pytest.mark.parametrize("vectors", [[0.1, 0.2, 0.3], [[0.1, 0.2], [0.3]]], ids=["flat", "ragged"])
+@pytest.mark.parametrize("reader", POOL_READERS.values(), ids=POOL_READERS.keys())
+def test_pool_readers_reject_what_is_not_one_matrix(reader, vectors):
+    with pytest.raises(ValueError):
+        reader(vectors)
 
 
 class TestWeightsAndScalarization:

@@ -111,7 +111,7 @@ class TestUniqueSolutions:
         assert unique_solutions([(0.1, 0.2), (0.1, 0.2), (0.3, 0.4)]) == 2
 
 
-@pytest.mark.parametrize("vectors", [[()], [(), ()], [(0.1,)], [(0.1, 0.2), (0.3, 0.4, 0.5)]])
+@pytest.mark.parametrize("vectors", [[()], [(), ()], [(0.1,)], [(0.1, 0.2), (0.3, 0.4, 0.5)], [0.1, 0.2, 0.3]])
 def test_every_vector_that_is_not_2_entries_is_rejected(vectors):
     with pytest.raises(ValueError):
         hypervolume_2d(vectors, (1.0, 1.0))

@@ -6,13 +6,36 @@ from pathlib import Path
 import semogp
 
 
+def package_nodes():
+    """(file name, AST node) for every node of every module of the package."""
+    for path in sorted(Path(semogp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path.name, node
+
+
 def test_no_module_imports_another_modules_private_names():
     # A module's _-names are its own: a rule another module needs is a
     # public function of the module that owns it.
     borrowed = []
-    for path in sorted(Path(semogp.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ImportFrom) and node.level:
-                source = "." * node.level + (node.module or "")
-                borrowed += [f"{path.name}: {source}.{a.name}" for a in node.names if a.name.startswith("_")]
+    for name, node in package_nodes():
+        if isinstance(node, ast.ImportFrom) and node.level:
+            source = "." * node.level + (node.module or "")
+            borrowed += [f"{name}: {source}.{a.name}" for a in node.names if a.name.startswith("_")]
     assert borrowed == []
+
+
+def test_no_module_stacks_objective_vectors_itself():
+    # emo.objective_matrix is the one builder of objective matrices, so no
+    # module calls np.stack. This catches that one spelling only: a matrix
+    # built by np.asarray, np.vstack or numpy.stack passes, and the reader
+    # rule itself is test_emo's test_pool_readers_reject_what_is_not_one_matrix.
+    stacked = [
+        f"{name}:{node.lineno}"
+        for name, node in package_nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "stack"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+    ]
+    assert stacked == []

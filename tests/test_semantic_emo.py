@@ -18,6 +18,7 @@ from semogp.emo import (
     Spea2Engine,
     fast_nondominated_sort,
     nsga2_survivors,
+    objective_matrix,
 )
 from semogp.gp_core import (
     Call,
@@ -54,6 +55,11 @@ from test_gp_core import count_applies, reference_breed_one
 PAIR_IDS = [f"{a}-{e}" for e, a in PAIRS]
 BAND_CFG = SemanticConfig(approach="scd", distance_rule=RULE_BAND)
 ABOVE_CFG = SemanticConfig(approach="scd", distance_rule=RULE_ABOVE)
+
+
+def plain_matrix(members):
+    """The members' plain objective matrix, as SdoObjectives.refresh builds it."""
+    return objective_matrix([m.objectives for m in members])
 
 
 class TestSemanticConfig:
@@ -365,20 +371,20 @@ class TestSdoExtend:
     def test_third_entry_hand_cases(self):
         members = ScdFixture.members()
         pivot = Pivot(np.asarray(ScdFixture.SEMANTICS[1]), 1)
-        extended = sdo_extend(members, pivot, ABOVE_CFG)
+        extended = sdo_extend(members, plain_matrix(members), pivot, ABOVE_CFG)
         assert extended.shape == (4, 3)
         assert extended[:, 2].tolist() == [0.0, 0.0, -1.0, -0.25]
 
     def test_all_cases_distant_gives_minus_one(self):
         members = [make_individual(semantics=(9.0, 9.0), objectives=(0.5, 0.5))]
         pivot = Pivot(np.zeros(2), 0)
-        extended = sdo_extend(members, pivot, ABOVE_CFG)
+        extended = sdo_extend(members, plain_matrix(members), pivot, ABOVE_CFG)
         assert extended[0, 2] == -1.0
 
     def test_base_objectives_preserved_bitwise(self):
         members = ScdFixture.members()
         pivot = Pivot(np.asarray(ScdFixture.SEMANTICS[1]), 1)
-        extended = sdo_extend(members, pivot, BAND_CFG)
+        extended = sdo_extend(members, plain_matrix(members), pivot, BAND_CFG)
         base = np.stack([m.objectives for m in members])
         assert np.array_equal(extended[:, :2], base)
 
@@ -394,14 +400,16 @@ class TestSdoExtend:
         members = [
             make_individual(semantics=s, objectives=o) for s, o in zip(semantics, objectives)
         ]
-        extended = sdo_extend(members, pivot, data.draw(st.sampled_from([BAND_CFG, ABOVE_CFG])))
+        extended = sdo_extend(
+            members, plain_matrix(members), pivot, data.draw(st.sampled_from([BAND_CFG, ABOVE_CFG]))
+        )
         assert np.array_equal(extended[:, :2].view(np.int64), objectives.view(np.int64))
 
 
 class TestSelectFrontPivot:
     def test_sparsest_front_member_wins(self):
         members = ScdFixture.members()
-        pivot = select_front_pivot(members, random.Random(0))
+        pivot = select_front_pivot(members, plain_matrix(members), random.Random(0))
         # Front is {0, 1, 3}; member 1 holds the only finite crowding.
         assert pivot.source_index == 1
         assert np.array_equal(pivot.semantics, np.asarray(ScdFixture.SEMANTICS[1]))
@@ -413,7 +421,7 @@ class TestSelectFrontPivot:
             make_individual(semantics=(2.0,), objectives=(2.0, 2.0)),
         ]
         picks = {
-            select_front_pivot(members, random.Random(seed)).source_index
+            select_front_pivot(members, plain_matrix(members), random.Random(seed)).source_index
             for seed in range(30)
         }
         assert picks == {0, 1}
@@ -430,8 +438,8 @@ class TestPolicies:
     def test_scd_density_shape(self):
         members = ScdFixture.members()
         objs = np.stack([m.objectives for m in members])
-        raw = np.array([0.0, 0.0, 5.0, 0.0])
-        density = ScdDensity(BAND_CFG)(members, objs, raw, random.Random(0))
+        front = [0, 1, 3]
+        density = ScdDensity(BAND_CFG)(members, front, objs, random.Random(0))
         assert density.tolist() == [0.2, 0.5, 0.5, 0.2]
 
     def test_scd_archive_rank(self):

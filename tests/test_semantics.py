@@ -307,23 +307,29 @@ class TestCountDistancesOracle:
 class TestSelectPivot:
     SEMS = [np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([2.0, 2.0])]
 
+    @staticmethod
+    def pick(semantics, crowding, rng):
+        """The Pivot of the member select_pivot chooses, as semantic_emo builds it."""
+        index = select_pivot(crowding, rng)
+        return Pivot(semantics[index], index)
+
     def test_max_finite_crowding_wins(self):
         crowding = [float("inf"), 2.0, float("inf")]
-        pivot = select_pivot(self.SEMS, crowding, random.Random(0))
+        pivot = self.pick(self.SEMS, crowding, random.Random(0))
         assert pivot.source_index == 1
         assert np.array_equal(pivot.semantics, self.SEMS[1])
 
     def test_tie_breaks_to_lowest_index(self):
         sems = [np.zeros(2)] * 4
         crowding = [float("inf"), 3.0, 3.0, float("inf")]
-        pivot = select_pivot(sems, crowding, random.Random(0))
+        pivot = self.pick(sems, crowding, random.Random(0))
         assert pivot.source_index == 1
 
     def test_two_members_choose_uniformly(self):
         sems = self.SEMS[:2]
         crowding = [float("inf"), float("inf")]
         picks = {
-            select_pivot(sems, crowding, random.Random(seed)).source_index
+            self.pick(sems, crowding, random.Random(seed)).source_index
             for seed in range(30)
         }
         assert picks == {0, 1}
@@ -331,25 +337,21 @@ class TestSelectPivot:
     def test_two_member_choice_is_deterministic_per_seed(self):
         sems = self.SEMS[:2]
         crowding = [float("inf"), float("inf")]
-        a = select_pivot(sems, crowding, random.Random(7)).source_index
-        b = select_pivot(sems, crowding, random.Random(7)).source_index
+        a = self.pick(sems, crowding, random.Random(7)).source_index
+        b = self.pick(sems, crowding, random.Random(7)).source_index
         assert a == b
 
     def test_all_infinite_crowding_falls_back_to_uniform(self):
         crowding = [float("inf")] * 3
         picks = {
-            select_pivot(self.SEMS, crowding, random.Random(seed)).source_index
+            self.pick(self.SEMS, crowding, random.Random(seed)).source_index
             for seed in range(40)
         }
         assert picks == {0, 1, 2}
 
     def test_empty_front_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            select_pivot([], [], random.Random(0))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="match"):
-            select_pivot(self.SEMS, [1.0], random.Random(0))
+            select_pivot([], random.Random(0))
 
     def test_pivot_is_immutable(self):
         pivot = Pivot(np.zeros(2), 0)
