@@ -6,6 +6,8 @@ objectives. Engines breed genetic-programming individuals through an
 injected variation policy and evaluator. Every engine takes an objective
 space hook, and NSGA-II and SPEA2 a diversity estimate hook too, so
 semantic variants can replace single mechanisms without touching the loops.
+The diversity hook defaults to the engine's canonical estimate:
+canonical_crowding for NSGA-II, canonical_density for SPEA2.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from typing import NamedTuple
 
 import numpy as np
 
@@ -158,38 +159,18 @@ def nsga2_survivors(fronts: list[list[int]], crowding: np.ndarray, target: int) 
     return chosen
 
 
-class Spea2Fitness(NamedTuple):
-    strength: np.ndarray
-    raw: np.ndarray
-    density: np.ndarray
-    fitness: np.ndarray
+def spea2_fitness(objectives) -> np.ndarray:
+    """SPEA2 raw fitness of each member of a combined pool.
 
-
-def spea2_fitness(objectives) -> Spea2Fitness:
-    """Strength, raw fitness, density, and total fitness for a combined pool.
-
-    Strength counts dominated members; raw fitness sums the strengths of a
-    member's dominators (0 for non-dominated members); density is
-    1 / (sigma_k + 2) where sigma_k is the Euclidean distance to the k-th
-    nearest other member and k = floor(sqrt(pool size)).
+    A member's strength counts the members it dominates; its raw fitness
+    sums the strengths of its dominators, so non-dominated members score 0.
     """
     F = objective_matrix(objectives)
     if F.size == 0:
         raise ValueError("pool must be non-empty")
-    n = F.shape[0]
     D = dominance_matrix(F)
     strength = D.sum(axis=1).astype(np.float64)
-    raw = (D * strength[:, None]).sum(axis=0)
-    if n == 1:
-        sigma = np.zeros(1)
-    else:
-        dist = _pairwise_distances(F)
-        k = min(math.isqrt(n), n - 1)
-        # Column 0 of the sorted rows is the zero self-distance, so column k
-        # is the k-th nearest other member.
-        sigma = np.sort(dist, axis=1)[:, k]
-    density = 1.0 / (sigma + 2.0)
-    return Spea2Fitness(strength, raw, density, raw + density)
+    return (D * strength[:, None]).sum(axis=0)
 
 
 def spea2_truncate(objectives, target_size: int) -> list[int]:
@@ -312,6 +293,22 @@ def canonical_crowding(members: Population, fronts, objs: np.ndarray, rng: rando
     for front in fronts:
         crowds[front] = crowding_distance(objs[front])
     return crowds
+
+
+def canonical_density(members: Population, nondominated, objs: np.ndarray, rng: random.Random) -> np.ndarray:
+    """SPEA2 density 1 / (sigma_k + 2) of every pool member.
+
+    sigma_k is the Euclidean distance to the k-th nearest other member,
+    k = floor(sqrt(pool size)); a lone member has sigma_k 0.
+    """
+    F = objective_matrix(objs)
+    if F.size == 0:
+        raise ValueError("pool must be non-empty")
+    n = F.shape[0]
+    # Column 0 of the sorted rows is the zero self-distance, so column k is
+    # the k-th nearest other member, and column 0 itself for a lone member.
+    sigma = np.sort(_pairwise_distances(F), axis=1)[:, min(math.isqrt(n), n - 1)]
+    return 1.0 / (sigma + 2.0)
 
 
 @functools.lru_cache(maxsize=1)
@@ -460,11 +457,11 @@ class Nsga2Engine(_Engine):
 class Spea2Engine(_Engine):
     """SPEA2: kept is the archive of pop_size members, and mates are drawn from it.
 
-    The tournament key is the SPEA2 fitness. The diversity hook, when
-    given, is called with (union, nondominated, objs, rng), nondominated
-    being the ascending union indices of raw fitness 0, and replaces the
-    density component of the fitness (raw dominance fitness is kept);
-    archive truncation keeps its canonical nearest-neighbour rule.
+    The tournament key is the SPEA2 fitness: raw dominance fitness plus a
+    density. The diversity hook, called as canonical_density is, with
+    (union, nondominated, objs, rng), nondominated being the ascending
+    union indices of raw fitness 0, supplies the density; archive
+    truncation keeps its canonical nearest-neighbour rule.
     """
 
     def initialize(self):
@@ -478,19 +475,16 @@ class Spea2Engine(_Engine):
         """Fill the archive from the offspring and the current archive."""
         union = offspring + self.kept
         objs = self.space.refresh(union, self.rng)
-        parts = spea2_fitness(objs)
-        nondominated = [i for i in range(len(union)) if parts.raw[i] == 0]
-        if self.diversity is not None:
-            fitness = parts.raw + self.diversity(union, nondominated, objs, self.rng)
-        else:
-            fitness = parts.fitness
+        raw = spea2_fitness(objs)
+        nondominated = [i for i in range(len(union)) if raw[i] == 0]
+        fitness = raw + (self.diversity or canonical_density)(union, nondominated, objs, self.rng)
         size = self.params.pop_size
         if len(nondominated) > size:
             truncated = spea2_truncate(objs[nondominated], size)
             keep = [nondominated[i] for i in truncated]
         else:
             dominated = sorted(
-                (i for i in range(len(union)) if parts.raw[i] > 0),
+                (i for i in range(len(union)) if raw[i] > 0),
                 key=lambda i: (fitness[i], i),
             )
             keep = nondominated + dominated[: size - len(nondominated)]

@@ -73,9 +73,8 @@ def hypervolume_2d(points, ref) -> float:
     return total
 
 
-def unique_solutions(members) -> int:
+def unique_solutions(vectors) -> int:
     """Distinct 2-entry objective vectors on a front, by exact equality."""
-    vectors = [m.objectives if isinstance(m, Individual) else m for m in members]
     return len(set(map(tuple, _points(vectors))))
 
 

@@ -139,26 +139,16 @@ def sdo_extend(members: Population, base: np.ndarray, pivot: Pivot, cfg: Semanti
     return np.column_stack([base, third])
 
 
-def _front_pivot(members: Population, front: list[int], objs: np.ndarray, rng: random.Random) -> Pivot:
-    """Pivot from the sparsest region of one front.
+def select_front_pivot(members: Population, front, objs: np.ndarray, rng: random.Random) -> Pivot:
+    """Pivot from the sparsest region of one front of the pool.
 
     front indexes both members and the rows of objs, on which crowding is
-    measured; the returned source_index refers to members.
+    measured; the returned source_index refers to members, every one of
+    which must carry semantics.
     """
+    _require_semantics(members)
     i = front[select_pivot(crowding_distance(objs[front]), rng)]
     return Pivot(members[i].semantics, i)
-
-
-def select_front_pivot(members: Population, base: np.ndarray, rng: random.Random) -> Pivot:
-    """Pivot from the sparsest region of the pool's first front.
-
-    The first front and its crowding distances are read from base, the
-    members' plain two-entry objective matrix; the returned source_index
-    refers to the full member list.
-    """
-    members = list(members)
-    _require_semantics(members)
-    return _front_pivot(members, first_front(base), base, rng)
 
 
 class SdoObjectives:
@@ -177,7 +167,7 @@ class SdoObjectives:
 
     def refresh(self, members: Population, rng: random.Random) -> np.ndarray:
         base = objective_matrix([ind.objectives for ind in members])
-        self.pivot = select_front_pivot(members, base, rng)
+        self.pivot = select_front_pivot(members, first_front(base), base, rng)
         return sdo_extend(members, base, self.pivot, self.cfg)
 
     def vector(self, ind: Individual) -> np.ndarray:
@@ -195,21 +185,22 @@ class ScdCrowding:
     cfg: SemanticConfig
 
     def __call__(self, members, fronts, objs, rng):
-        return scd_assign(members, _front_pivot(members, fronts[0], objs, rng), self.cfg)
+        return scd_assign(members, select_front_pivot(members, fronts[0], objs, rng), self.cfg)
 
 
 @dataclass
 class ScdDensity:
     """SPEA2 density replacement: 1 / (pivot distance count + 2).
 
-    Mirrors the canonical 1 / (sigma_k + 2) shape so values stay below the
-    dominance granularity of the raw fitness; the pivot comes from front.
+    Called as emo.canonical_density is, and mirrors its 1 / (sigma_k + 2)
+    shape so values stay below the dominance granularity of the raw
+    fitness; the pivot comes from the non-dominated members.
     """
 
     cfg: SemanticConfig
 
-    def __call__(self, members, front, objs, rng):
-        counts = scd_assign(members, _front_pivot(members, front, objs, rng), self.cfg)
+    def __call__(self, members, nondominated, objs, rng):
+        counts = scd_assign(members, select_front_pivot(members, nondominated, objs, rng), self.cfg)
         return 1.0 / (counts + 2.0)
 
 
@@ -221,7 +212,7 @@ class ScdArchiveRank:
     cfg: SemanticConfig
 
     def __call__(self, members, objs, rng):
-        pivot = _front_pivot(members, list(range(len(members))), objs, rng)
+        pivot = select_front_pivot(members, range(len(members)), objs, rng)
         return scd_assign(members, pivot, self.cfg)
 
 
@@ -230,7 +221,7 @@ def _generation_stats(generation: int, front: Population) -> GenerationStats:
     return GenerationStats(
         generation=generation,
         hypervolume=hypervolume_2d(objs, HV_REFERENCE),
-        unique_count=unique_solutions(front),
+        unique_count=unique_solutions(objs),
         mean_nodes=statistics.fmean(node_count(ind.tree) for ind in front),
         front_size=len(front),
     )

@@ -22,6 +22,7 @@ from semogp.emo import (
     Nsga2Engine,
     Spea2Engine,
     canonical_crowding,
+    canonical_density,
     chebyshev_values,
     crowding_distance,
     dominance_matrix,
@@ -416,46 +417,48 @@ class TestNsga2Survivors:
         assert nsga2_survivors([[0]], np.array([INF]), 0) == []
 
 
+def density(objs) -> list[float]:
+    """canonical_density of a pool, which reads only the objectives."""
+    return canonical_density([None] * len(objs), None, objs, None).tolist()
+
+
 class TestSpea2Fitness:
     def test_chain_hand_case(self):
         objs = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]
-        parts = spea2_fitness(objs)
-        assert parts.strength.tolist() == [2.0, 1.0, 0.0]
-        assert parts.raw.tolist() == [0.0, 2.0, 3.0]
+        # Strengths 2, 1, 0: each member's raw fitness sums its dominators'.
+        assert spea2_fitness(objs).tolist() == [0.0, 2.0, 3.0]
 
     def test_nondominated_pool_has_zero_raw(self):
         objs = [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
-        parts = spea2_fitness(objs)
-        assert parts.raw.tolist() == [0.0, 0.0, 0.0]
-        assert np.all(parts.fitness < 1.0)
+        assert spea2_fitness(objs).tolist() == [0.0, 0.0, 0.0]
+        assert max(density(objs)) < 1.0
 
     def test_density_hand_case(self):
         # Collinear unit-spaced points, k = isqrt(5) = 2.
         objs = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)]
-        parts = spea2_fitness(objs)
         third = 1.0 / 3.0
-        assert parts.density.tolist() == pytest.approx([0.25, third, third, third, 0.25])
+        assert density(objs) == pytest.approx([0.25, third, third, third, 0.25])
 
     def test_two_member_pool(self):
-        parts = spea2_fitness([(0.0, 0.0), (1.0, 1.0)])
-        assert parts.raw.tolist() == [0.0, 1.0]
-        assert parts.density.tolist() == pytest.approx([1 / (math.sqrt(2) + 2)] * 2)
+        objs = [(0.0, 0.0), (1.0, 1.0)]
+        assert spea2_fitness(objs).tolist() == [0.0, 1.0]
+        assert density(objs) == pytest.approx([1 / (math.sqrt(2) + 2)] * 2)
 
     def test_single_member_pool(self):
-        parts = spea2_fitness([(0.3, 0.7)])
-        assert parts.raw.tolist() == [0.0]
-        assert parts.density.tolist() == [0.5]
+        assert spea2_fitness([(0.3, 0.7)]).tolist() == [0.0]
+        assert density([(0.3, 0.7)]) == [0.5]
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             spea2_fitness(np.zeros((0, 2)))
+        with pytest.raises(ValueError):
+            density(np.zeros((0, 2)))
 
     def test_matches_brute_force(self):
         rng = random.Random(4)
         for _ in range(20):
             n = rng.randint(2, 30)
             objs = np.array([[rng.uniform(0, 1), rng.uniform(0, 1)] for _ in range(n)])
-            parts = spea2_fitness(objs)
             strength = [
                 sum(1 for j in range(n) if dominates(objs[i], objs[j])) for i in range(n)
             ]
@@ -465,18 +468,14 @@ class TestSpea2Fitness:
             ]
             k = math.isqrt(n)
             k = min(max(k, 1), n - 1)
-            density = []
+            expected_density = []
             for i in range(n):
                 dists = sorted(
                     math.dist(objs[i], objs[j]) for j in range(n) if j != i
                 )
-                density.append(1.0 / (dists[k - 1] + 2.0))
-            assert parts.strength.tolist() == pytest.approx(strength)
-            assert parts.raw.tolist() == pytest.approx(raw)
-            assert parts.density.tolist() == pytest.approx(density)
-            assert parts.fitness.tolist() == pytest.approx(
-                [raw[i] + density[i] for i in range(n)]
-            )
+                expected_density.append(1.0 / (dists[k - 1] + 2.0))
+            assert spea2_fitness(objs).tolist() == pytest.approx(raw)
+            assert density(objs) == pytest.approx(expected_density)
 
 
 class TestSpea2Truncate:
@@ -525,6 +524,7 @@ class TestSpea2Truncate:
 POOL_READERS = {
     "crowding_distance": crowding_distance,
     "spea2_fitness": spea2_fitness,
+    "canonical_density": density,
     "spea2_truncate": lambda vectors: spea2_truncate(vectors, 1),
     "BaseObjectives.refresh": lambda vectors: BaseObjectives().refresh(
         [make_individual(objectives=v) for v in vectors], random.Random(0)

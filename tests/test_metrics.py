@@ -92,23 +92,20 @@ class TestHypervolume:
 
 class TestUniqueSolutions:
     def test_exact_duplicates_collapse(self):
-        members = [
-            make_individual(objectives=(0.5, 0.25)),
-            make_individual(objectives=(0.5, 0.25)),
-            make_individual(objectives=(0.5, 0.2500000001)),
-        ]
-        assert unique_solutions(members) == 2
+        # A front's objective arrays, as run_variant passes them.
+        vectors = [np.array(v) for v in [(0.5, 0.25), (0.5, 0.25), (0.5, 0.2500000001)]]
+        assert unique_solutions(vectors) == 2
 
     def test_all_distinct(self):
-        members = [make_individual(objectives=(i / 10, 1 - i / 10)) for i in range(5)]
-        assert unique_solutions(members) == 5
+        assert unique_solutions([(i / 10, 1 - i / 10) for i in range(5)]) == 5
 
     def test_requires_two_entry_objectives(self):
         with pytest.raises(ValueError):
-            unique_solutions([make_individual(objectives=(0.5, 0.25, 0.1))])
+            unique_solutions([(0.5, 0.25, 0.1)])
 
-    def test_accepts_bare_vectors(self):
-        assert unique_solutions([(0.1, 0.2), (0.1, 0.2), (0.3, 0.4)]) == 2
+    def test_individuals_rejected(self):
+        with pytest.raises(TypeError):
+            unique_solutions([make_individual(objectives=(0.1, 0.2))])
 
 
 @pytest.mark.parametrize("vectors", [[()], [(), ()], [(0.1,)], [(0.1, 0.2), (0.3, 0.4, 0.5)], [0.1, 0.2, 0.3]])

@@ -6,11 +6,17 @@ from pathlib import Path
 import semogp
 
 
+def package_modules():
+    """(file name, AST) for every module of the package."""
+    for path in sorted(Path(semogp.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), str(path))
+
+
 def package_nodes():
     """(file name, AST node) for every node of every module of the package."""
-    for path in sorted(Path(semogp.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            yield path.name, node
+    for name, tree in package_modules():
+        for node in ast.walk(tree):
+            yield name, node
 
 
 def test_no_module_imports_another_modules_private_names():
@@ -22,6 +28,31 @@ def test_no_module_imports_another_modules_private_names():
             source = "." * node.level + (node.module or "")
             borrowed += [f"{name}: {source}.{a.name}" for a in node.names if a.name.startswith("_")]
     assert borrowed == []
+
+
+def module_level_names(tree: ast.Module):
+    """Names a module defines or assigns at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_every_private_module_name_is_read_in_its_module():
+    # A module's _-names are its own (see above), so one its module never
+    # reads is a helper left behind.
+    unread = []
+    for name, tree in package_modules():
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [
+            f"{name}: {private}"
+            for private in module_level_names(tree)
+            if private.startswith("_") and not private.startswith("__") and private not in read
+        ]
+    assert unread == []
 
 
 def test_no_module_stacks_objective_vectors_itself():

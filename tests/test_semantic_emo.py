@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from semogp import gp_core, semantic_emo
+from semogp import emo, gp_core, semantic_emo
 from semogp.emo import (
     BaseObjectives,
     MoeadEngine,
     Nsga2Engine,
     Spea2Engine,
     fast_nondominated_sort,
+    first_front,
     nsga2_survivors,
     objective_matrix,
 )
@@ -406,10 +407,16 @@ class TestSdoExtend:
         assert np.array_equal(extended[:, :2].view(np.int64), objectives.view(np.int64))
 
 
+def first_front_pivot(members, rng):
+    """select_front_pivot on the pool's first front, as SdoObjectives.refresh calls it."""
+    matrix = plain_matrix(members)
+    return select_front_pivot(members, first_front(matrix), matrix, rng)
+
+
 class TestSelectFrontPivot:
     def test_sparsest_front_member_wins(self):
         members = ScdFixture.members()
-        pivot = select_front_pivot(members, plain_matrix(members), random.Random(0))
+        pivot = first_front_pivot(members, random.Random(0))
         # Front is {0, 1, 3}; member 1 holds the only finite crowding.
         assert pivot.source_index == 1
         assert np.array_equal(pivot.semantics, np.asarray(ScdFixture.SEMANTICS[1]))
@@ -420,11 +427,18 @@ class TestSelectFrontPivot:
             make_individual(semantics=(1.0,), objectives=(1.0, 0.0)),
             make_individual(semantics=(2.0,), objectives=(2.0, 2.0)),
         ]
-        picks = {
-            select_front_pivot(members, plain_matrix(members), random.Random(seed)).source_index
-            for seed in range(30)
-        }
+        picks = {first_front_pivot(members, random.Random(seed)).source_index for seed in range(30)}
         assert picks == {0, 1}
+
+    def test_member_without_semantics_rejected(self):
+        # Member 2 is off the front, yet the whole pool must carry semantics.
+        members = [
+            make_individual(semantics=(0.0,), objectives=(0.0, 1.0)),
+            make_individual(semantics=(1.0,), objectives=(1.0, 0.0)),
+            make_individual(objectives=(2.0, 2.0)),
+        ]
+        with pytest.raises(ValueError, match="semantics"):
+            first_front_pivot(members, random.Random(0))
 
 
 class TestPolicies:
@@ -778,3 +792,50 @@ class TestRunVariant:
         rebuilt = ExperimentConfig(dataset="d.csv", **settings)
         assert rebuilt.semantic_config() == cfg
         assert rebuilt.gp_params() == self.GP
+
+
+class TestHookDefaults:
+    """Each environmental selection calls one density and picks one pivot.
+
+    A run makes GP.generations selections: one in initialize, one per step.
+    """
+
+    GP = GPParams(pop_size=16, generations=4, init_min_depth=2, init_max_depth=4)
+
+    def counted(self, monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_spea2_scd_computes_no_canonical_density(self, dataset, monkeypatch):
+        plain = run_variant("spea2", SemanticConfig(approach="scd"), dataset, gp=self.GP, seed=1)
+
+        def refuse(*args):
+            raise AssertionError("scd replaces the canonical density")
+
+        monkeypatch.setattr(emo, "canonical_density", refuse)
+        assert run_variant("spea2", SemanticConfig(approach="scd"), dataset, gp=self.GP, seed=1) == plain
+
+    @pytest.mark.parametrize("approach", ["canonical", "sdo"])
+    def test_spea2_reads_canonical_density_once_per_selection(self, dataset, approach, monkeypatch):
+        plain = run_variant("spea2", SemanticConfig(approach=approach), dataset, gp=self.GP, seed=1)
+        calls = self.counted(monkeypatch, emo, "canonical_density")
+        assert run_variant("spea2", SemanticConfig(approach=approach), dataset, gp=self.GP, seed=1) == plain
+        assert len(calls) == self.GP.generations
+
+    @pytest.mark.parametrize(
+        "engine,approach",
+        [("nsga2", "scd"), ("spea2", "scd"), ("nsga2", "sdo"), ("spea2", "sdo"), ("moead", "sdo")],
+        ids=["scd-nsga2", "scd-spea2", "sdo-nsga2", "sdo-spea2", "sdo-moead"],
+    )
+    def test_every_pivot_comes_from_select_front_pivot(self, dataset, engine, approach, monkeypatch):
+        plain = run_variant(engine, SemanticConfig(approach=approach), dataset, gp=self.GP, seed=1)
+        calls = self.counted(monkeypatch, semantic_emo, "select_front_pivot")
+        assert run_variant(engine, SemanticConfig(approach=approach), dataset, gp=self.GP, seed=1) == plain
+        assert len(calls) == self.GP.generations
