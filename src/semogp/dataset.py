@@ -76,13 +76,9 @@ def _parse_feature(cell: str, row_no: int, col_no: int) -> float:
     try:
         value = float(cell)
     except ValueError:
-        raise DatasetError(
-            f"non-numeric feature cell at row {row_no}, column {col_no}: {cell!r}"
-        ) from None
+        value = math.nan
     if not math.isfinite(value):
-        raise DatasetError(
-            f"non-numeric feature cell at row {row_no}, column {col_no}: {cell!r}"
-        )
+        raise DatasetError(f"non-numeric feature cell at row {row_no}, column {col_no}: {cell!r}")
     return value
 
 
@@ -125,22 +121,24 @@ def _parse_csv(data: bytes, path, label_column: int, positive_label: str | None)
     """load_csv's parse of a file's bytes; path only names the file in errors."""
     # Decoded as open(path, newline="") decodes the file, less a leading UTF-8 BOM.
     text = io.TextIOWrapper(io.BytesIO(data.removeprefix(codecs.BOM_UTF8)), newline="")
+    reader = csv.reader(text)
     try:
-        rows = [row for row in csv.reader(text) if row]
+        # Each row with the file line it ends on, which errors name.
+        rows = [(reader.line_num, row) for row in reader if row]
     except UnicodeDecodeError as exc:
         raise DatasetError(f"cannot decode {path}: {exc}") from None
     if not rows:
         raise DatasetError(f"empty dataset file: {path}")
 
-    width = len(rows[0])
+    first = rows[0][1]
+    width = len(first)
     if width < 2:
         raise DatasetError("rows need at least one feature column and a label column")
     label_idx = label_column if label_column >= 0 else width + label_column
     if not 0 <= label_idx < width:
         raise DatasetError(f"label column {label_column} out of range for width {width}")
 
-    # Header detection: any non-label cell of row 1 that is not a number.
-    first = rows[0]
+    # Header detection: any non-label cell of the first row that is not a number.
     has_header = False
     for col, cell in enumerate(first):
         if col == label_idx:
@@ -154,8 +152,7 @@ def _parse_csv(data: bytes, path, label_column: int, positive_label: str | None)
 
     features = []
     tokens = []
-    for offset, row in enumerate(data_rows):
-        row_no = offset + (2 if has_header else 1)
+    for row_no, row in data_rows:
         if len(row) != width:
             raise DatasetError(f"ragged row {row_no}: expected {width} cells, got {len(row)}")
         feats = [

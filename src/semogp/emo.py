@@ -13,6 +13,7 @@ canonical_crowding for NSGA-II, canonical_density for SPEA2.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 
@@ -209,30 +210,27 @@ def spea2_truncate(objectives, target_size: int) -> list[int]:
 
 
 def simplex_lattice_weights(n_objectives: int, min_count: int) -> np.ndarray:
-    """Evenly spaced weight vectors on the simplex, at least min_count of them."""
+    """Evenly spaced weight vectors on the simplex, at least min_count of them.
+
+    With m objectives, h is the least h >= 1 for which comb(h + m - 1, m - 1),
+    the count of m non-negative integers summing to h, reaches min_count.
+    Each such tuple divided by h is one row, in ascending order of the
+    tuples' leading m - 1 integers.
+    """
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
-    if n_objectives == 2:
-        h = max(min_count - 1, 1)
-        return np.array([[i / h, (h - i) / h] for i in range(h + 1)])
-    if n_objectives == 3:
-        h = 1
-        while (h + 1) * (h + 2) // 2 < min_count:
-            h += 1
-        rows = [
-            [i / h, j / h, (h - i - j) / h]
-            for i in range(h + 1)
-            for j in range(h + 1 - i)
-        ]
-        return np.array(rows)
-    raise ValueError("only 2 or 3 objectives are supported")
+    if n_objectives not in (2, 3):
+        raise ValueError("only 2 or 3 objectives are supported")
+    h = 1
+    while math.comb(h + n_objectives - 1, n_objectives - 1) < min_count:
+        h += 1
+    leads = itertools.product(range(h + 1), repeat=n_objectives - 1)
+    return np.array([(*lead, h - sum(lead)) for lead in leads if sum(lead) <= h]) / h
 
 
 def neighborhoods(weights: np.ndarray, t: int) -> np.ndarray:
     """Indices of the t nearest weight vectors per row, self included first."""
     W = np.asarray(weights, dtype=np.float64)
-    n = W.shape[0]
-    t = min(t, n)
     order = np.argsort(_pairwise_distances(W), axis=1, kind="stable")
     return order[:, :t]
 
@@ -517,7 +515,6 @@ class MoeadEngine(_Engine):
         self.weights = simplex_lattice_weights(self.space.n_objectives, self.params.pop_size)
         self.n_subproblems = len(self.weights)
         self._neighbor_lists = neighborhoods(self.weights, MOEAD_NEIGHBORS).tolist()
-        self._all_subproblems = list(range(self.n_subproblems))
         self.archive_cap = self.n_subproblems
 
     def initialize(self):
@@ -546,13 +543,10 @@ class MoeadEngine(_Engine):
         own = chebyshev_values(sel, self.weights, self.ideal)
         for i in range(self.n_subproblems):
             neigh = self._neighbor_lists[i]
-            if self.rng.random() < MOEAD_DELTA:
-                pool = neigh
-            else:
-                pool = self._all_subproblems
+            pool = neigh if self.rng.random() < MOEAD_DELTA else range(self.n_subproblems)
             a, b = (self.population[k] for k in self.rng.sample(pool, 2))
             child = self._score(self.variation.breed_one(a, b, self.rng), a, b)
-            child_sel = np.asarray(self.space.vector(child), dtype=np.float64)
+            child_sel = self.space.vector(child)
             if (child_sel < self.ideal).any():
                 self.ideal = np.minimum(self.ideal, child_sel)
                 own = chebyshev_values(sel, self.weights, self.ideal)

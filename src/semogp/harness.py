@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import json
 import math
 import multiprocessing
 import statistics
@@ -28,7 +27,7 @@ from .dataset import Dataset, load_csv, minmax_apply, minmax_fit, stratified_spl
 from .gp_core import GPParams, parse_prefix
 from .metrics import HV_REFERENCE, hypervolume_2d
 from .objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
-from .results import RunResult, check_type, load_run, save_run
+from .results import RunResult, check_type, load_run, read_json, save_run
 from .semantic_emo import ENGINES, PAIRS, check_engine, run_variant
 from .semantics import APPROACHES, SemanticConfig
 
@@ -67,8 +66,7 @@ class ExperimentConfig(_Settings):
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as handle:
-            raw = json.load(handle)
+        raw = read_json(path)
         if not isinstance(raw, dict):
             raise ValueError(f"{path} must hold a JSON object of config keys, got {type(raw).__name__}")
         known = {f.name for f in cls.__dataclass_fields__.values()}

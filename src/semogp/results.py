@@ -111,6 +111,15 @@ _MEMBER_TYPES = typing.get_type_hints(FrontMember)
 _REQUIRED_MEMBER_KEYS = {f.name for f in fields(FrontMember) if f.default is MISSING}
 
 
+def read_json(path):
+    """The JSON value a file holds; a file that does not decode or parse raises
+    ValueError naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read {path} as JSON: {exc}") from None
+
+
 def save_run(result: RunResult, directory) -> tuple[Path, Path]:
     """Write the JSON and CSV files for one run; returns their paths.
 
@@ -127,8 +136,8 @@ def save_run(result: RunResult, directory) -> tuple[Path, Path]:
     csv_path = directory / f"{stem}.csv"
     if json_path.exists():
         try:
-            existing = json.loads(json_path.read_text())
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            existing = read_json(json_path)
+        except ValueError:
             existing = None
         if not isinstance(existing, dict) or "config" not in existing:
             raise ValueError(f"{json_path} holds no run result; use another output directory")
@@ -151,31 +160,35 @@ def save_run(result: RunResult, directory) -> tuple[Path, Path]:
 
 def _load_generations(csv_path: Path) -> list[GenerationStats]:
     """GenerationStats rows of a CSV file, its header naming each field once."""
-    with open(csv_path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        missing = Counter(list(_COLUMNS)) - Counter(header)
-        unknown = Counter(header) - Counter(list(_COLUMNS))
-        if missing or unknown:
-            raise ValueError(
-                f"{csv_path} is not a generations file: missing columns {sorted(missing)},"
-                f" unknown or repeated columns {sorted(unknown)}"
-            )
-        generations = []
-        for cells in reader:
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise ValueError(f"{csv_path} line {reader.line_num}: {len(cells)} cells, expected {len(header)}")
-            row = {}
-            for name, cell in zip(header, cells):
-                kind = _COLUMNS[name]
-                try:
-                    row[name] = kind(cell)
-                except ValueError:
-                    message = f"{csv_path} line {reader.line_num}, column {name}: {cell!r} is not"
-                    raise ValueError(f"{message} of type {kind.__name__}") from None
-            generations.append(GenerationStats(**row))
+    try:
+        with open(csv_path, newline="") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot decode {csv_path}: {exc}") from None
+    reader = csv.reader(lines)
+    header = next(reader, [])
+    missing = Counter(list(_COLUMNS)) - Counter(header)
+    unknown = Counter(header) - Counter(list(_COLUMNS))
+    if missing or unknown:
+        raise ValueError(
+            f"{csv_path} is not a generations file: missing columns {sorted(missing)},"
+            f" unknown or repeated columns {sorted(unknown)}"
+        )
+    generations = []
+    for cells in reader:
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise ValueError(f"{csv_path} line {reader.line_num}: {len(cells)} cells, expected {len(header)}")
+        row = {}
+        for name, cell in zip(header, cells):
+            kind = _COLUMNS[name]
+            try:
+                row[name] = kind(cell)
+            except ValueError:
+                message = f"{csv_path} line {reader.line_num}, column {name}: {cell!r} is not"
+                raise ValueError(f"{message} of type {kind.__name__}") from None
+        generations.append(GenerationStats(**row))
     return generations
 
 
@@ -196,7 +209,7 @@ def _checked(json_path: Path, where: str, item, types: dict, required) -> dict:
 def load_run(json_path) -> RunResult:
     """Rebuild a RunResult from its JSON file and sibling CSV file."""
     json_path = Path(json_path)
-    payload = _checked(json_path, "", json.loads(json_path.read_text()), _JSON_TYPES, _JSON_TYPES.keys())
+    payload = _checked(json_path, "", read_json(json_path), _JSON_TYPES, _JSON_TYPES.keys())
     front = []
     for index, item in enumerate(payload.pop("front")):
         where = f": front entry {index} is not a front member"

@@ -100,6 +100,10 @@ class TestLoadCsv:
             # Rows are checked in file order, for width and cells alike.
             ("1,2,pos\n1,pos\n1,abc,neg\n", -1, "ragged row 2: expected 3 cells, got 2"),
             ("1,2,pos\nabc,2,neg\n1,neg\n", -1, "non-numeric feature cell at row 2, column 0: 'abc'"),
+            # Rows are named by their file line, blank lines counted.
+            ("x0,x1,label\n1,2,a\n\n3,4,b\n5,zz,a\n", -1, "non-numeric feature cell at row 5, column 1: 'zz'"),
+            ("x0,x1,label\n1,2,a\n\n3,b\n", -1, "ragged row 4: expected 3 cells, got 2"),
+            ("\n1,2,a\n3,zz,b\n", -1, "non-numeric feature cell at row 3, column 1: 'zz'"),
         ],
     )
     def test_bad_row_messages(self, tmp_path, text, label_column, message):

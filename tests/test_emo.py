@@ -565,6 +565,18 @@ class TestWeightsAndScalarization:
         # Triangular counts: 10 fits exactly, 11 forces the next lattice (15).
         assert len(simplex_lattice_weights(3, 11)) == 15
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_lattice_matches_a_brute_force_oracle(self, m):
+        # The least h >= 1 whose product tuples summing to h number at least
+        # min_count, each divided by h, in product order: bit for bit.
+        h, points = 0, []
+        for min_count in range(1, 201):
+            while len(points) < min_count:
+                h += 1
+                points = [p for p in itertools.product(range(h + 1), repeat=m) if sum(p) == h]
+            want = np.array([[c / h for c in p] for p in points])
+            assert same_bits(simplex_lattice_weights(m, min_count), want), min_count
+
     def test_unsupported_dimensions(self):
         with pytest.raises(ValueError):
             simplex_lattice_weights(4, 10)
@@ -587,6 +599,10 @@ class TestWeightsAndScalarization:
     def test_neighborhood_size_clamped(self):
         W = simplex_lattice_weights(2, 4)
         assert neighborhoods(W, 100).shape == (4, 4)
+        # Past the row count, every row's neighbourhood is every row, nearest first.
+        for m, min_count in ((2, 4), (2, 30), (3, 10), (3, 50)):
+            W = simplex_lattice_weights(m, min_count)
+            assert np.array_equal(neighborhoods(W, len(W) + 7), neighborhoods(W, len(W)))
 
     def test_tchebycheff_hand_cases(self):
         assert tchebycheff((0.4, 0.6), (0.5, 0.5), (0.0, 0.0)) == pytest.approx(0.3)

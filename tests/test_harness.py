@@ -39,6 +39,14 @@ from semogp.semantics import APPROACHES, SemanticConfig
 from conftest import PAIRS, REUSE_CACHES, blob_dataset, clear_reuse_caches, file_bytes, grid_cell_hypervolume
 from test_dataset import reference_split
 
+# 0xff starts no character in UTF-8, the default text encoding.
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"
+# JSON files that do not parse or do not decode, and the reason each gives.
+UNREADABLE_JSON = [
+    (b'{"dataset": ', "Expecting value: line 1 column 13 (char 12)"),
+    (b"\xff{}", NOT_UTF8 + " in position 0: invalid start byte"),
+]
+
 
 def make_result(
     engine="nsga2",
@@ -244,6 +252,19 @@ class TestPersistence:
         with tempfile.TemporaryDirectory() as plain, tempfile.TemporaryDirectory() as numpy:
             assert saved_bytes(as_numpy_floats(result), numpy) == saved_bytes(result, plain)
 
+    @pytest.mark.parametrize("body, reason", UNREADABLE_JSON, ids=["truncated", "not-utf8"])
+    def test_unreadable_json_names_the_file(self, tmp_path, body, reason):
+        json_path, _ = save_run(make_result(), tmp_path)
+        json_path.write_bytes(body)
+        with pytest.raises(ValueError, match=re.escape(f"cannot read {json_path} as JSON: {reason}")):
+            load_run(json_path)
+
+    def test_undecodable_csv_names_the_file(self, tmp_path):
+        json_path, csv_path = save_run(make_result(), tmp_path)
+        csv_path.write_bytes(csv_path.read_bytes() + b"\xff\n")
+        with pytest.raises(ValueError, match=re.escape(f"cannot decode {csv_path}: {NOT_UTF8}")):
+            load_run(json_path)
+
     def test_json_that_is_not_a_run_is_rejected(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -425,6 +446,13 @@ class TestExperimentConfig:
         path = tmp_path / "cfg.json"
         path.write_text(body)
         with pytest.raises(ValueError, match=re.escape(f"{path} must hold a JSON object")):
+            ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize("body, reason", UNREADABLE_JSON, ids=["truncated", "not-utf8"])
+    def test_from_json_names_an_unreadable_file(self, tmp_path, body, reason):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(body)
+        with pytest.raises(ValueError, match=re.escape(f"cannot read {path} as JSON: {reason}")):
             ExperimentConfig.from_json(path)
 
     def test_validate(self):
@@ -1246,6 +1274,14 @@ class TestCli:
             f"error: {json_path} is not a run result: front entry 0 is not a front member:"
             " key test_objectives must be of type tuple[float, float] | None, got 'ab'\n"
         )
+
+    def test_summarize_names_an_undecodable_result_file(self, tmp_path, capsys):
+        save_run(make_result(seed=1), tmp_path)
+        json_path, _ = save_run(make_result(seed=2), tmp_path)
+        json_path.write_bytes(b"\xff{}")
+        code = main(["summarize", "--in", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {json_path} as JSON: {NOT_UTF8}")
 
     def test_summarize_names_a_malformed_csv_and_its_columns(self, tmp_path, capsys):
         _, csv_path = save_run(make_result(), tmp_path)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import semogp
 
+from conftest import REUSE_CACHES
+
 
 def package_modules():
     """(file name, AST) for every module of the package."""
@@ -70,3 +72,35 @@ def test_no_module_stacks_objective_vectors_itself():
         and node.func.value.id == "np"
     ]
     assert stacked == []
+
+
+def decorator_name(node: ast.expr) -> str:
+    """The last dotted name of a decorator, called or not: lru_cache for @functools.lru_cache(maxsize=1)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_every_cache_is_one_the_fixture_clears():
+    # A cache carries results from one run (and one test) into the next, so
+    # each one is in conftest.REUSE_CACHES, which the autouse fixture clears.
+    cached = {
+        f"{name.removesuffix('.py')}.{node.name}"
+        for name, node in package_nodes()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
+    }
+    cleared = {f"{c.__module__.removeprefix('semogp.')}.{c.__name__}" for c in REUSE_CACHES}
+    assert cached == cleared
+
+
+def test_the_worker_dataset_is_the_only_global_rebound():
+    # A pool worker keeps the dataset its initializer received; any other
+    # module state a function rebinds would outlive the run that set it.
+    rebound = {
+        f"{name.removesuffix('.py')}.{g}"
+        for name, node in package_nodes()
+        if isinstance(node, ast.Global)
+        for g in node.names
+    }
+    assert rebound == {"harness._worker_dataset"}
