@@ -7,7 +7,8 @@ import sys
 from dataclasses import replace
 
 from .dataset import write_synthetic_csv
-from .harness import ExperimentConfig, format_summary, load_results, run_experiment, summarize
+from .harness import ExperimentConfig, run_experiment
+from .report import format_summary, load_results, summarize
 
 
 def _list(text: str):

@@ -207,7 +207,7 @@ def _checked(json_path: Path, where: str, item, types: dict, required) -> dict:
 
 
 def load_run(json_path) -> RunResult:
-    """Rebuild a RunResult from its JSON file and sibling CSV file."""
+    """Rebuild a RunResult from its JSON file and sibling CSV file, held to RunResult.validate."""
     json_path = Path(json_path)
     payload = _checked(json_path, "", read_json(json_path), _JSON_TYPES, _JSON_TYPES.keys())
     front = []
@@ -215,5 +215,9 @@ def load_run(json_path) -> RunResult:
         where = f": front entry {index} is not a front member"
         item = _checked(json_path, where, item, _MEMBER_TYPES, _REQUIRED_MEMBER_KEYS)
         front.append(FrontMember(**{key: tuple(v) if isinstance(v, list) else v for key, v in item.items()}))
-    generations = _load_generations(json_path.with_suffix(".csv"))
-    return RunResult(**payload, front=front, generations=generations)
+    result = RunResult(**payload, front=front, generations=_load_generations(json_path.with_suffix(".csv")))
+    try:
+        result.validate()
+    except ValueError as exc:
+        raise ValueError(f"{json_path} is not a run result: {exc}") from None
+    return result

@@ -21,17 +21,10 @@ import semogp.harness
 from semogp.cli import main
 from semogp.dataset import Dataset, DatasetError, load_csv, minmax_apply, minmax_fit, stratified_split, synthetic_blobs
 from semogp.gp_core import GPParams, parse_prefix
-from semogp.harness import (
-    ExperimentConfig,
-    _seed_split,
-    expand_grid,
-    format_summary,
-    load_results,
-    run_experiment,
-    summarize,
-)
+from semogp.harness import ExperimentConfig, _seed_split, expand_grid, run_experiment
 from semogp.metrics import GenerationStats
 from semogp.objectives import CLASSIFICATION_THRESHOLD, ClassificationEvaluator
+from semogp.report import format_summary, load_results, summarize
 from semogp.results import FrontMember, RunResult, load_run, run_file_stem, save_run
 from semogp.semantic_emo import ENGINES, run_variant
 from semogp.semantics import APPROACHES, SemanticConfig
@@ -380,6 +373,28 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(str(csv_path)) + " " + message):
             load_run(json_path)
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda payload, lines: lines.__delitem__(slice(1, None)), "a run must report at least one generation row"),
+            (lambda payload, lines: payload.update(front=[]), "a run must report at least one front member"),
+            (
+                lambda payload, lines: lines.__setitem__(2, lines[2].replace(",3,5.0,3", ",4,5.0,3")),
+                "unique_count cannot exceed front_size",
+            ),
+        ],
+        ids=["header-only-csv", "empty-front", "unique-above-front-size"],
+    )
+    def test_a_result_that_fails_validate_is_rejected(self, tmp_path, edit, message):
+        # load_run holds what it reads to RunResult.validate, as save_run holds what it writes.
+        json_path, csv_path = save_run(make_result(), tmp_path)
+        payload, lines = json.loads(json_path.read_text()), csv_path.read_text().splitlines()
+        edit(payload, lines)
+        json_path.write_text(json.dumps(payload))
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{json_path} is not a run result: {message}")):
+            load_run(json_path)
+
     def test_load_results_requires_files(self, tmp_path):
         with pytest.raises(ValueError, match="no result files"):
             load_results(tmp_path)
@@ -402,7 +417,7 @@ class TestExperimentConfig:
         assert cfg.pop_size == 100
 
     def test_from_json_unknown_key(self, tmp_path):
-        # The retired ssc, engine, moead/scd and threshold keys fail loudly instead of being silently ignored.
+        # The retired ssc, engine and moead/scd keys fail loudly instead of being silently ignored.
         path = tmp_path / "cfg.json"
         for key in (
             "population",
@@ -414,10 +429,21 @@ class TestExperimentConfig:
             "moead_neighbors",
             "moead_delta",
             "moead_max_replacements",
-            "threshold",
         ):
             path.write_text(json.dumps({"dataset": "d.csv", key: 1}))
             with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+                ExperimentConfig.from_json(path)
+
+    def test_from_json_takes_the_threshold_at_its_fixed_value_only(self, tmp_path):
+        # Every run's echo states the threshold, so a config may too, but cannot change it.
+        path = tmp_path / "cfg.json"
+        for value in (0.0, 0, -0.0):
+            path.write_text(json.dumps({"dataset": "d.csv", "threshold": value}))
+            assert ExperimentConfig.from_json(path) == ExperimentConfig(dataset="d.csv")
+        for value in (1, 0.5, -1e-300, False, "0", None):
+            path.write_text(json.dumps({"dataset": "d.csv", "threshold": value}))
+            message = "threshold is fixed at 0.0: a case is positive where the program's output is at or above zero"
+            with pytest.raises(ValueError, match=re.escape(message) + ".*" + re.escape(f"; got {value!r}")):
                 ExperimentConfig.from_json(path)
 
     def test_readme_lists_every_config_key(self):
@@ -1119,6 +1145,33 @@ class TestCli:
         assert code == 0
         assert "nsga2" in capsys.readouterr().out
 
+    def test_a_stored_config_reruns_its_run(self, blob_csv, tmp_path, capsys):
+        # A run's config echo, as a config file, re-runs that run: both files, byte for byte.
+        first, second = tmp_path / "first", tmp_path / "second"
+        for engine, approach in (("nsga2", "ssc"), ("spea2", "scd"), ("moead", "sdo")):
+            cfg = ExperimentConfig(
+                dataset=str(blob_csv),
+                engine=engine,
+                approach=approach,
+                pop_size=10,
+                generations=3,
+                init_min_depth=1,
+                init_max_depth=3,
+                seeds=[0, 1],
+                output_dir=str(first),
+            )
+            run_experiment(cfg)
+        saved = sorted(first.glob("*.json"))
+        assert len(saved) == 6
+        for json_path in saved:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(json.loads(json_path.read_text())["config"]))
+            assert main(["run", "--config", str(cfg_path), "--out", str(second)]) == 0
+            for path in (json_path, json_path.with_suffix(".csv")):
+                assert (second / path.name).read_bytes() == path.read_bytes()
+        assert sorted(p.name for p in second.iterdir()) == sorted(p.name for p in first.iterdir())
+        assert capsys.readouterr().err == ""
+
     def test_run_overrides_and_grid(self, blob_csv, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         out_dir = tmp_path / "results"
@@ -1282,6 +1335,15 @@ class TestCli:
         code = main(["summarize", "--in", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: cannot read {json_path} as JSON: {NOT_UTF8}")
+
+    def test_summarize_names_a_result_whose_csv_holds_only_its_header(self, tmp_path, capsys):
+        json_path, csv_path = save_run(make_result(), tmp_path)
+        csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
+        code = main(["summarize", "--in", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {json_path} is not a run result: a run must report at least one generation row\n"
+        )
 
     def test_summarize_names_a_malformed_csv_and_its_columns(self, tmp_path, capsys):
         _, csv_path = save_run(make_result(), tmp_path)

@@ -104,3 +104,43 @@ def test_the_worker_dataset_is_the_only_global_rebound():
         for g in node.names
     }
     assert rebound == {"harness._worker_dataset"}
+
+
+# Every reader of a result directory; report.py alone defines them.
+RESULT_READERS = {
+    "load_results",
+    "ConfigKey",
+    "ConfigSummary",
+    "Summary",
+    "_config_key",
+    "_settings",
+    "_test_hypervolume",
+    "summarize",
+    "format_summary",
+}
+
+
+def imported_modules(tree: ast.Module):
+    """The package modules a module imports, relative or absolute: report for `from .report import x`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            yield from (module.rpartition(".")[2] or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (a.name.rpartition(".")[2] for a in node.names)
+
+
+def test_results_are_read_back_in_report_alone():
+    # harness configures, runs and writes; report reads the files back. So
+    # each reader is defined in report.py only, with no alias left in
+    # harness, and neither module imports the other.
+    modules = dict(package_modules())
+    defined = sorted(
+        (name, reader)
+        for name, tree in modules.items()
+        for reader in module_level_names(tree)
+        if reader in RESULT_READERS
+    )
+    assert defined == [("report.py", reader) for reader in sorted(RESULT_READERS)]
+    assert "report" not in imported_modules(modules["harness.py"])
+    assert "harness" not in imported_modules(modules["report.py"])
